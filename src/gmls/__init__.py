@@ -49,7 +49,6 @@ from .model import (
     SURLayout,
     build_model,
     extract_sur_blocks,
-    normalize_dispersion,
     stack_sur,
     stacking_permutation,
 )
@@ -118,7 +117,7 @@ __all__ = [
     "spectral_decompose",
     "CombinedRestrictions", "EstimateResult", "EstimatorTag",
     "GaussMarkoffModel", "LinearRestrictions", "SURLayout", "build_model",
-    "extract_sur_blocks", "normalize_dispersion", "stack_sur",
+    "extract_sur_blocks", "stack_sur",
     "stacking_permutation",
     "ImplicitRestrictions", "TheilWitness", "WitnessKind",
     "check_joint_identification", "check_mls_invertibility",

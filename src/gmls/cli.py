@@ -72,7 +72,7 @@ from .identify import (
 from .model import LinearRestrictions, SURLayout, build_model, stack_sur
 from .montecarlo import DEFAULT_ESTIMATOR, SCENARIOS, SimulationConfig, run_study
 from .panel import build_fe_model, fe_drop_period, fe_gls, fe_mls, verify_theorem5
-from .spectral import RankReport, numeric_rank, spectral_decompose
+from .spectral import RankReport, numeric_rank
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -414,10 +414,8 @@ def cmd_estimate(args) -> int:
                                     "holds": ok, **_rank_entry(report)}
         if not ok:
             raise CommandFailure(EXIT_PRECONDITION, f"{COND_IDENTIFICATION} failed")
-    omega_spec = None
     if method in ("mls", "tkn"):
-        omega_spec = spectral_decompose(model.dispersion, tol=tol)
-        ok, report = check_mls_invertibility(model.X, omega_spec, tol=tol)
+        ok, report = check_mls_invertibility(model.X, model.spectrum, tol=tol)
         checks["whitened_rank"] = {"condition": COND_WHITENED_RANK,
                                    "holds": ok, **_rank_entry(report)}
         if not ok:
@@ -429,9 +427,7 @@ def cmd_estimate(args) -> int:
             raise CommandFailure(EXIT_PRECONDITION, detail)
     combined = None
     if method == "constrained":
-        omega_spec = spectral_decompose(model.dispersion, tol=tol)
-        implicit = extract_implicit_restrictions(model, tol=tol,
-                                                 omega_spec=omega_spec)
+        implicit = extract_implicit_restrictions(model)
         combined = combine_restrictions(explicit, implicit, tol=tol)
         checks["combined_consistency"] = {"condition": COND_COMBINED,
                                           "holds": combined.consistent}
@@ -457,12 +453,11 @@ def cmd_estimate(args) -> int:
         sres = StochasticRestrictions.build(explicit.R, explicit.r, theta)
         result = stochastic_restricted_gls(model, sres, tol=tol)
     elif method == "mls":
-        result = mls(model, tol=tol, omega_spec=omega_spec)
+        result = mls(model, tol=tol)
     elif method == "tkn":
-        result = tkn(model, explicit, tol=tol, omega_spec=omega_spec)
+        result = tkn(model, explicit, tol=tol)
     else:  # constrained
-        result = constrained_singular_gls(model, combined, tol=tol,
-                                          omega_spec=omega_spec)
+        result = constrained_singular_gls(model, combined, tol=tol)
 
     doc = {
         "command": "estimate",
@@ -501,11 +496,10 @@ def cmd_diagnose(args) -> int:
     ok, report = check_joint_identification(model.X, explicit, tol=tol)
     checks["identification"] = {"condition": COND_IDENTIFICATION, "holds": ok,
                                 **_rank_entry(report)}
-    omega_spec = spectral_decompose(model.dispersion, tol=tol)
-    ok, report = check_mls_invertibility(model.X, omega_spec, tol=tol)
+    ok, report = check_mls_invertibility(model.X, model.spectrum, tol=tol)
     checks["whitened_rank"] = {"condition": COND_WHITENED_RANK, "holds": ok,
                                **_rank_entry(report)}
-    implicit = extract_implicit_restrictions(model, tol=tol, omega_spec=omega_spec)
+    implicit = extract_implicit_restrictions(model)
     combined = combine_restrictions(explicit, implicit, tol=tol)
     checks["combined_consistency"] = {"condition": COND_COMBINED,
                                       "holds": combined.consistent,
@@ -516,7 +510,7 @@ def cmd_diagnose(args) -> int:
         "inputs": {
             "observations": model.num_obs,
             "parameters": model.num_params,
-            "dispersion_rank": omega_spec.rank,
+            "dispersion_rank": model.spectrum.rank,
             "tolerance": "default" if tol is None else float(tol),
         },
         "checks": checks,

@@ -12,6 +12,10 @@ Sign convention for restricted updates: every correction term uses the
 orientation (r - R beta_unrestricted), which makes R beta_hat = r hold
 exactly.  Restriction satisfaction is an invariant of the returned
 estimates, not an approximation.
+
+The dispersion's decomposition comes from ``model.spectrum``, so its
+rank is the one build_model fixed; an estimator's ``tol`` governs the
+remaining rank decisions (design, restrictions, whitened design).
 """
 
 from __future__ import annotations
@@ -98,8 +102,8 @@ def _design_full_rank(model: GaussMarkoffModel, tol):
     return report
 
 
-def _pd_dispersion(model: GaussMarkoffModel, tol) -> SpectralDecomposition:
-    spec = spectral_decompose(model.dispersion, tol=tol)
+def _pd_dispersion(model: GaussMarkoffModel) -> SpectralDecomposition:
+    spec = model.spectrum
     if spec.rank < model.num_obs:
         raise DispersionSingularError(
             f"dispersion has rank {spec.rank} < T={model.num_obs}; "
@@ -146,7 +150,7 @@ def ols(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
 
 
 def _gls_core(model: GaussMarkoffModel, tol):
-    spec = _pd_dispersion(model, tol)
+    spec = _pd_dispersion(model)
     report = _design_full_rank(model, tol)
     factor = scipy.linalg.cho_factor(0.5 * (model.dispersion + model.dispersion.T),
                                      lower=True)
@@ -240,7 +244,7 @@ def rgls(model: GaussMarkoffModel, res: LinearRestrictions,
     C = X' Omega^{-1} X.  Collinear designs go through the whitened
     reparametrization.
     """
-    spec = _pd_dispersion(model, tol)
+    spec = _pd_dispersion(model)
     cons = _consistency_or_raise(res, tol)
     ident = _joint_identification_or_raise(model.X, res.R, tol)
     design = numeric_rank(model.X, tol=tol)
@@ -418,7 +422,7 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
     when recorded and 1 otherwise.  As Theta -> 0 the estimate tends to
     restricted GLS; as Theta -> infinity it tends to unrestricted GLS.
     """
-    spec = _pd_dispersion(model, tol)
+    spec = _pd_dispersion(model)
     eff = sres.effective_restrictions(model.num_params)
     if sres.count == 0:
         beta, _, cov, diag = _gls_core(model, tol)
@@ -458,47 +462,47 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
 # ---------------------------------------------------------------------------
 # singular-dispersion estimators
 
-def _mls_core(model: GaussMarkoffModel, tol, omega_spec):
-    spec = omega_spec if omega_spec is not None \
-        else spectral_decompose(model.dispersion, tol=tol)
-    ok, report = check_mls_invertibility(model.X, spec, tol=tol)
+def _pinv_normal(model: GaussMarkoffModel):
+    """C+ = X' Omega^+ X and X' Omega^+ y from the model's spectrum."""
+    f = model.spectrum.eigenvectors_pos
+    fx = f.T @ model.X
+    inv_lam = (1.0 / model.spectrum.eigenvalues_pos)[:, None]
+    return fx.T @ (fx * inv_lam), fx.T @ ((f.T @ model.y) * inv_lam)
+
+
+def _mls_core(model: GaussMarkoffModel, tol):
+    ok, report = check_mls_invertibility(model.X, model.spectrum, tol=tol)
     if not ok:
         raise TheilRankConditionError(
             f"F'X has rank {report.numeric_rank} < K={model.num_params}; "
             "the pseudo-inverse normal matrix is not invertible", report=report)
-    fx = spec.eigenvectors_pos.T @ model.X
-    fy = spec.eigenvectors_pos.T @ model.y
-    inv_lam = 1.0 / spec.eigenvalues_pos
-    c_plus = fx.T @ (fx * inv_lam[:, None])
-    rhs = fx.T @ (fy * inv_lam[:, None])
+    c_plus, rhs = _pinv_normal(model)
     beta = _spd_solve(c_plus, rhs,
                       TheilRankConditionError("X' Omega^+ X is numerically singular",
                                               report=report))
     c_plus_inv = _spd_inverse(
         c_plus, TheilRankConditionError("X' Omega^+ X is numerically singular",
                                         report=report))
-    return beta, c_plus, c_plus_inv, spec, report
+    return beta, c_plus_inv, report
 
 
-def mls(model: GaussMarkoffModel, tol: float | None = None,
-        omega_spec: SpectralDecomposition | None = None) -> EstimateResult:
+def mls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     """Pseudo-inverse least squares for (possibly) singular dispersion.
 
     beta_hat = (X' Omega^+ X)^{-1} X' Omega^+ y.  Exists exactly when
     F'X has full column rank; coincides with GLS whenever the dispersion
     is positive definite.
     """
-    beta, _, c_plus_inv, spec, report = _mls_core(model, tol, omega_spec)
+    beta, c_plus_inv, report = _mls_core(model, tol)
     return EstimateResult(beta_hat=beta, covariance_factor=c_plus_inv,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.MLS,
                           diagnostics={"whitened_design_rank": report,
-                                       "dispersion_rank": spec.rank})
+                                       "dispersion_rank": model.spectrum.rank})
 
 
 def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
-        tol: float | None = None,
-        omega_spec: SpectralDecomposition | None = None) -> EstimateResult:
+        tol: float | None = None) -> EstimateResult:
     """Pseudo-inverse estimator updated for exact restrictions.
 
     beta_hat = b_mls + C+^{-1} R' [R C+^{-1} R']^{-1} (r - R b_mls),
@@ -506,7 +510,7 @@ def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
     dispersion.
     """
     cons = _consistency_or_raise(res, tol)
-    beta_m, _, c_plus_inv, spec, report = _mls_core(model, tol, omega_spec)
+    beta_m, c_plus_inv, report = _mls_core(model, tol)
     v_mat = c_plus_inv @ res.R.T
     gram = res.R @ v_mat
     correction = _spd_solve(
@@ -521,7 +525,7 @@ def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
                           estimator_tag=EstimatorTag.TKN,
                           diagnostics={"restriction_consistency": cons,
                                        "whitened_design_rank": report,
-                                       "dispersion_rank": spec.rank})
+                                       "dispersion_rank": model.spectrum.rank})
 
 
 # ---------------------------------------------------------------------------
@@ -556,9 +560,7 @@ def _combined_checks(model: GaussMarkoffModel, combined: CombinedRestrictions, t
 
 def solve_normal_system(model: GaussMarkoffModel,
                         combined: CombinedRestrictions,
-                        tol: float | None = None,
-                        omega_spec: SpectralDecomposition | None = None,
-                        ) -> NormalSystemSolution:
+                        tol: float | None = None) -> NormalSystemSolution:
     """Solve the bordered first-order system of the constrained problem.
 
         [ C+   H' ] [ beta   ]   [ X' Omega^+ y ]
@@ -569,12 +571,7 @@ def solve_normal_system(model: GaussMarkoffModel,
     block flagged non-unique.
     """
     _combined_checks(model, combined, tol)
-    spec = omega_spec if omega_spec is not None \
-        else spectral_decompose(model.dispersion, tol=tol)
-    fx = spec.eigenvectors_pos.T @ model.X
-    inv_lam = 1.0 / spec.eigenvalues_pos if spec.rank else np.zeros(0)
-    c_plus = fx.T @ (fx * inv_lam[:, None])
-    rhs_top = fx.T @ ((spec.eigenvectors_pos.T @ model.y) * inv_lam[:, None])
+    c_plus, rhs_top = _pinv_normal(model)
     k_dim, rows = model.num_params, combined.count
     system = np.zeros((k_dim + rows, k_dim + rows))
     system[:k_dim, :k_dim] = c_plus
@@ -610,9 +607,7 @@ def _particular_solution(combined: CombinedRestrictions, particular, tol):
 def constrained_singular_gls(model: GaussMarkoffModel,
                              combined: CombinedRestrictions,
                              particular=None,
-                             tol: float | None = None,
-                             omega_spec: SpectralDecomposition | None = None,
-                             ) -> EstimateResult:
+                             tol: float | None = None) -> EstimateResult:
     """Best linear unbiased estimation under H beta = h with singular dispersion.
 
     With N an orthonormal null-space basis of H, S = N' C+ N, and beta*
@@ -624,15 +619,10 @@ def constrained_singular_gls(model: GaussMarkoffModel,
     factor is N S^{-1} N'.
     """
     ident = _combined_checks(model, combined, tol)
-    spec = omega_spec if omega_spec is not None \
-        else spectral_decompose(model.dispersion, tol=tol)
     basis = null_space_basis(combined.H, tol=tol)
     beta_star = _particular_solution(combined, particular, tol)
     k_dim = model.num_params
-    fx = spec.eigenvectors_pos.T @ model.X
-    inv_lam = 1.0 / spec.eigenvalues_pos if spec.rank else np.zeros(0)
-    c_plus = fx.T @ (fx * inv_lam[:, None])
-    rhs_top = fx.T @ ((spec.eigenvectors_pos.T @ model.y) * inv_lam[:, None])
+    c_plus, rhs_top = _pinv_normal(model)
     if basis.shape[1] == 0:
         beta = beta_star
         cov = np.zeros((k_dim, k_dim))
@@ -650,7 +640,7 @@ def constrained_singular_gls(model: GaussMarkoffModel,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.CONSTRAINED_SINGULAR,
                           diagnostics={"joint_identification": ident,
-                                       "dispersion_rank": spec.rank,
+                                       "dispersion_rank": model.spectrum.rank,
                                        "restriction_rank": numeric_rank(combined.H,
                                                                         tol=tol)})
 
@@ -660,9 +650,7 @@ def linear_representation(model: GaussMarkoffModel,
                           free_coefficients,
                           implicit: ImplicitRestrictions,
                           particular=None,
-                          tol: float | None = None,
-                          omega_spec: SpectralDecomposition | None = None,
-                          ) -> EstimateResult:
+                          tol: float | None = None) -> EstimateResult:
     """Member of the affine class of representations of the constrained estimator.
 
     Adds the identically-zero term G_free (A'y - g) to the constrained
@@ -675,22 +663,18 @@ def linear_representation(model: GaussMarkoffModel,
     but the same estimate on admissible data.  The map and offset are
     reported in the diagnostics under "linear_map" and "offset".
     """
-    spec = omega_spec if omega_spec is not None \
-        else spectral_decompose(model.dispersion, tol=tol)
+    spec = model.spectrum
     g_free = as_matrix(free_coefficients, "free_coefficients")
     null_dim = model.num_obs - spec.rank
     if g_free.shape != (model.num_params, null_dim):
         raise DimensionMismatchError(
             f"free coefficients must be {model.num_params} x {null_dim}, "
             f"got {g_free.shape}")
-    base = constrained_singular_gls(model, combined, particular=particular,
-                                    tol=tol, omega_spec=spec)
+    base = constrained_singular_gls(model, combined, particular=particular, tol=tol)
     correction = g_free @ (implicit.A.T @ model.y) - g_free @ implicit.g
     beta = base.beta_hat + correction
     ident = dict(base.diagnostics)
-    fx = spec.eigenvectors_pos.T @ model.X
-    inv_lam = 1.0 / spec.eigenvalues_pos if spec.rank else np.zeros(0)
-    c_plus = fx.T @ (fx * inv_lam[:, None])
+    c_plus, _ = _pinv_normal(model)
     basis = null_space_basis(combined.H, tol=tol)
     if basis.shape[1]:
         s_inv = _spd_inverse(basis.T @ c_plus @ basis,

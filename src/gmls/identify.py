@@ -104,21 +104,13 @@ def check_joint_identification(X, res: LinearRestrictions,
     return report.numeric_rank == X.shape[1], report
 
 
-def extract_implicit_restrictions(model: GaussMarkoffModel,
-                                  tol: float | None = None,
-                                  omega_spec: SpectralDecomposition | None = None,
-                                  ) -> ImplicitRestrictions:
+def extract_implicit_restrictions(model: GaussMarkoffModel) -> ImplicitRestrictions:
     """Implicit restrictions G = A'X, g = A'y from a singular dispersion.
 
-    A positive definite dispersion yields an empty restriction set.  A
-    precomputed spectral decomposition of the dispersion may be passed
-    to avoid repeating it.
+    A is the null basis of the model's own spectrum.  A positive
+    definite dispersion yields an empty restriction set.
     """
-    spec = omega_spec if omega_spec is not None \
-        else spectral_decompose(model.dispersion, tol=tol)
-    if spec.source_dim != model.num_obs:
-        raise DimensionMismatchError("decomposition does not match the model dimension")
-    a = spec.eigenvectors_null
+    a = model.spectrum.eigenvectors_null
     return ImplicitRestrictions(G=a.T @ model.X, g=a.T @ model.y, A=a)
 
 
@@ -147,17 +139,18 @@ def combine_restrictions(explicit: LinearRestrictions,
     )
 
 
-def check_mls_invertibility(X, omega_spec: SpectralDecomposition,
+def check_mls_invertibility(X, spec: SpectralDecomposition,
                             tol: float | None = None):
     """Full column rank of F'X, F the positive-eigenvalue eigenvectors.
 
     This is the exact condition for X' Omega^+ X to be invertible, i.e.
-    for the pseudo-inverse estimator to exist.
+    for the pseudo-inverse estimator to exist.  ``spec`` is the
+    dispersion's decomposition, normally ``model.spectrum``.
     """
     X = as_matrix(X, "X")
-    if omega_spec.source_dim != X.shape[0]:
+    if spec.source_dim != X.shape[0]:
         raise DimensionMismatchError("decomposition does not match the design rows")
-    report = numeric_rank(omega_spec.eigenvectors_pos.T @ X, tol=tol)
+    report = numeric_rank(spec.eigenvectors_pos.T @ X, tol=tol)
     return report.numeric_rank == X.shape[1], report
 
 

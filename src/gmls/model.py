@@ -4,6 +4,8 @@ A model is the triple {y, X, dispersion} with E(u) = 0 and
 D(u) = sigma^2 * dispersion.  The dispersion matrix may be singular; the
 only admissibility requirement on the data is that the response lies in
 the column space of (X : dispersion), which build_model verifies.
+build_model decomposes the dispersion once and the model carries that
+decomposition, so its rank is fixed at construction.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from .errors import (
     ResponseOutsideRangeError,
     TooFewObservationsError,
 )
-from .spectral import as_matrix, null_space_basis, numeric_rank, spectral_decompose
+from .spectral import (
+    SpectralDecomposition,
+    as_matrix,
+    default_tolerance,
+    null_space_basis,
+    numeric_rank,
+    spectral_decompose,
+)
 
 # Relative tolerance for the column-space membership test on y.
 MEMBERSHIP_RTOL = 1e-8
@@ -50,14 +59,17 @@ class EstimatorTag(enum.Enum):
 class GaussMarkoffModel:
     """Immutable model triple with optional error-variance scale.
 
-    ``ordering`` records the stacking convention when the model was
-    produced from per-equation SUR blocks ("period" or "equation"),
-    None otherwise.
+    ``spectrum`` is the decomposition F Lambda F' of the dispersion with
+    null basis A, computed once by build_model; every estimator reads
+    the dispersion rank from it.  ``ordering`` records the stacking
+    convention when the model was produced from per-equation SUR blocks
+    ("period" or "equation"), None otherwise.
     """
 
     y: np.ndarray
     X: np.ndarray
     dispersion: np.ndarray
+    spectrum: SpectralDecomposition
     sigma2: float | None = None
     ordering: str | None = None
 
@@ -203,7 +215,8 @@ def build_model(y, X, dispersion, sigma2: float | None = None,
 
     Checks, in order: dimensional conformity, T > K, the dispersion is
     symmetric nonnegative definite, and the response lies in the column
-    space of (X : dispersion) within 1e-8 relative.
+    space of (X : dispersion) within 1e-8 relative.  The dispersion is
+    decomposed here, with rank cutoff ``tol``, and nowhere else.
     """
     y = as_matrix(y, "y")
     X = as_matrix(X, "X")
@@ -218,35 +231,30 @@ def build_model(y, X, dispersion, sigma2: float | None = None,
         raise TooFewObservationsError(
             f"need more observations than parameters, got T={t_dim}, K={k_dim}")
     try:
-        spectral_decompose(omega, tol=tol)
+        spec = spectral_decompose(omega, tol=tol)
     except (NonSymmetricError, IndefiniteInputError) as exc:
         raise DispersionNotNNDError(
             f"dispersion is not symmetric nonnegative definite: {exc}") from exc
     # y must lie in the column space of (X : dispersion) for the model to
-    # be internally consistent with probability one.
-    stacked = np.hstack([X, omega])
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    cutoff = max(stacked.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    basis = u[:, : int(np.count_nonzero(s > cutoff))]
-    resid = y - basis @ (basis.T @ y)
-    if float(np.linalg.norm(resid)) > MEMBERSHIP_RTOL * (1.0 + float(np.linalg.norm(y))):
-        raise ResponseOutsideRangeError(
-            "response is outside the column space of (design : dispersion)")
-    return GaussMarkoffModel(y=y, X=X, dispersion=omega, sigma2=sigma2,
-                             ordering=ordering)
-
-
-def normalize_dispersion(model: GaussMarkoffModel) -> GaussMarkoffModel:
-    """Rescale the dispersion so its trace equals the observation count.
-
-    Optional convenience; no estimator requires it.
-    """
-    tr = float(np.trace(model.dispersion))
-    if tr <= 0:
-        raise DispersionNotNNDError("cannot normalize a dispersion with trace <= 0")
-    return GaussMarkoffModel(y=model.y, X=model.X,
-                             dispersion=model.dispersion * (model.num_obs / tr),
-                             sigma2=model.sigma2, ordering=model.ordering)
+    # be internally consistent with probability one.  col(dispersion) =
+    # col(F), so the distance of y from that space is the least-squares
+    # residual of A'y on A'X.
+    a = spec.eigenvectors_null
+    if a.shape[1]:
+        g, g_y = a.T @ X, a.T @ y
+        u, s, _ = np.linalg.svd(g, full_matrices=False)
+        # the largest singular value of (X : dispersion) is within a
+        # factor sqrt(2) of this scale
+        lam_max = spec.eigenvalues_pos[0] if spec.rank else 0.0
+        scale = np.hypot(np.linalg.norm(X, 2), lam_max)
+        cutoff = default_tolerance(t_dim, t_dim + k_dim, scale)
+        basis = u[:, : int(np.count_nonzero(s > cutoff))]
+        resid = g_y - basis @ (basis.T @ g_y)
+        if float(np.linalg.norm(resid)) > MEMBERSHIP_RTOL * (1.0 + float(np.linalg.norm(y))):
+            raise ResponseOutsideRangeError(
+                "response is outside the column space of (design : dispersion)")
+    return GaussMarkoffModel(y=y, X=X, dispersion=omega, spectrum=spec,
+                             sigma2=sigma2, ordering=ordering)
 
 
 def stacking_permutation(n: int, m: int, src: str, dst: str) -> np.ndarray:

@@ -17,6 +17,7 @@ machine precision.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,11 @@ from .estimators import (
 )
 from .identify import combine_restrictions, extract_implicit_restrictions
 from .model import (
+    PERIOD_MAJOR,
     GaussMarkoffModel,
     LinearRestrictions,
     SURLayout,
-    stack_sur,
+    build_model,
 )
 from .panel import FEPanelModel, build_fe_model, fe_gls, fe_mls
 from .spectral import SpectralDecomposition, spectral_decompose
@@ -166,17 +168,19 @@ def _random_spd(rng: np.random.Generator, dim: int,
 
 @dataclass(frozen=True)
 class _Structure:
-    """Replication-invariant part of a scenario."""
+    """Replication-invariant part of a scenario.
+
+    ``template`` is the model with the noise-free response X beta; a
+    replication swaps in its own response and keeps the template's
+    decomposed dispersion.
+    """
 
     kind: str
     true_beta: np.ndarray
     sigma2: float
-    design: np.ndarray | None = None
-    omega: np.ndarray | None = None
-    omega_spec: SpectralDecomposition | None = None
+    template: GaussMarkoffModel | None = None
     restrictions: LinearRestrictions | None = None
     layout: SURLayout | None = None
-    ordering: str | None = None
     fe_designs: tuple | None = None
     fe_effects: np.ndarray | None = None
     fe_sigma: np.ndarray | None = None
@@ -198,30 +202,24 @@ def _build_structure(config: SimulationConfig) -> _Structure:
     if beta0.shape != (k_total,):
         raise InvalidConfigError(f"true_beta must have {k_total} entries")
 
-    if config.scenario == REGULAR_GLS:
-        if t_dim <= k_total:
-            raise InvalidConfigError("need n*m > coefficient count")
-        design = rng.normal(size=(t_dim, k_total))
-        omega = _random_spd(rng, t_dim)
-        return _Structure(kind=config.scenario, true_beta=beta0,
-                          sigma2=config.sigma2, design=design, omega=omega,
-                          omega_spec=spectral_decompose(omega))
+    if config.scenario in (FE_KRONECKER, FE_BLOCKDIAG):
+        if m <= 1 or n * (m - 1) <= k_total:
+            raise InvalidConfigError("need n*(m-1) > coefficient count for FE scenarios")
+        designs = tuple(rng.normal(size=(m, k_total)) for _ in range(n))
+        effects = rng.uniform(-1.0, 1.0, size=(n, 1))
+        if config.scenario == FE_KRONECKER:
+            sigma = _random_spd(rng, m)
+            return _Structure(kind=config.scenario, true_beta=beta0,
+                              sigma2=config.sigma2, fe_designs=designs,
+                              fe_effects=effects, fe_sigma=sigma,
+                              fe_sigma_specs=(spectral_decompose(sigma),) * n)
+        blocks = tuple(_random_spd(rng, m) for _ in range(n))
+        return _Structure(kind=config.scenario, true_beta=beta0, sigma2=config.sigma2,
+                          fe_designs=designs, fe_effects=effects,
+                          fe_sigma_blocks=blocks,
+                          fe_sigma_specs=tuple(spectral_decompose(b) for b in blocks))
 
-    if config.scenario == COLLINEAR_RESTRICTED:
-        if t_dim <= k_total:
-            raise InvalidConfigError("need n*m > coefficient count")
-        design = rng.normal(size=(t_dim, k_total))
-        design[:, -1] = design[:, 0]  # exact collinearity
-        beta0 = beta0.copy()
-        beta0[-1] = beta0[0]  # the repairing restriction holds in truth
-        restr = np.zeros((1, k_total))
-        restr[0, 0], restr[0, -1] = 1.0, -1.0
-        res = LinearRestrictions.build(restr, np.zeros((1, 1)))
-        omega = _random_spd(rng, t_dim)
-        return _Structure(kind=config.scenario, true_beta=beta0,
-                          sigma2=config.sigma2, design=design, omega=omega,
-                          omega_spec=spectral_decompose(omega), restrictions=res)
-
+    restrictions = layout = ordering = None
     if config.scenario == SINGULAR_ADDING_UP:
         layout = SURLayout.build([rng.normal(size=(m, kw)) for _ in range(n)])
         a = np.full((n, 1), 1.0 / np.sqrt(n))
@@ -232,27 +230,23 @@ def _build_structure(config: SimulationConfig) -> _Structure:
         omega = np.zeros((t_dim, t_dim))
         for t, b in enumerate(blocks):
             omega[t * n:(t + 1) * n, t * n:(t + 1) * n] = b
-        return _Structure(kind=config.scenario, true_beta=beta0,
-                          sigma2=config.sigma2, design=design, omega=omega,
-                          omega_spec=spectral_decompose(omega), layout=layout,
-                          ordering="period")
-
-    # fixed-effects scenarios
-    if m <= 1 or n * (m - 1) <= k_total:
-        raise InvalidConfigError("need n*(m-1) > coefficient count for FE scenarios")
-    designs = tuple(rng.normal(size=(m, k_total)) for _ in range(n))
-    effects = rng.uniform(-1.0, 1.0, size=(n, 1))
-    if config.scenario == FE_KRONECKER:
-        sigma = _random_spd(rng, m)
-        return _Structure(kind=config.scenario, true_beta=beta0,
-                          sigma2=config.sigma2, fe_designs=designs,
-                          fe_effects=effects, fe_sigma=sigma,
-                          fe_sigma_specs=(spectral_decompose(sigma),) * n)
-    blocks = tuple(_random_spd(rng, m) for _ in range(n))
+        ordering = PERIOD_MAJOR
+    else:
+        if t_dim <= k_total:
+            raise InvalidConfigError("need n*m > coefficient count")
+        design = rng.normal(size=(t_dim, k_total))
+        if config.scenario == COLLINEAR_RESTRICTED:
+            design[:, -1] = design[:, 0]  # exact collinearity
+            beta0 = beta0.copy()
+            beta0[-1] = beta0[0]  # the repairing restriction holds in truth
+            restr = np.zeros((1, k_total))
+            restr[0, 0], restr[0, -1] = 1.0, -1.0
+            restrictions = LinearRestrictions.build(restr, np.zeros((1, 1)))
+        omega = _random_spd(rng, t_dim)
+    template = build_model(design @ beta0.reshape(-1, 1), design, omega,
+                           sigma2=config.sigma2, ordering=ordering)
     return _Structure(kind=config.scenario, true_beta=beta0, sigma2=config.sigma2,
-                      fe_designs=designs, fe_effects=effects,
-                      fe_sigma_blocks=blocks,
-                      fe_sigma_specs=tuple(spectral_decompose(b) for b in blocks))
+                      template=template, restrictions=restrictions, layout=layout)
 
 
 def _draw_errors(spec: SpectralDecomposition, sigma2: float,
@@ -266,13 +260,10 @@ def _instance_from(structure: _Structure, config: SimulationConfig,
                    rep: int) -> Instance:
     rng = _rng(config.seed, 1 + rep)
     beta0 = structure.true_beta.reshape(-1, 1)
-    if structure.kind in (REGULAR_GLS, COLLINEAR_RESTRICTED, SINGULAR_ADDING_UP):
-        u = _draw_errors(structure.omega_spec, structure.sigma2, rng)
-        y = structure.design @ beta0 + u
-        model = GaussMarkoffModel(y=y, X=structure.design,
-                                  dispersion=structure.omega,
-                                  sigma2=structure.sigma2,
-                                  ordering=structure.ordering)
+    template = structure.template
+    if template is not None:
+        u = _draw_errors(template.spectrum, structure.sigma2, rng)
+        model = dataclasses.replace(template, y=template.X @ beta0 + u)
         return Instance(replication=rep, true_beta=structure.true_beta,
                         model=model, restrictions=structure.restrictions,
                         layout=structure.layout)
@@ -296,21 +287,20 @@ def generate_instance(config: SimulationConfig, replication: int) -> Instance:
     return _instance_from(_build_structure(config), config, replication)
 
 
-def _estimate_once(name: str, inst: Instance, structure: _Structure):
+def _estimate_once(name: str, inst: Instance):
     if name in PANEL_ESTIMATORS:
         if inst.panel is None:
             raise InvalidConfigError(f"estimator {name!r} needs a panel scenario")
         return fe_gls(inst.panel) if name == "fe-gls" else fe_mls(inst.panel)
     if inst.model is None:
         raise InvalidConfigError(f"estimator {name!r} needs a model scenario")
-    model, spec = inst.model, structure.omega_spec
-    res = inst.restrictions
+    model, res = inst.model, inst.restrictions
     if name == "ols":
         return ols(model)
     if name == "gls":
         return gls(model)
     if name == "mls":
-        return mls(model, omega_spec=spec)
+        return mls(model)
     if name in ("rols", "rgls", "tkn"):
         if res is None:
             raise InvalidConfigError(f"estimator {name!r} needs explicit restrictions")
@@ -318,13 +308,13 @@ def _estimate_once(name: str, inst: Instance, structure: _Structure):
             return rols(model, res)
         if name == "rgls":
             return rgls(model, res)
-        return tkn(model, res, omega_spec=spec)
+        return tkn(model, res)
     if name == "constrained":
         explicit = res if res is not None \
             else LinearRestrictions.empty(model.num_params)
-        implicit = extract_implicit_restrictions(model, omega_spec=spec)
+        implicit = extract_implicit_restrictions(model)
         combined = combine_restrictions(explicit, implicit)
-        return constrained_singular_gls(model, combined, omega_spec=spec)
+        return constrained_singular_gls(model, combined)
     raise InvalidConfigError(f"unknown estimator {name!r}")
 
 
@@ -359,7 +349,7 @@ def run_study(config: SimulationConfig, estimator: str | None = None,
     for rep in range(reps):
         inst = _instance_from(structure, config, rep)
         try:
-            result = _estimate_once(name, inst, structure)
+            result = _estimate_once(name, inst)
         except GMLSError as exc:
             raise type(exc)(f"replication {rep}: {exc}") from exc
         estimates[rep] = result.beta_hat.ravel() + bias_shift

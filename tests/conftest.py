@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 @pytest.fixture

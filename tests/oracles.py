@@ -183,3 +183,19 @@ def matrix_rank_svd(matrix) -> int:
     if arr.size == 0:
         return 0
     return int(np.linalg.matrix_rank(arr))
+
+
+def stacked_membership(y_vec, x_mat, omega):
+    """Admissibility by an SVD of the whole T x (T+K) matrix (X : Omega).
+
+    Returns (admissible, rank cutoff, basis of the complement of
+    col(X : Omega)).  y is admissible when its distance
+    from col(X : Omega) is at most 1e-8 * (1 + ||y||).
+    """
+    y = np.asarray(y_vec, dtype=float).reshape(-1, 1)
+    stacked = np.hstack([np.asarray(x_mat, dtype=float), np.asarray(omega, dtype=float)])
+    u, s, _ = np.linalg.svd(stacked, full_matrices=True)
+    cutoff = max(stacked.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    rank = int(np.count_nonzero(s > cutoff))
+    resid = float(np.linalg.norm(u[:, rank:].T @ y))
+    return resid <= 1e-8 * (1.0 + float(np.linalg.norm(y))), cutoff, u[:, rank:]

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, SRC
 
 GOLDENS = {
     "golden_estimate.json": (
@@ -38,6 +38,10 @@ def run_cli(*argv, env_extra=None, text=True):
     env.pop("GMLS_TOL", None)
     if env_extra:
         env.update(env_extra)
+    # the child runs inside fixtures/, where a relative PYTHONPATH=src
+    # would no longer resolve
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "gmls", *argv],
                          cwd=FIXTURES, env=env, capture_output=True, text=text)
 

@@ -129,11 +129,12 @@ def test_gls_rejects_singular_dispersion():
 def test_gls_scale_equivariance():
     rng = np.random.default_rng(54)
     model = _regular(rng)
-    scaled = build_model(model.y, model.X, 100.0 * model.dispersion)
-    np.testing.assert_allclose(gls(scaled).beta_hat, gls(model).beta_hat,
-                               atol=1e-10)
-    np.testing.assert_allclose(gls(scaled).covariance_factor,
-                               100.0 * gls(model).covariance_factor, rtol=1e-8)
+    for scale in (7.0, 100.0):
+        scaled = build_model(model.y, model.X, scale * model.dispersion)
+        np.testing.assert_allclose(gls(scaled).beta_hat, gls(model).beta_hat,
+                                   atol=1e-10)
+        np.testing.assert_allclose(gls(scaled).covariance_factor,
+                                   scale * gls(model).covariance_factor, rtol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,29 @@ from gmls import (
     NonFiniteError,
     ResponseOutsideRangeError,
     SURLayout,
+    SimulationConfig,
     TooFewObservationsError,
     build_model,
+    combine_restrictions,
+    constrained_singular_gls,
+    extract_implicit_restrictions,
     extract_sur_blocks,
-    gls,
-    normalize_dispersion,
+    mls,
+    run_study,
     stack_sur,
     stacking_permutation,
+    tkn,
 )
-from gmls.model import EQUATION_MAJOR, PERIOD_MAJOR, invert_restrictions
+from gmls import montecarlo
+from gmls.model import (
+    EQUATION_MAJOR,
+    MEMBERSHIP_RTOL,
+    PERIOD_MAJOR,
+    invert_restrictions,
+)
 
-from conftest import random_spd
+from conftest import random_nnd, random_spd
+from oracles import stacked_membership
 
 
 def _simple_model(rng, t_dim=8, k_dim=3):
@@ -99,15 +111,128 @@ def test_response_membership_with_singular_dispersion():
     del basis
 
 
-def test_normalize_dispersion_trace_and_invariance():
-    rng = np.random.default_rng(8)
-    y, x, omega = _simple_model(rng)
-    model = build_model(y, x, 7.0 * omega)
-    scaled = normalize_dispersion(model)
-    assert scaled.dispersion.trace() == pytest.approx(model.num_obs)
-    # GLS coefficients ignore the dispersion scale
-    np.testing.assert_allclose(gls(scaled).beta_hat, gls(model).beta_hat,
-                               atol=1e-10)
+def _accepts(y, x, omega) -> bool:
+    try:
+        build_model(y, x, omega)
+    except ResponseOutsideRangeError:
+        return False
+    return True
+
+
+def _pushed(y, direction, factor):
+    """y moved along a unit direction by factor times the membership bound."""
+    step = factor * MEMBERSHIP_RTOL * (1.0 + float(np.linalg.norm(y)))
+    return y + step * direction / float(np.linalg.norm(direction))
+
+
+def _membership_cases():
+    """(label, y, X, Omega, expected) with the expected admissibility."""
+    rng = np.random.default_rng(90)
+    t_dim, k_dim = 10, 3
+    cases = []
+
+    def with_pushes(label, y, x, omega, toward=None):
+        """y itself, then y pushed out of col(X : Omega) across the bound."""
+        cases.append((label, y, x, omega, True))
+        out = stacked_membership(y, x, omega)[2]
+        out = out[:, :1] if toward is None else out @ (out.T @ toward)
+        cases.append((label + " pushed 10x", _pushed(y, out, 10.0), x, omega, False))
+        cases.append((label + " pushed 0.1x", _pushed(y, out, 0.1), x, omega, True))
+
+    x = rng.normal(size=(t_dim, k_dim))
+    root = rng.normal(size=(t_dim, 4))
+    with_pushes("singular", x @ np.ones((k_dim, 1)) + root @ rng.normal(size=(4, 1)),
+                x, root @ root.T)
+
+    for label, y in (("pd", rng.normal(size=(t_dim, 1))),
+                     ("pd scaled", 1e6 * rng.normal(size=(t_dim, 1)))):
+        cases.append((label, y, x, random_spd(rng, t_dim), True))
+
+    zero = np.zeros((t_dim, t_dim))
+    with_pushes("zero dispersion", x @ rng.normal(size=(k_dim, 1)), x, zero)
+
+    collinear = x.copy()
+    collinear[:, 2] = collinear[:, 0] - collinear[:, 1]
+    omega = random_nnd(rng, t_dim, rank=3)
+    with_pushes("collinear", collinear @ np.ones((k_dim, 1)), collinear, omega)
+    with_pushes("collinear, zero dispersion", collinear @ np.ones((k_dim, 1)),
+                collinear, zero)
+
+    # eigenvalues just above and just below both rank cutoffs
+    q, _ = np.linalg.qr(rng.normal(size=(t_dim, t_dim)))
+    lam = np.array([4.0, 3.0, 2.0, 1.0] + [0.0] * (t_dim - 4))
+    eps = np.finfo(float).eps
+    spectral_cut = t_dim * eps * lam[0]
+    stacked_cut = stacked_membership(x @ np.ones((k_dim, 1)), x, (q * lam) @ q.T)[1]
+    lam[4] = 10.0 * max(spectral_cut, stacked_cut)
+    lam[5] = 0.1 * min(spectral_cut, stacked_cut)
+    omega = (q * lam) @ q.T
+    omega = 0.5 * (omega + omega.T)
+    base = x @ np.ones((k_dim, 1)) + q[:, :4] @ rng.normal(size=(4, 1))
+    # a draw from the model: the barely positive direction carries its
+    # own standard deviation, at which both rules resolve it
+    cases.append(("gap, barely positive direction",
+                  base + 3.0 * np.sqrt(lam[4]) * q[:, 4:5], x, omega, True))
+    with_pushes("gap, barely null direction", base, x, omega, toward=q[:, 5:6])
+    return cases
+
+
+@pytest.mark.parametrize("case", _membership_cases(), ids=lambda c: c[0])
+def test_admissibility_matches_stacked_svd_reference(case):
+    """build_model's A'y in col(A'X) test decides as the (X : Omega) SVD does."""
+    _, y, x, omega, expected = case
+    assert stacked_membership(y, x, omega)[0] is expected
+    assert _accepts(y, x, omega) is expected
+
+
+def _counting(monkeypatch, name, keep):
+    real = getattr(np.linalg, name)
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        if keep(np.shape(a)):
+            calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_singular_pipeline_decomposes_the_dispersion_once(monkeypatch):
+    rng = np.random.default_rng(91)
+    t_dim, k_dim = 10, 3
+    x = rng.normal(size=(t_dim, k_dim))
+    root = rng.normal(size=(t_dim, 7))
+    y = x @ np.ones((k_dim, 1)) + root @ rng.normal(size=(7, 1))
+    explicit = LinearRestrictions.build(np.array([[1.0, -1.0, 0.0]]), np.zeros((1, 1)))
+    eighs = _counting(monkeypatch, "eigh", lambda shape: shape[0] == t_dim)
+    svds = _counting(monkeypatch, "svd", lambda shape: shape[1] == t_dim + k_dim)
+
+    model = build_model(y, x, root @ root.T)
+    implicit = extract_implicit_restrictions(model)
+    combined = combine_restrictions(explicit, implicit)
+    constrained_singular_gls(model, combined)
+    mls(model)
+    tkn(model, explicit)
+    assert len(eighs) == 1
+    assert len(svds) == 0
+    assert model.spectrum.rank == 7
+
+
+def test_study_replications_never_decompose(monkeypatch):
+    eighs = _counting(monkeypatch, "eigh", lambda shape: True)
+    built = []
+    real_build = montecarlo._build_structure
+
+    def build(config):
+        structure = real_build(config)
+        built.append(len(eighs))
+        return structure
+    monkeypatch.setattr(montecarlo, "_build_structure", build)
+    config = SimulationConfig(scenario=montecarlo.SINGULAR_ADDING_UP,
+                              replications=50, seed=5, coeff_count=2)
+    run_study(config)
+    assert built == [1]
+    assert len(eighs) == 1
 
 
 def test_stacking_permutation_roundtrip():
