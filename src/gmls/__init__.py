@@ -64,7 +64,6 @@ from .identify import (
     extract_implicit_restrictions,
 )
 from .estimators import (
-    NormalSystemSolution,
     RidgeSpec,
     StochasticRestrictions,
     constrained_singular_gls,
@@ -75,7 +74,6 @@ from .estimators import (
     rgls,
     ridge,
     rols,
-    solve_normal_system,
     stochastic_restricted_gls,
     tkn,
 )
@@ -123,10 +121,9 @@ __all__ = [
     "check_joint_identification", "check_mls_invertibility",
     "check_restriction_consistency", "check_theil_condition",
     "combine_restrictions", "extract_implicit_restrictions",
-    "NormalSystemSolution", "RidgeSpec", "StochasticRestrictions",
+    "RidgeSpec", "StochasticRestrictions",
     "constrained_singular_gls", "gls", "linear_representation", "mls",
-    "ols", "rgls", "ridge", "rols", "solve_normal_system",
-    "stochastic_restricted_gls", "tkn",
+    "ols", "rgls", "ridge", "rols", "stochastic_restricted_gls", "tkn",
     "FEPanelModel", "ProjectorSet", "Theorem5Report", "build_fe_model",
     "build_projectors", "centering_matrix", "dummy_matrix",
     "fe_drop_period", "fe_gls", "fe_mls", "verify_theorem5",

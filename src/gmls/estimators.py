@@ -8,10 +8,20 @@ pseudo-inverse estimator, its explicitly-restricted variant, and the
 fully general constrained estimator that folds the restrictions the
 singular dispersion itself imposes into the solve.
 
-Sign convention for restricted updates: every correction term uses the
-orientation (r - R beta_unrestricted), which makes R beta_hat = r hold
-exactly.  Restriction satisfaction is an invariant of the returned
-estimates, not an approximation.
+Every estimator but ridge solves one problem,
+
+    minimize || W (y - X beta) ||  subject to  H beta = h,
+
+with the whitener W = Lambda^{-1/2} F' taken from ``model.spectrum``
+(W'W = Omega^+; W = I for OLS and restricted OLS) and H the estimator's
+restriction rows.  One core solves it in null-space coordinates
+beta = beta* + N c, with an SVD of H and a QR factorization of W X N,
+so no path forms the normal matrix X' W'W X and squares the condition
+number of the design.  The covariance factor N R^{-1} R^{-T} N' comes
+off the same R factor; OLS and restricted OLS wrap it in their
+sandwich.  Each estimator states its (W, H) and its own pre-checks.
+Restricted estimates satisfy H beta_hat = H beta*, so the restrictions
+hold to rounding.
 
 The dispersion's decomposition comes from ``model.spectrum``, so its
 rank is the one build_model fixed; an estimator's ``tol`` governs the
@@ -20,10 +30,9 @@ remaining rank decisions (design, restrictions, whitened design).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DesignRankDeficientError,
@@ -50,12 +59,12 @@ from .model import (
     EstimatorTag,
     GaussMarkoffModel,
     LinearRestrictions,
-    invert_restrictions,
 )
 from .spectral import (
+    RankReport,
     SpectralDecomposition,
     as_matrix,
-    null_space_basis,
+    default_tolerance,
     numeric_rank,
     spectral_decompose,
 )
@@ -63,7 +72,6 @@ from .spectral import (
 __all__ = [
     "RidgeSpec",
     "StochasticRestrictions",
-    "NormalSystemSolution",
     "ols",
     "gls",
     "rols",
@@ -72,27 +80,69 @@ __all__ = [
     "stochastic_restricted_gls",
     "mls",
     "tkn",
-    "solve_normal_system",
     "constrained_singular_gls",
     "linear_representation",
 ]
 
 
 # ---------------------------------------------------------------------------
-# shared plumbing
+# the whitened least-squares core
 
-def _spd_solve(a: np.ndarray, b: np.ndarray, exc: Exception) -> np.ndarray:
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True)
-    except np.linalg.LinAlgError:
-        raise exc from None
-    return scipy.linalg.cho_solve(factor, b)
+def _whiten(spec: SpectralDecomposition, *mats):
+    """Lambda^{-1/2} F' M for each M, with F Lambda F' the decomposition."""
+    f_t = spec.eigenvectors_pos.T
+    scale = np.sqrt(spec.eigenvalues_pos)[:, None]
+    return [(f_t @ mat) / scale for mat in mats]
 
 
-def _spd_inverse(a: np.ndarray, exc: Exception) -> np.ndarray:
-    inv = _spd_solve(a, np.eye(a.shape[0]), exc)
-    return 0.5 * (inv + inv.T)
+def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None):
+    """Minimize ||wy - wx beta|| subject to H beta = h, rows = (H, h).
 
+    One SVD of H gives its rank report, an orthonormal null basis N and,
+    unless ``particular`` supplies one, the minimum-norm beta*.  One QR
+    factorization wx N = Q R gives the gain G = N R^{-1} Q', the
+    estimate beta* + G (wy - wx beta*) and the covariance factor
+    G G' = N R^{-1} R^{-T} N'.  When R is not square or a diagonal
+    entry falls to the rank cutoff, ``refuse(message, report)`` builds
+    the error raised, report describing |diag R|.
+
+    Returns (beta_hat, gain, beta*, rank report of H).
+    """
+    k_dim = wx.shape[1]
+    h_report = RankReport(0, np.zeros(0), 0.0, deficient=False)
+    basis, beta_star = np.eye(k_dim), np.zeros((k_dim, 1))
+    if rows is not None and rows[0].shape[0]:
+        h_mat, h_vec = rows
+        u, s, vt = np.linalg.svd(h_mat, full_matrices=True)
+        cutoff = default_tolerance(*h_mat.shape, s[0]) if tol is None else float(tol)
+        rank = int(np.count_nonzero(s > cutoff))
+        h_report = RankReport(rank, s, cutoff, deficient=rank < min(h_mat.shape))
+        basis = vt[rank:].T
+        beta_star = vt[:rank].T @ ((u[:, :rank].T @ h_vec) / s[:rank, None])
+    if particular is not None:
+        beta_star = particular
+    reduced = wx @ basis
+    q, r_factor = np.linalg.qr(reduced)
+    # a missing row of R counts as a zero on its diagonal
+    diag = np.zeros(reduced.shape[1])
+    diag[:r_factor.shape[0]] = np.abs(np.diagonal(r_factor))
+    diag = np.sort(diag)[::-1]
+    cutoff = default_tolerance(*reduced.shape, diag[0] if diag.size else 0.0)
+    rank = int(np.count_nonzero(diag > cutoff))
+    if rank < diag.size:
+        raise refuse(f"R factor of the whitened design has rank {rank} < {diag.size}",
+                     RankReport(rank, diag, cutoff, deficient=True))
+    gain = basis @ np.linalg.solve(r_factor, q.T)
+    beta = beta_star + gain @ (wy - wx @ beta_star)
+    return beta, gain, beta_star, h_report
+
+
+def _design_refusal(message, report):
+    return DesignRankDeficientError(message)
+
+
+# ---------------------------------------------------------------------------
+# pre-checks
 
 def _design_full_rank(model: GaussMarkoffModel, tol):
     report = numeric_rank(model.X, tol=tol)
@@ -128,6 +178,15 @@ def _joint_identification_or_raise(x_mat: np.ndarray, restr: np.ndarray, tol):
     return report
 
 
+def _whitened_rank_or_raise(model: GaussMarkoffModel, tol):
+    ok, report = check_mls_invertibility(model.X, model.spectrum, tol=tol)
+    if not ok:
+        raise TheilRankConditionError(
+            f"F'X has rank {report.numeric_rank} < K={model.num_params}; "
+            "the pseudo-inverse normal matrix is not invertible", report=report)
+    return report
+
+
 # ---------------------------------------------------------------------------
 # regular estimators
 
@@ -138,31 +197,12 @@ def ols(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     correct under the model dispersion sigma^2 * Omega.
     """
     report = _design_full_rank(model, tol)
-    beta = np.linalg.lstsq(model.X, model.y, rcond=None)[0]
-    xtx = model.X.T @ model.X
-    xtx_inv = _spd_inverse(xtx, DesignRankDeficientError("X'X is numerically singular"))
-    middle = model.X.T @ model.dispersion @ model.X
-    cov = xtx_inv @ middle @ xtx_inv
-    return EstimateResult(beta_hat=beta, covariance_factor=cov,
+    beta, gain, _, _ = _whitened_lsq(model.X, model.y, _design_refusal, tol)
+    return EstimateResult(beta_hat=beta,
+                          covariance_factor=gain @ model.dispersion @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.OLS,
                           diagnostics={"design_rank": report})
-
-
-def _gls_core(model: GaussMarkoffModel, tol):
-    spec = _pd_dispersion(model)
-    report = _design_full_rank(model, tol)
-    factor = scipy.linalg.cho_factor(0.5 * (model.dispersion + model.dispersion.T),
-                                     lower=True)
-    wx = scipy.linalg.cho_solve(factor, model.X)
-    wy = scipy.linalg.cho_solve(factor, model.y)
-    c_mat = model.X.T @ wx
-    beta = _spd_solve(c_mat, model.X.T @ wy,
-                      DesignRankDeficientError("X' Omega^{-1} X is singular"))
-    cov = _spd_inverse(c_mat, DesignRankDeficientError("X' Omega^{-1} X is singular"))
-    diag = {"design_rank": report, "dispersion_rank": spec.rank,
-            "dispersion_tolerance": spec.tolerance_used}
-    return beta, c_mat, cov, diag
 
 
 def gls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
@@ -170,52 +210,36 @@ def gls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
 
     beta_hat = (X' Omega^{-1} X)^{-1} X' Omega^{-1} y
     """
-    beta, _, cov, diag = _gls_core(model, tol)
-    return EstimateResult(beta_hat=beta, covariance_factor=cov,
+    spec = _pd_dispersion(model)
+    report = _design_full_rank(model, tol)
+    wx, wy = _whiten(spec, model.X, model.y)
+    beta, gain, _, _ = _whitened_lsq(wx, wy, _design_refusal, tol)
+    return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
-                          estimator_tag=EstimatorTag.GLS, diagnostics=diag)
+                          estimator_tag=EstimatorTag.GLS,
+                          diagnostics={"design_rank": report,
+                                       "dispersion_rank": spec.rank,
+                                       "dispersion_tolerance": spec.tolerance_used})
 
 
 # ---------------------------------------------------------------------------
 # exactly restricted estimators, regular dispersion
 
-def _restricted_lsq(x_mat, y_vec, res, tol):
-    """Reparametrized solve of min ||y - X beta|| over R beta = r."""
-    particular, basis = invert_restrictions(res, tol=tol)
-    reduced = x_mat @ basis
-    shifted = y_vec - x_mat @ particular
-    coef = np.linalg.lstsq(reduced, shifted, rcond=None)[0]
-    return particular + basis @ coef, basis
-
-
 def rols(model: GaussMarkoffModel, res: LinearRestrictions,
          tol: float | None = None) -> EstimateResult:
     """Restricted OLS under R beta = r.
 
-    With a full-rank design the closed form
-        beta_hat = b_ols + (X'X)^{-1} R' [R (X'X)^{-1} R']^{-1} (r - R b_ols)
-    is used; a collinear design is handled through the reparametrization
-    beta = particular + N c, which needs only the joint rank condition
-    on (R; X).
+    Needs only the joint rank condition on (R; X), so a collinear design
+    is fine when the restrictions pin its redundant directions.  The
+    covariance factor is the sandwich G Omega G' of the gain G.
     """
     cons = _consistency_or_raise(res, tol)
     ident = _joint_identification_or_raise(model.X, res.R, tol)
     design = numeric_rank(model.X, tol=tol)
-    rank_r = numeric_rank(res.R, tol=tol)
-    if not design.deficient and rank_r.numeric_rank == res.count:
-        base = np.linalg.lstsq(model.X, model.y, rcond=None)[0]
-        xtx_inv = _spd_inverse(model.X.T @ model.X,
-                               DesignRankDeficientError("X'X is singular"))
-        v_mat = xtx_inv @ res.R.T
-        gram = res.R @ v_mat
-        beta = base + v_mat @ _spd_solve(
-            gram, res.r - res.R @ base,
-            RestrictionGramSingularError("R (X'X)^{-1} R' is singular"))
-        basis = null_space_basis(res.R, tol=tol)
-    else:
-        beta, basis = _restricted_lsq(model.X, model.y, res, tol)
-    cov = _restricted_sandwich(basis, model.X.T @ model.X, model, tol)
-    return EstimateResult(beta_hat=beta, covariance_factor=cov,
+    beta, gain, _, _ = _whitened_lsq(model.X, model.y, IdentificationError, tol,
+                                     rows=(res.R, res.r))
+    return EstimateResult(beta_hat=beta,
+                          covariance_factor=gain @ model.dispersion @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.ROLS,
                           diagnostics={"restriction_consistency": cons,
@@ -223,51 +247,21 @@ def rols(model: GaussMarkoffModel, res: LinearRestrictions,
                                        "design_rank": design})
 
 
-def _restricted_sandwich(basis, metric, model, tol):
-    """Covariance factor N S^{-1} N' X' Omega X N S^{-1} N', S = N' metric N."""
-    if basis.shape[1] == 0:
-        k_dim = model.num_params
-        return np.zeros((k_dim, k_dim))
-    s_mat = basis.T @ metric @ basis
-    proj = basis @ _spd_inverse(
-        s_mat, IdentificationError("restricted normal matrix is singular")) @ basis.T
-    middle = model.X.T @ model.dispersion @ model.X
-    return proj @ middle @ proj
-
-
 def rgls(model: GaussMarkoffModel, res: LinearRestrictions,
          tol: float | None = None) -> EstimateResult:
     """Restricted GLS under R beta = r, positive definite dispersion.
 
-    Closed form with full-rank design:
-        beta_hat = b_gls + C^{-1} R' [R C^{-1} R']^{-1} (r - R b_gls),
-    C = X' Omega^{-1} X.  Collinear designs go through the whitened
-    reparametrization.
+    Minimizes (y - X beta)' Omega^{-1} (y - X beta) over R beta = r; a
+    collinear design is fine under the joint rank condition on (R; X).
     """
     spec = _pd_dispersion(model)
     cons = _consistency_or_raise(res, tol)
     ident = _joint_identification_or_raise(model.X, res.R, tol)
     design = numeric_rank(model.X, tol=tol)
-    rank_r = numeric_rank(res.R, tol=tol)
-    whitener = (spec.eigenvectors_pos / np.sqrt(spec.eigenvalues_pos)).T
-    if not design.deficient and rank_r.numeric_rank == res.count:
-        beta_g, c_mat, c_inv, _ = _gls_core(model, tol)
-        v_mat = c_inv @ res.R.T
-        gram = res.R @ v_mat
-        beta = beta_g + v_mat @ _spd_solve(
-            gram, res.r - res.R @ beta_g,
-            RestrictionGramSingularError("R C^{-1} R' is singular"))
-        basis = null_space_basis(res.R, tol=tol)
-    else:
-        beta, basis = _restricted_lsq(whitener @ model.X, whitener @ model.y, res, tol)
-        c_mat = (whitener @ model.X).T @ (whitener @ model.X)
-    if basis.shape[1] == 0:
-        cov = np.zeros((model.num_params, model.num_params))
-    else:
-        s_mat = basis.T @ c_mat @ basis
-        cov = basis @ _spd_inverse(
-            s_mat, IdentificationError("restricted normal matrix is singular")) @ basis.T
-    return EstimateResult(beta_hat=beta, covariance_factor=cov,
+    wx, wy = _whiten(spec, model.X, model.y)
+    beta, gain, _, _ = _whitened_lsq(wx, wy, IdentificationError, tol,
+                                     rows=(res.R, res.r))
+    return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.RGLS,
                           diagnostics={"restriction_consistency": cons,
@@ -350,8 +344,12 @@ def ridge(model: GaussMarkoffModel, shift: RidgeSpec,
     if report.numeric_rank < model.num_params:
         raise ShiftInsufficientError(
             f"shifted normal matrix has rank {report.numeric_rank} < K")
-    a_inv = _spd_inverse(a_mat, ShiftInsufficientError("shifted normal matrix "
-                                                       "is not positive definite"))
+    try:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(a_mat))
+    except np.linalg.LinAlgError:
+        raise ShiftInsufficientError("shifted normal matrix "
+                                     "is not positive definite") from None
+    a_inv = chol_inv.T @ chol_inv
     beta = a_inv @ (model.X.T @ model.y)
     middle = model.X.T @ model.dispersion @ model.X
     return EstimateResult(beta_hat=beta, covariance_factor=a_inv @ middle @ a_inv,
@@ -419,39 +417,30 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
 
     The stacked system [y; r] = [X; R X_f] beta + [u; v] carries the
     block dispersion diag(s^2 Omega, Theta), with s^2 the model's sigma2
-    when recorded and 1 otherwise.  As Theta -> 0 the estimate tends to
-    restricted GLS; as Theta -> infinity it tends to unrestricted GLS.
+    when recorded and 1 otherwise; it is whitened block by block.  As
+    Theta -> 0 the estimate tends to restricted GLS; as Theta -> infinity
+    it tends to unrestricted GLS.
     """
     spec = _pd_dispersion(model)
     eff = sres.effective_restrictions(model.num_params)
     if sres.count == 0:
-        beta, _, cov, diag = _gls_core(model, tol)
-        return EstimateResult(beta_hat=beta, covariance_factor=cov,
-                              residuals=model.y - model.X @ beta,
-                              estimator_tag=EstimatorTag.STOCHASTIC_RESTRICTED,
-                              diagnostics=diag)
+        return replace(gls(model, tol), estimator_tag=EstimatorTag.STOCHASTIC_RESTRICTED)
     theta_spec = spectral_decompose(sres.theta, tol=tol)
     if theta_spec.rank < sres.count:
         raise DispersionSingularError(
             "Theta is singular; express exact restrictions as LinearRestrictions")
     s2 = model.sigma2 if model.sigma2 is not None else 1.0
-    omega_factor = scipy.linalg.cho_factor(
-        0.5 * s2 * (model.dispersion + model.dispersion.T), lower=True)
-    theta_factor = scipy.linalg.cho_factor(0.5 * (sres.theta + sres.theta.T),
-                                           lower=True)
-    wx = scipy.linalg.cho_solve(omega_factor, model.X)
-    wy = scipy.linalg.cho_solve(omega_factor, model.y)
-    tr_eff = scipy.linalg.cho_solve(theta_factor, eff)
-    tr_r = scipy.linalg.cho_solve(theta_factor, sres.r)
     ident = numeric_rank(np.vstack([eff, model.X]), tol=tol)
     if ident.numeric_rank < model.num_params:
         raise IdentificationError(
             "augmented design lacks full column rank", report=ident)
-    a_mat = model.X.T @ wx + eff.T @ tr_eff
-    beta = _spd_solve(a_mat, model.X.T @ wy + eff.T @ tr_r,
-                      IdentificationError("augmented normal matrix is singular"))
-    cov = _spd_inverse(a_mat, IdentificationError("augmented normal matrix is singular"))
-    return EstimateResult(beta_hat=beta, covariance_factor=cov,
+    wx, wy = _whiten(spec, model.X, model.y)
+    w_eff, w_r = _whiten(theta_spec, eff, sres.r)
+    scale = np.sqrt(s2)
+    beta, gain, _, _ = _whitened_lsq(np.vstack([wx / scale, w_eff]),
+                                     np.vstack([wy / scale, w_r]),
+                                     IdentificationError, tol)
+    return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.STOCHASTIC_RESTRICTED,
                           diagnostics={"augmented_identification": ident,
@@ -462,30 +451,6 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
 # ---------------------------------------------------------------------------
 # singular-dispersion estimators
 
-def _pinv_normal(model: GaussMarkoffModel):
-    """C+ = X' Omega^+ X and X' Omega^+ y from the model's spectrum."""
-    f = model.spectrum.eigenvectors_pos
-    fx = f.T @ model.X
-    inv_lam = (1.0 / model.spectrum.eigenvalues_pos)[:, None]
-    return fx.T @ (fx * inv_lam), fx.T @ ((f.T @ model.y) * inv_lam)
-
-
-def _mls_core(model: GaussMarkoffModel, tol):
-    ok, report = check_mls_invertibility(model.X, model.spectrum, tol=tol)
-    if not ok:
-        raise TheilRankConditionError(
-            f"F'X has rank {report.numeric_rank} < K={model.num_params}; "
-            "the pseudo-inverse normal matrix is not invertible", report=report)
-    c_plus, rhs = _pinv_normal(model)
-    beta = _spd_solve(c_plus, rhs,
-                      TheilRankConditionError("X' Omega^+ X is numerically singular",
-                                              report=report))
-    c_plus_inv = _spd_inverse(
-        c_plus, TheilRankConditionError("X' Omega^+ X is numerically singular",
-                                        report=report))
-    return beta, c_plus_inv, report
-
-
 def mls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     """Pseudo-inverse least squares for (possibly) singular dispersion.
 
@@ -493,8 +458,10 @@ def mls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     F'X has full column rank; coincides with GLS whenever the dispersion
     is positive definite.
     """
-    beta, c_plus_inv, report = _mls_core(model, tol)
-    return EstimateResult(beta_hat=beta, covariance_factor=c_plus_inv,
+    report = _whitened_rank_or_raise(model, tol)
+    wx, wy = _whiten(model.spectrum, model.X, model.y)
+    beta, gain, _, _ = _whitened_lsq(wx, wy, TheilRankConditionError, tol)
+    return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.MLS,
                           diagnostics={"whitened_design_rank": report,
@@ -505,22 +472,22 @@ def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
         tol: float | None = None) -> EstimateResult:
     """Pseudo-inverse estimator updated for exact restrictions.
 
-    beta_hat = b_mls + C+^{-1} R' [R C+^{-1} R']^{-1} (r - R b_mls),
-    C+ = X' Omega^+ X.  Reduces to restricted GLS for positive definite
-    dispersion.
+    Minimizes (y - X beta)' Omega^+ (y - X beta) over R beta = r, which
+    is b_mls + C+^{-1} R' [R C+^{-1} R']^{-1} (r - R b_mls) with
+    C+ = X' Omega^+ X; R must have full row rank.  Reduces to restricted
+    GLS for positive definite dispersion.
     """
     cons = _consistency_or_raise(res, tol)
-    beta_m, c_plus_inv, report = _mls_core(model, tol)
-    v_mat = c_plus_inv @ res.R.T
-    gram = res.R @ v_mat
-    correction = _spd_solve(
-        gram, res.r - res.R @ beta_m,
-        RestrictionGramSingularError("R C+^{-1} R' is singular"))
-    beta = beta_m + v_mat @ correction
-    gram_inv = _spd_inverse(gram,
-                            RestrictionGramSingularError("R C+^{-1} R' is singular"))
-    cov = c_plus_inv - v_mat @ gram_inv @ v_mat.T
-    return EstimateResult(beta_hat=beta, covariance_factor=0.5 * (cov + cov.T),
+    report = _whitened_rank_or_raise(model, tol)
+    # consistent, so rank(R) = rank(R, r), the rank the report describes
+    if cons.numeric_rank < res.count:
+        raise RestrictionGramSingularError(
+            f"R has rank {cons.numeric_rank} < {res.count} rows, "
+            "so R C+^{-1} R' is singular")
+    wx, wy = _whiten(model.spectrum, model.X, model.y)
+    beta, gain, _, _ = _whitened_lsq(wx, wy, TheilRankConditionError, tol,
+                                     rows=(res.R, res.r))
+    return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.TKN,
                           diagnostics={"restriction_consistency": cons,
@@ -530,22 +497,6 @@ def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
 
 # ---------------------------------------------------------------------------
 # combined explicit + implicit restrictions
-
-@dataclass(frozen=True)
-class NormalSystemSolution:
-    """Solution of the bordered normal system.
-
-    beta_hat is always unique under the rank preconditions; the
-    multipliers are unique only when H has full row rank, which
-    ``lagrange_unique`` records.  ``residual_norm`` is the Euclidean
-    residual of the bordered system at the returned solution.
-    """
-
-    beta_hat: np.ndarray
-    lagrange: np.ndarray
-    residual_norm: float
-    lagrange_unique: bool
-
 
 def _combined_checks(model: GaussMarkoffModel, combined: CombinedRestrictions, tol):
     if not combined.consistent:
@@ -558,50 +509,38 @@ def _combined_checks(model: GaussMarkoffModel, combined: CombinedRestrictions, t
     return _joint_identification_or_raise(model.X, combined.H, tol)
 
 
-def solve_normal_system(model: GaussMarkoffModel,
-                        combined: CombinedRestrictions,
-                        tol: float | None = None) -> NormalSystemSolution:
-    """Solve the bordered first-order system of the constrained problem.
-
-        [ C+   H' ] [ beta   ]   [ X' Omega^+ y ]
-        [ H    0  ] [ lambda ] = [ h            ]
-
-    Redundant rows of H leave the system singular but consistent; the
-    minimum-norm least-squares solution is returned and the multiplier
-    block flagged non-unique.
-    """
-    _combined_checks(model, combined, tol)
-    c_plus, rhs_top = _pinv_normal(model)
-    k_dim, rows = model.num_params, combined.count
-    system = np.zeros((k_dim + rows, k_dim + rows))
-    system[:k_dim, :k_dim] = c_plus
-    system[:k_dim, k_dim:] = combined.H.T
-    system[k_dim:, :k_dim] = combined.H
-    rhs = np.vstack([rhs_top, combined.h])
-    solution = np.linalg.lstsq(system, rhs, rcond=None)[0]
-    residual = float(np.linalg.norm(system @ solution - rhs))
-    h_rank = numeric_rank(combined.H, tol=tol).numeric_rank
-    return NormalSystemSolution(beta_hat=solution[:k_dim],
-                                lagrange=solution[k_dim:],
-                                residual_norm=residual,
-                                lagrange_unique=h_rank == rows)
+def _checked_particular(combined: CombinedRestrictions, particular):
+    """A supplied particular solution, verified against H beta = h."""
+    if particular is None:
+        return None
+    part = as_matrix(particular, "particular")
+    if part.shape != (combined.num_params, 1):
+        raise DimensionMismatchError(
+            f"particular solution must be {combined.num_params} x 1")
+    if combined.count:
+        gap = float(np.max(np.abs(combined.H @ part - combined.h)))
+        if gap > 1e-8 * (1.0 + float(np.max(np.abs(combined.h)))):
+            raise InfeasibleParticularError(
+                f"particular solution misses H beta = h by {gap:.3g}")
+    return part
 
 
-def _particular_solution(combined: CombinedRestrictions, particular, tol):
-    if particular is not None:
-        part = as_matrix(particular, "particular")
-        if part.shape != (combined.num_params, 1):
-            raise DimensionMismatchError(
-                f"particular solution must be {combined.num_params} x 1")
-        if combined.count:
-            gap = float(np.max(np.abs(combined.H @ part - combined.h)))
-            if gap > 1e-8 * (1.0 + float(np.max(np.abs(combined.h)))):
-                raise InfeasibleParticularError(
-                    f"particular solution misses H beta = h by {gap:.3g}")
-        return part
-    if combined.count == 0:
-        return np.zeros((combined.num_params, 1))
-    return np.linalg.lstsq(combined.H, combined.h, rcond=None)[0]
+def _constrained(model: GaussMarkoffModel, combined: CombinedRestrictions,
+                 particular, tol):
+    """The constrained estimate with the gain, beta* and W X behind it."""
+    ident = _combined_checks(model, combined, tol)
+    part = _checked_particular(combined, particular)
+    wx, wy = _whiten(model.spectrum, model.X, model.y)
+    beta, gain, beta_star, h_report = _whitened_lsq(
+        wx, wy, ReducedGramSingularError, tol, rows=(combined.H, combined.h),
+        particular=part)
+    result = EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
+                            residuals=model.y - model.X @ beta,
+                            estimator_tag=EstimatorTag.CONSTRAINED_SINGULAR,
+                            diagnostics={"joint_identification": ident,
+                                         "dispersion_rank": model.spectrum.rank,
+                                         "restriction_rank": h_report})
+    return result, gain, beta_star, wx
 
 
 def constrained_singular_gls(model: GaussMarkoffModel,
@@ -610,39 +549,16 @@ def constrained_singular_gls(model: GaussMarkoffModel,
                              tol: float | None = None) -> EstimateResult:
     """Best linear unbiased estimation under H beta = h with singular dispersion.
 
-    With N an orthonormal null-space basis of H, S = N' C+ N, and beta*
-    any solution of H beta = h:
+    With N an orthonormal null-space basis of H, beta* any solution of
+    H beta = h, and W X N = Q R:
 
-        beta_hat = N S^{-1} N' X' Omega^+ y + (I - N S^{-1} N' C+) beta*
+        beta_hat = beta* + N R^{-1} Q' W (y - X beta*)
 
-    The estimate does not depend on the choice of beta*; the covariance
-    factor is N S^{-1} N'.
+    which equals N S^{-1} N' X' Omega^+ y + (I - N S^{-1} N' C+) beta*
+    with S = N' C+ N.  The estimate does not depend on the choice of
+    beta*; the covariance factor is N R^{-1} R^{-T} N' = N S^{-1} N'.
     """
-    ident = _combined_checks(model, combined, tol)
-    basis = null_space_basis(combined.H, tol=tol)
-    beta_star = _particular_solution(combined, particular, tol)
-    k_dim = model.num_params
-    c_plus, rhs_top = _pinv_normal(model)
-    if basis.shape[1] == 0:
-        beta = beta_star
-        cov = np.zeros((k_dim, k_dim))
-    else:
-        s_mat = basis.T @ c_plus @ basis
-        s_report = numeric_rank(s_mat, tol=tol)
-        s_inv = _spd_inverse(
-            s_mat, ReducedGramSingularError(
-                f"projected normal matrix has rank {s_report.numeric_rank} "
-                f"< {basis.shape[1]}", report=s_report))
-        proj = basis @ s_inv @ basis.T
-        beta = proj @ rhs_top + (beta_star - proj @ (c_plus @ beta_star))
-        cov = proj
-    return EstimateResult(beta_hat=beta, covariance_factor=cov,
-                          residuals=model.y - model.X @ beta,
-                          estimator_tag=EstimatorTag.CONSTRAINED_SINGULAR,
-                          diagnostics={"joint_identification": ident,
-                                       "dispersion_rank": model.spectrum.rank,
-                                       "restriction_rank": numeric_rank(combined.H,
-                                                                        tol=tol)})
+    return _constrained(model, combined, particular, tol)[0]
 
 
 def linear_representation(model: GaussMarkoffModel,
@@ -656,8 +572,8 @@ def linear_representation(model: GaussMarkoffModel,
     Adds the identically-zero term G_free (A'y - g) to the constrained
     estimate, yielding beta_hat = L y + offset with
 
-        L = N S^{-1} N' X' Omega^+ + G_free A'
-        offset = (I - N S^{-1} N' C+) beta* - G_free g
+        L = N R^{-1} Q' W + G_free A'
+        offset = (I - N R^{-1} Q' W X) beta* - G_free g
 
     Different choices of G_free give different coefficient matrices L
     but the same estimate on admissible data.  The map and offset are
@@ -670,24 +586,14 @@ def linear_representation(model: GaussMarkoffModel,
         raise DimensionMismatchError(
             f"free coefficients must be {model.num_params} x {null_dim}, "
             f"got {g_free.shape}")
-    base = constrained_singular_gls(model, combined, particular=particular, tol=tol)
-    correction = g_free @ (implicit.A.T @ model.y) - g_free @ implicit.g
-    beta = base.beta_hat + correction
-    ident = dict(base.diagnostics)
-    c_plus, _ = _pinv_normal(model)
-    basis = null_space_basis(combined.H, tol=tol)
-    if basis.shape[1]:
-        s_inv = _spd_inverse(basis.T @ c_plus @ basis,
-                             ReducedGramSingularError("projected normal matrix "
-                                                      "is singular"))
-        proj = basis @ s_inv @ basis.T
-    else:
-        proj = np.zeros((model.num_params, model.num_params))
-    pinv_omega = spec.pinv()
-    beta_star = _particular_solution(combined, particular, tol)
-    ident["linear_map"] = proj @ (model.X.T @ pinv_omega) + g_free @ implicit.A.T
-    ident["offset"] = (beta_star - proj @ (c_plus @ beta_star)) - g_free @ implicit.g
+    base, gain, beta_star, wx = _constrained(model, combined, particular, tol)
+    beta = base.beta_hat + (g_free @ (implicit.A.T @ model.y) - g_free @ implicit.g)
+    diagnostics = dict(base.diagnostics)
+    # N R^{-1} Q' W with W = Lambda^{-1/2} F', never materializing W
+    diagnostics["linear_map"] = (gain / np.sqrt(spec.eigenvalues_pos)) \
+        @ spec.eigenvectors_pos.T + g_free @ implicit.A.T
+    diagnostics["offset"] = (beta_star - gain @ (wx @ beta_star)) - g_free @ implicit.g
     return EstimateResult(beta_hat=beta, covariance_factor=base.covariance_factor,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.CONSTRAINED_SINGULAR,
-                          diagnostics=ident)
+                          diagnostics=diagnostics)

@@ -14,13 +14,11 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
     DispersionNotNNDError,
     IndefiniteInputError,
-    InconsistentRestrictionsError,
     NonSymmetricError,
     ResponseOutsideRangeError,
     TooFewObservationsError,
@@ -29,8 +27,6 @@ from .spectral import (
     SpectralDecomposition,
     as_matrix,
     default_tolerance,
-    null_space_basis,
-    numeric_rank,
     spectral_decompose,
 )
 
@@ -257,6 +253,16 @@ def build_model(y, X, dispersion, sigma2: float | None = None,
                              sigma2=sigma2, ordering=ordering)
 
 
+def _block_diag(*blocks) -> np.ndarray:
+    """Dense matrix with the given 2-d blocks along its diagonal."""
+    out = np.zeros(tuple(sum(b.shape[j] for b in blocks) for j in (0, 1)))
+    row = col = 0
+    for b in blocks:
+        out[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
+    return out
+
+
 def stacking_permutation(n: int, m: int, src: str, dst: str) -> np.ndarray:
     """Row permutation taking src-major stacked arrays to dst-major order.
 
@@ -313,7 +319,7 @@ def stack_sur(layout: SURLayout, responses, dispersion_blocks,
         if len(blocks) != n or any(b.shape != (m, m) for b in blocks):
             raise DimensionMismatchError(
                 f"equation-major stacking needs {n} blocks of shape {m} x {m}")
-        design = scipy.linalg.block_diag(*layout.block_design)
+        design = _block_diag(*layout.block_design)
         y = np.vstack(ys)
     else:
         raise ValueError(f"unknown ordering {order!r}")
@@ -322,7 +328,7 @@ def stack_sur(layout: SURLayout, responses, dispersion_blocks,
             spectral_decompose(b, tol=tol)
         except (NonSymmetricError, IndefiniteInputError) as exc:
             raise DispersionNotNNDError(f"dispersion block {t}: {exc}") from exc
-    omega = scipy.linalg.block_diag(*blocks)
+    omega = _block_diag(*blocks)
     return build_model(y, design, omega, sigma2=sigma2, tol=tol, ordering=order)
 
 
@@ -345,22 +351,3 @@ def extract_sur_blocks(model: GaussMarkoffModel, layout: SURLayout):
         rows = slice(i * m, (i + 1) * m)
         out.append((design_eq[rows, cols], y_eq[rows]))
     return out
-
-
-def invert_restrictions(res: LinearRestrictions, tol: float | None = None):
-    """Particular solution and null-space basis of R beta = r.
-
-    Returns (particular, null_basis) with particular the minimum-norm
-    solution and null_basis orthonormal.  Raises
-    InconsistentRestrictionsError when rank(R) < rank(R, r).
-    """
-    rank_r = numeric_rank(res.R, tol=tol).numeric_rank
-    rank_aug = numeric_rank(np.hstack([res.R, res.r]), tol=tol).numeric_rank
-    if rank_aug > rank_r:
-        raise InconsistentRestrictionsError(
-            f"restrictions are inconsistent: rank(R)={rank_r} < rank(R,r)={rank_aug}")
-    if res.count == 0:
-        particular = np.zeros((res.num_params, 1))
-    else:
-        particular = np.linalg.lstsq(res.R, res.r, rcond=None)[0]
-    return particular, null_space_basis(res.R, tol=tol)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -27,7 +26,8 @@ from .errors import (
     IdentificationError,
     TheilRankConditionError,
 )
-from .model import EstimateResult, EstimatorTag, GaussMarkoffModel, build_model
+from .model import (EstimateResult, EstimatorTag, GaussMarkoffModel, _block_diag,
+                    build_model)
 from .spectral import as_matrix, numeric_rank, spectral_decompose
 
 # Projector matrices are materialized densely only up to this many rows.
@@ -143,20 +143,28 @@ def _sweep_blocks(model: FEPanelModel):
     ones = np.ones((model.m, 1))
     out = []
     for i in range(model.n):
-        sig = model.block(i)
+        sig = 0.5 * (model.block(i) + model.block(i).T)
         try:
-            factor = scipy.linalg.cho_factor(0.5 * (sig + sig.T), lower=True)
+            np.linalg.cholesky(sig)
         except np.linalg.LinAlgError:
             raise DispersionNotPDError(f"sigma block {i} is not positive definite") \
                 from None
-        sig_inv_e = scipy.linalg.cho_solve(factor, ones)
+        sig_inv_e = np.linalg.solve(sig, ones)
         denom = float((ones.T @ sig_inv_e)[0, 0])
         q_i = ones @ (sig_inv_e.T / denom)
-        p_i = scipy.linalg.cho_solve(factor, np.eye(model.m) - q_i)
+        p_i = np.linalg.solve(sig, np.eye(model.m) - q_i)
         out.append((q_i, p_i))
         if model.kronecker:
             return [out[0]] * model.n
     return out
+
+
+def _solve_normal(normal: np.ndarray, rhs: np.ndarray):
+    """Solution and symmetrized inverse of a positive definite normal system."""
+    sol = np.linalg.solve(0.5 * (normal + normal.T),
+                          np.hstack([rhs, np.eye(normal.shape[0])]))
+    cov = sol[:, 1:]
+    return sol[:, :1], 0.5 * (cov + cov.T)
 
 
 def build_projectors(model: FEPanelModel,
@@ -174,8 +182,8 @@ def build_projectors(model: FEPanelModel,
     blocks = _sweep_blocks(model)
     return ProjectorSet(
         M=np.kron(np.eye(model.n), cm),
-        Q=scipy.linalg.block_diag(*[q for q, _ in blocks]),
-        P=scipy.linalg.block_diag(*[p for _, p in blocks]),
+        Q=_block_diag(*[q for q, _ in blocks]),
+        P=_block_diag(*[p for _, p in blocks]),
         centering=cm,
     )
 
@@ -199,10 +207,8 @@ def fe_gls(model: FEPanelModel) -> EstimateResult:
         raise IdentificationError(
             "swept normal matrix X'PX is singular; the slopes are not identified "
             "(check for time-invariant regressors)", report=report)
-    factor = scipy.linalg.cho_factor(0.5 * (normal + normal.T), lower=True)
-    beta = scipy.linalg.cho_solve(factor, rhs)
-    cov = scipy.linalg.cho_solve(factor, np.eye(k_dim))
-    return EstimateResult(beta_hat=beta, covariance_factor=0.5 * (cov + cov.T),
+    beta, cov = _solve_normal(normal, rhs)
+    return EstimateResult(beta_hat=beta, covariance_factor=cov,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.PANEL_GLS,
                           diagnostics={"swept_rank": report})
@@ -222,7 +228,7 @@ def within_transform(model: FEPanelModel) -> GaussMarkoffModel:
         xs.append(cm @ model.X[rows])
         ys.append(cm @ model.y[rows])
         disp.append(cm @ model.block(i) @ cm)
-    omega = scipy.linalg.block_diag(*disp)
+    omega = _block_diag(*disp)
     return build_model(np.vstack(ys), np.vstack(xs), omega)
 
 
@@ -268,10 +274,8 @@ def fe_mls(model: FEPanelModel) -> EstimateResult:
         raise TheilRankConditionError(
             "whitened within design lacks full column rank; the pseudo-inverse "
             "normal matrix is not invertible", report=report)
-    factor = scipy.linalg.cho_factor(0.5 * (normal + normal.T), lower=True)
-    beta = scipy.linalg.cho_solve(factor, rhs)
-    cov = scipy.linalg.cho_solve(factor, np.eye(k_dim))
-    return EstimateResult(beta_hat=beta, covariance_factor=0.5 * (cov + cov.T),
+    beta, cov = _solve_normal(normal, rhs)
+    return EstimateResult(beta_hat=beta, covariance_factor=cov,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.PANEL_MLS,
                           diagnostics={"whitened_within_rank": report})
@@ -301,14 +305,14 @@ def fe_drop_period(model: FEPanelModel, drop: int) -> EstimateResult:
             if rep.numeric_rank < model.m - 1:
                 raise DispersionSingularError(
                     f"reduced within dispersion of equation {i} is singular")
+            reduced = 0.5 * (reduced + reduced.T)
             try:
-                factor = scipy.linalg.cho_factor(0.5 * (reduced + reduced.T),
-                                                 lower=True)
+                np.linalg.cholesky(reduced)
             except np.linalg.LinAlgError:
                 raise DispersionSingularError(
                     f"reduced within dispersion of equation {i} is not positive "
                     "definite") from None
-            reduced_inv = scipy.linalg.cho_solve(factor, np.eye(model.m - 1))
+            reduced_inv = np.linalg.solve(reduced, np.eye(model.m - 1))
         wx = (cm @ model.X[rows])[keep, :]
         wy = (cm @ model.y[rows])[keep, :]
         xp = wx.T @ reduced_inv
@@ -318,10 +322,8 @@ def fe_drop_period(model: FEPanelModel, drop: int) -> EstimateResult:
     if report.numeric_rank < k_dim:
         raise IdentificationError("reduced within normal matrix is singular",
                                   report=report)
-    factor = scipy.linalg.cho_factor(0.5 * (normal + normal.T), lower=True)
-    beta = scipy.linalg.cho_solve(factor, rhs)
-    cov = scipy.linalg.cho_solve(factor, np.eye(k_dim))
-    return EstimateResult(beta_hat=beta, covariance_factor=0.5 * (cov + cov.T),
+    beta, cov = _solve_normal(normal, rhs)
+    return EstimateResult(beta_hat=beta, covariance_factor=cov,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.PANEL_GLS,
                           diagnostics={"reduced_rank": report, "dropped_period": drop})
@@ -359,7 +361,7 @@ def verify_theorem5(model: FEPanelModel, projectors: ProjectorSet | None = None,
     proj = projectors if projectors is not None else build_projectors(model)
     cm = centering_matrix(model.m)
     specs = _within_pinv_blocks(model)
-    pinv_within = scipy.linalg.block_diag(*[s.pinv() for s in specs])
+    pinv_within = _block_diag(*[s.pinv() for s in specs])
     m_full = np.kron(np.eye(model.n), cm)
     gap = float(np.max(np.abs(proj.P - m_full @ pinv_within @ m_full)))
     res_gls = fe_gls(model)

@@ -50,10 +50,8 @@ def fraction_rank(matrix) -> int:
     return rank
 
 
-def fraction_solve(a_mat, b_vec) -> np.ndarray:
-    """Exact solution of a square nonsingular system, returned as floats."""
-    a_rows = _to_fractions(a_mat)
-    b_rows = [row[:] for row in _to_fractions(np.asarray(b_vec).reshape(len(a_rows), -1))]
+def _solve_fraction_rows(a_rows, b_rows) -> np.ndarray:
+    # Gaussian elimination on lists of Fractions, returned as floats
     n = len(a_rows)
     for k in range(n):
         pivot = next(i for i in range(k, n) if a_rows[i][k] != 0)
@@ -73,6 +71,13 @@ def fraction_solve(a_mat, b_vec) -> np.ndarray:
                 acc -= a_rows[i][k] * sol[k][j]
             sol[i][j] = acc / a_rows[i][i]
     return np.array([[float(v) for v in row] for row in sol])
+
+
+def fraction_solve(a_mat, b_vec) -> np.ndarray:
+    """Exact solution of a square nonsingular system, returned as floats."""
+    a_rows = _to_fractions(a_mat)
+    b_rows = _to_fractions(np.asarray(b_vec).reshape(len(a_rows), -1))
+    return _solve_fraction_rows(a_rows, b_rows)
 
 
 def penrose_defects(b_mat, b_pinv):
@@ -199,3 +204,52 @@ def stacked_membership(y_vec, x_mat, omega):
     rank = int(np.count_nonzero(s > cutoff))
     resid = float(np.linalg.norm(u[:, rank:].T @ y))
     return resid <= 1e-8 * (1.0 + float(np.linalg.norm(y))), cutoff, u[:, rank:]
+
+
+def bordered_normal_system(y_vec, x_mat, weight, h_mat, h_rhs):
+    """The first-order system of min (y - Xb)' W (y - Xb) over H b = h.
+
+        [ X'WX  H' ] [ beta   ]   [ X'Wy ]
+        [ H     0  ] [ lambda ] = [ h    ]
+
+    Solved in floating point by least squares, so redundant rows of H,
+    which leave the system singular but consistent, get the minimum-norm
+    solution.  Returns (beta, lagrange, residual norm of the system).
+    """
+    y = np.asarray(y_vec, dtype=float).reshape(-1, 1)
+    x = np.asarray(x_mat, dtype=float)
+    w = np.asarray(weight, dtype=float)
+    k = x.shape[1]
+    h = np.asarray(h_mat, dtype=float).reshape(-1, k)
+    rows = h.shape[0]
+    system = np.zeros((k + rows, k + rows))
+    system[:k, :k] = x.T @ w @ x
+    system[:k, k:] = h.T
+    system[k:, :k] = h
+    rhs = np.vstack([x.T @ w @ y, np.asarray(h_rhs, dtype=float).reshape(-1, 1)])
+    solution = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    residual = float(np.linalg.norm(system @ solution - rhs))
+    return solution[:k], solution[k:], residual
+
+
+def exact_bordered_beta(y_vec, x_mat, dispersion_diag, h_mat, h_rhs) -> np.ndarray:
+    """beta of the bordered system in exact rational arithmetic.
+
+    The dispersion is diagonal, so its Moore-Penrose inverse diag(1/d)
+    over the nonzero d is exact in rationals, and so are X' Omega^+ X
+    and X' Omega^+ y.  H must have full row rank and the system must be
+    nonsingular.  Only the final beta is rounded to floats.
+    """
+    x = _to_fractions(x_mat)
+    y = [row[0] for row in _to_fractions(np.asarray(y_vec).reshape(-1, 1))]
+    weight = [0 if v == 0 else 1 / v for v in (Fraction(float(d)) for d in dispersion_diag)]
+    k = len(x[0])
+    h = _to_fractions(np.asarray(h_mat, dtype=float).reshape(-1, k))
+    h_vec = _to_fractions(np.asarray(h_rhs, dtype=float).reshape(-1, 1))
+    rows = len(h)
+    system = [[sum((w * xt[i] * xt[j] for w, xt in zip(weight, x)), Fraction(0))
+               for j in range(k)] + [h[r][i] for r in range(rows)] for i in range(k)]
+    system += [h[r] + [Fraction(0)] * rows for r in range(rows)]
+    rhs = [[sum((w * xt[i] * yt for w, xt, yt in zip(weight, x, y)), Fraction(0))]
+           for i in range(k)] + h_vec
+    return _solve_fraction_rows(system, rhs)[:k]

@@ -1,6 +1,6 @@
 """Release gate for the library.
 
-Ten checks, each with a pinned tolerance and a wall-clock budget.  They
+Eleven checks, each with a pinned tolerance and a wall-clock budget.  They
 are deliberately redundant with the per-module suites: everything here
 runs against public entry points only, at desk scale, with fixed seeds,
 so a regression anywhere in the chain surfaces as a failed gate rather
@@ -46,7 +46,7 @@ from gmls import (
 from gmls.montecarlo import SINGULAR_ADDING_UP, SimulationConfig
 
 from conftest import FIXTURES, random_spd
-from oracles import matrix_rank_svd, penrose_defects
+from oracles import exact_bordered_beta, matrix_rank_svd, penrose_defects
 from test_cli import GOLDENS, run_cli
 
 
@@ -435,3 +435,53 @@ def test_cli_machine_output_stable_and_refusals_coded():
     biased = run_cli("simulate", "--scenario", "regular-gls", "--reps", "400",
                      "--seed", "3", "--inject-bias", "0.5")
     assert biased.returncode == 4
+
+
+# ---------------------------------------------------------------------------
+# 11. backward-stable solves on ill-conditioned designs
+
+@pytest.mark.parametrize("cond", [1e6, 1e7])
+def test_solves_stay_accurate_on_ill_conditioned_designs(cond):
+    # noise-free y, so a solve that forms X' Omega^+ X loses about
+    # cond(X)^2 * eps where a QR of the whitened design loses cond(X) * eps
+    rng = np.random.default_rng(1111 + int(np.log10(cond)))
+    start = time.perf_counter()
+    t_dim, k = 40, 6
+    u, _ = np.linalg.qr(rng.normal(size=(t_dim, k)))
+    v, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    x = (u * np.logspace(0.0, -np.log10(cond), k)) @ v.T
+    beta = rng.normal(size=(k, 1))
+    y = x @ beta
+    # diagonal dispersions keep Omega^+ exact in rationals; the singular
+    # one has three zeros at randomly permuted rows
+    d_regular = rng.integers(1, 5, size=t_dim).astype(float)
+    d_singular = d_regular.copy()
+    d_singular[rng.permutation(t_dim)[:3]] = 0.0
+    regular = build_model(y, x, np.diag(d_regular))
+    singular = build_model(y, x, np.diag(d_singular))
+    big_r = rng.normal(size=(2, k))
+    res = LinearRestrictions.build(big_r, big_r @ beta)
+    combined = combine_restrictions(res, extract_implicit_restrictions(singular))
+    no_rows = (np.zeros((0, k)), np.zeros((0, 1)))
+    cases = {
+        "gls": (gls(regular), d_regular, no_rows),
+        "rgls": (rgls(regular, res), d_regular, (res.R, res.r)),
+        "mls": (mls(singular), d_singular, no_rows),
+        "tkn": (tkn(singular, res), d_singular, (res.R, res.r)),
+        "constrained": (constrained_singular_gls(singular, combined), d_singular,
+                        (combined.H, combined.h)),
+    }
+    for name, (fitted, diag, (h_mat, h_vec)) in cases.items():
+        exact = exact_bordered_beta(y, x, diag, h_mat, h_vec)
+        err = float(np.max(np.abs(fitted.beta_hat - exact))) \
+            / float(np.max(np.abs(exact)))
+        assert err <= 1e-7, (name, err)
+
+    # restricted OLS against LAPACK's equality-constrained least squares
+    *_, lapack_beta, info = scipy.linalg.lapack.dgglse(x, big_r, y.ravel(),
+                                                        res.r.ravel())
+    assert info == 0
+    fitted = rols(build_model(y, x, np.eye(t_dim)), res).beta_hat.ravel()
+    err = float(np.max(np.abs(fitted - lapack_beta))) / float(np.max(np.abs(lapack_beta)))
+    assert err <= 1e-7, ("rols", err)
+    assert time.perf_counter() - start < 10.0

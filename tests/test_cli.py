@@ -249,3 +249,19 @@ def test_env_var_and_flag_produce_identical_reports():
     assert via_flag.stdout == via_env.stdout
     doc = json.loads(via_flag.stdout)
     assert doc["inputs"]["tolerance"] == 1e-9
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+
+def test_import_leaves_scipy_unloaded():
+    # SciPy is a test-only dependency; the library and the CLI run on NumPy
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, gmls, gmls.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from gmls import (
     InfeasibleParticularError,
     LinearRestrictions,
     ReducedGramSingularError,
+    RestrictionGramSingularError,
     RidgeSpec,
     ShiftInsufficientError,
     StochasticRestrictions,
@@ -29,13 +30,13 @@ from gmls import (
     rgls,
     ridge,
     rols,
-    solve_normal_system,
     stochastic_restricted_gls,
     tkn,
 )
 
 from conftest import random_nnd, random_spd
 from oracles import (
+    bordered_normal_system,
     constrained_wls,
     fraction_solve,
     mixed_direct,
@@ -437,6 +438,21 @@ def test_tkn_equals_rgls_on_regular_model():
                                atol=1e-10)
 
 
+def test_tkn_refuses_duplicated_restriction_rows():
+    # consistent but linearly dependent rows leave R C+^{-1} R' singular;
+    # rols and rgls accept the same rows and match the single-row fit
+    rng = np.random.default_rng(89)
+    model = _regular(rng)
+    single = _restriction(rng, model.num_params)
+    doubled = LinearRestrictions.build(np.vstack([single.R, 2.0 * single.R]),
+                                       np.vstack([single.r, 2.0 * single.r]))
+    with pytest.raises(RestrictionGramSingularError):
+        tkn(model, doubled)
+    for fn in (rols, rgls):
+        np.testing.assert_allclose(fn(model, doubled).beta_hat,
+                                   fn(model, single).beta_hat, atol=1e-10)
+
+
 def _combined_for(model, rng=None, explicit=None):
     if explicit is None:
         explicit = LinearRestrictions.empty(model.num_params)
@@ -548,11 +564,12 @@ def test_normal_system_agrees_with_constrained_estimate():
     rng = np.random.default_rng(90)
     model = _singular(rng)
     combined = _combined_for(model)
-    solution = solve_normal_system(model, combined)
+    beta, _, residual = bordered_normal_system(
+        model.y, model.X, np.linalg.pinv(model.dispersion, hermitian=True),
+        combined.H, combined.h)
     direct = constrained_singular_gls(model, combined)
-    np.testing.assert_allclose(solution.beta_hat, direct.beta_hat, atol=1e-7)
-    assert solution.residual_norm < 1e-8
-    assert solution.lagrange_unique
+    np.testing.assert_allclose(direct.beta_hat, beta, atol=1e-7)
+    assert residual < 1e-8
 
 
 def test_normal_system_flags_redundant_multipliers():
@@ -565,10 +582,15 @@ def test_normal_system_flags_redundant_multipliers():
         explicit_rows=range(0),
         implicit_rows=range(base.count + 1),
         consistent=True)
-    solution = solve_normal_system(model, doubled)
-    assert not solution.lagrange_unique
-    reference = solve_normal_system(model, base)
+    solution = constrained_singular_gls(model, doubled)
+    reference = constrained_singular_gls(model, base)
     np.testing.assert_allclose(solution.beta_hat, reference.beta_hat, atol=1e-7)
+    # the bordered system is singular here, its minimum-norm solution
+    # still carries the same beta
+    beta, _, _ = bordered_normal_system(
+        model.y, model.X, np.linalg.pinv(model.dispersion, hermitian=True),
+        doubled.H, doubled.h)
+    np.testing.assert_allclose(solution.beta_hat, beta, atol=1e-7)
 
 
 def test_normal_system_rejects_inconsistent_combined():
@@ -579,7 +601,7 @@ def test_normal_system_rejects_inconsistent_combined():
         H=base.H, h=base.h + 1.0, explicit_rows=base.explicit_rows,
         implicit_rows=base.implicit_rows, consistent=False)
     with pytest.raises(InconsistentRestrictionsError):
-        solve_normal_system(model, broken)
+        constrained_singular_gls(model, broken)
 
 
 def test_linear_representation_invariance():

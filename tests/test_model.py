@@ -6,7 +6,6 @@ import pytest
 from gmls import (
     DimensionMismatchError,
     DispersionNotNNDError,
-    InconsistentRestrictionsError,
     LinearRestrictions,
     NonFiniteError,
     ResponseOutsideRangeError,
@@ -29,7 +28,6 @@ from gmls.model import (
     EQUATION_MAJOR,
     MEMBERSHIP_RTOL,
     PERIOD_MAJOR,
-    invert_restrictions,
 )
 
 from conftest import random_nnd, random_spd
@@ -334,20 +332,3 @@ def test_linear_restrictions_build_validates():
         LinearRestrictions.build(np.ones((2, 3)), np.zeros((1, 1)))
     empty = LinearRestrictions.empty(4)
     assert empty.count == 0 and empty.num_params == 4
-
-
-def test_invert_restrictions_particular_and_basis():
-    res = LinearRestrictions.build(np.array([[1.0, 1.0, 0.0]]), np.array([[2.0]]))
-    particular, basis = invert_restrictions(res)
-    np.testing.assert_allclose(res.R @ particular, res.r, atol=1e-12)
-    # minimum-norm solution of x1 + x2 = 2 is (1, 1, 0)
-    np.testing.assert_allclose(particular.ravel(), [1.0, 1.0, 0.0], atol=1e-12)
-    assert basis.shape == (3, 2)
-    np.testing.assert_allclose(res.R @ basis, 0.0, atol=1e-12)
-
-
-def test_invert_restrictions_detects_inconsistency():
-    res = LinearRestrictions.build(np.array([[1.0, 0.0], [1.0, 0.0]]),
-                                   np.array([[1.0], [2.0]]))
-    with pytest.raises(InconsistentRestrictionsError):
-        invert_restrictions(res)
