@@ -11,7 +11,15 @@ from __future__ import annotations
 
 
 class GMLSError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``column`` is the index of the response column a per-column check
+    refused, None when the refusal does not depend on the response.
+    """
+
+    def __init__(self, *args, column: int | None = None):
+        super().__init__(*args)
+        self.column = column
 
 
 class NonFiniteError(GMLSError):

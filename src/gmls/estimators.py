@@ -23,6 +23,10 @@ sandwich.  Each estimator states its (W, H) and its own pre-checks.
 Restricted estimates satisfy H beta_hat = H beta*, so the restrictions
 hold to rounding.
 
+Every estimator takes a T x B response (see ``gmls.model``) and returns
+a K x B ``beta_hat``: the factorizations and rank checks, which do not
+depend on y, run once, and the gain is applied to all B columns.
+
 The dispersion's decomposition comes from ``model.spectrum``, so its
 rank is the one build_model fixed; an estimator's ``tol`` governs the
 remaining rank decisions (design, restrictions, whitened design).
@@ -59,6 +63,7 @@ from .model import (
     EstimatorTag,
     GaussMarkoffModel,
     LinearRestrictions,
+    _column_refusal,
 )
 from .spectral import (
     RankReport,
@@ -98,6 +103,7 @@ def _whiten(spec: SpectralDecomposition, *mats):
 def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None):
     """Minimize ||wy - wx beta|| subject to H beta = h, rows = (H, h).
 
+    wy and h may hold B columns, one problem each on the same wx and H.
     One SVD of H gives its rank report, an orthonormal null basis N and,
     unless ``particular`` supplies one, the minimum-norm beta*.  One QR
     factorization wx N = Q R gives the gain G = N R^{-1} Q', the
@@ -417,9 +423,11 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
 
     The stacked system [y; r] = [X; R X_f] beta + [u; v] carries the
     block dispersion diag(s^2 Omega, Theta), with s^2 the model's sigma2
-    when recorded and 1 otherwise; it is whitened block by block.  As
-    Theta -> 0 the estimate tends to restricted GLS; as Theta -> infinity
-    it tends to unrestricted GLS.
+    when recorded and 1 otherwise; it is whitened block by block.  The
+    covariance factor is V = (X' Omega^{-1} X + s^2 R' Theta^{-1} R)^{-1},
+    so D(beta_hat) = s^2 V as for every estimator.  As Theta -> 0 the
+    estimate tends to restricted GLS; as Theta -> infinity it tends to
+    unrestricted GLS.
     """
     spec = _pd_dispersion(model)
     eff = sres.effective_restrictions(model.num_params)
@@ -437,10 +445,12 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
     wx, wy = _whiten(spec, model.X, model.y)
     w_eff, w_r = _whiten(theta_spec, eff, sres.r)
     scale = np.sqrt(s2)
+    w_r = np.broadcast_to(w_r, (sres.count, wy.shape[1]))
     beta, gain, _, _ = _whitened_lsq(np.vstack([wx / scale, w_eff]),
                                      np.vstack([wy / scale, w_r]),
                                      IdentificationError, tol)
-    return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
+    # the whitened system has unit noise, so G G' = D(beta_hat) = s^2 V
+    return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T / s2,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.STOCHASTIC_RESTRICTED,
                           diagnostics={"augmented_identification": ident,
@@ -500,8 +510,9 @@ def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
 
 def _combined_checks(model: GaussMarkoffModel, combined: CombinedRestrictions, tol):
     if not combined.consistent:
-        raise InconsistentRestrictionsError(
-            "combined restriction system H beta = h has no solution")
+        raise _column_refusal(InconsistentRestrictionsError,
+                              "combined restriction system H beta = h has no solution",
+                              combined.inconsistent_column, combined.h.shape[1])
     if combined.num_params != model.num_params:
         raise DimensionMismatchError(
             f"restrictions have {combined.num_params} columns, "
@@ -510,7 +521,7 @@ def _combined_checks(model: GaussMarkoffModel, combined: CombinedRestrictions, t
 
 
 def _checked_particular(combined: CombinedRestrictions, particular):
-    """A supplied particular solution, verified against H beta = h."""
+    """A supplied particular solution, verified against each column of h."""
     if particular is None:
         return None
     part = as_matrix(particular, "particular")
@@ -518,10 +529,13 @@ def _checked_particular(combined: CombinedRestrictions, particular):
         raise DimensionMismatchError(
             f"particular solution must be {combined.num_params} x 1")
     if combined.count:
-        gap = float(np.max(np.abs(combined.H @ part - combined.h)))
-        if gap > 1e-8 * (1.0 + float(np.max(np.abs(combined.h)))):
-            raise InfeasibleParticularError(
-                f"particular solution misses H beta = h by {gap:.3g}")
+        gap = np.max(np.abs(combined.H @ part - combined.h), axis=0)
+        missed = np.flatnonzero(gap > 1e-8 * (1.0 + np.max(np.abs(combined.h), axis=0)))
+        if missed.size:
+            j = int(missed[0])
+            raise _column_refusal(InfeasibleParticularError,
+                                  f"particular solution misses H beta = h by {gap[j]:.3g}",
+                                  j, combined.h.shape[1])
     return part
 
 

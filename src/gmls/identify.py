@@ -120,23 +120,41 @@ def combine_restrictions(explicit: LinearRestrictions,
     """Stack explicit restrictions on top of the implicit ones.
 
     The result records which rows came from where and whether the joint
-    system H beta = h is solvable (rank(H) = rank(H, h)).
+    system H beta = h_j is solvable (rank(H) = rank(H, h_j)) for every
+    column h_j of h, one per response column.  The augmented ranks use
+    numeric_rank's rule, from one stacked SVD over the columns.
     """
     if implicit.G.shape[1] != explicit.num_params:
         raise DimensionMismatchError(
             f"explicit restrictions have {explicit.num_params} columns, "
             f"implicit have {implicit.G.shape[1]}")
     h_mat = np.vstack([explicit.R, implicit.G])
-    h_vec = np.vstack([explicit.r, implicit.g])
+    h_vec = np.vstack([np.broadcast_to(explicit.r, (explicit.count, implicit.g.shape[1])),
+                       implicit.g])
     rank_h = numeric_rank(h_mat, tol=tol).numeric_rank
-    rank_aug = numeric_rank(np.hstack([h_mat, h_vec]), tol=tol).numeric_rank
+    failing = np.flatnonzero(_augmented_ranks(h_mat, h_vec, tol) != rank_h)
     return CombinedRestrictions(
         H=h_mat,
         h=h_vec,
         explicit_rows=range(0, explicit.count),
         implicit_rows=range(explicit.count, explicit.count + implicit.count),
-        consistent=rank_h == rank_aug,
+        consistent=not failing.size,
+        inconsistent_column=int(failing[0]) if failing.size else None,
     )
+
+
+def _augmented_ranks(h_mat: np.ndarray, h_vec: np.ndarray, tol) -> np.ndarray:
+    """numeric_rank of (H, h_j) for every column h_j of h."""
+    rows, cols = h_mat.shape[0], h_mat.shape[1] + 1
+    if rows == 0:
+        return np.zeros(h_vec.shape[1], dtype=int)
+    stacked = np.concatenate(
+        [np.broadcast_to(h_mat, (h_vec.shape[1], *h_mat.shape)), h_vec.T[:, :, None]],
+        axis=2)
+    values = np.linalg.svd(stacked, compute_uv=False)
+    cutoff = default_tolerance(rows, cols, 1.0) * values[:, :1] if tol is None \
+        else float(tol)
+    return np.count_nonzero(values > cutoff, axis=1)
 
 
 def check_mls_invertibility(X, spec: SpectralDecomposition,

@@ -6,6 +6,11 @@ only admissibility requirement on the data is that the response lies in
 the column space of (X : dispersion), which build_model verifies.
 build_model decomposes the dispersion once and the model carries that
 decomposition, so its rank is fixed at construction.
+
+The response may hold B >= 1 columns, each a response on the same (X,
+dispersion); every estimator is affine in y, so it fits all B in one
+call and returns one column of estimates per response column.  Checks
+that depend on y run per column and name the first column they refuse.
 """
 
 from __future__ import annotations
@@ -112,9 +117,11 @@ class CombinedRestrictions:
     """Explicit restrictions stacked on top of the implicit ones.
 
     H = [R; A'X] and h = [r; A'y], where A spans the null space of the
-    dispersion matrix.  ``explicit_rows`` and ``implicit_rows`` index the
-    two groups inside H; ``consistent`` records whether
-    rank(H) = rank(H, h) held at construction time.
+    dispersion matrix; h has one column per response column.
+    ``explicit_rows`` and ``implicit_rows`` index the two groups inside
+    H; ``consistent`` records whether rank(H) = rank(H, h_j) held for
+    every column h_j at construction time, and ``inconsistent_column``
+    names the first column where it failed.
     """
 
     H: np.ndarray
@@ -122,6 +129,7 @@ class CombinedRestrictions:
     explicit_rows: range
     implicit_rows: range
     consistent: bool
+    inconsistent_column: int | None = None
 
     @property
     def count(self) -> int:
@@ -136,9 +144,11 @@ class CombinedRestrictions:
 class EstimateResult:
     """A point estimate with its covariance factor and residuals.
 
-    ``covariance_factor`` is the matrix V such that D(beta_hat) =
-    sigma^2 V under the estimator's own assumptions.  ``diagnostics``
-    collects the identification checks that were consulted on the way.
+    ``beta_hat`` is K x B and ``residuals`` T x B for a T x B response;
+    ``covariance_factor`` is the matrix V such that D(beta_hat_j) =
+    sigma^2 V for each column under the estimator's own assumptions.
+    ``diagnostics`` collects the identification checks that were
+    consulted on the way.
     """
 
     beta_hat: np.ndarray
@@ -209,17 +219,18 @@ def build_model(y, X, dispersion, sigma2: float | None = None,
                 ordering: str | None = None) -> GaussMarkoffModel:
     """Validate and assemble a general Gauss-Markoff model.
 
-    Checks, in order: dimensional conformity, T > K, the dispersion is
-    symmetric nonnegative definite, and the response lies in the column
-    space of (X : dispersion) within 1e-8 relative.  The dispersion is
-    decomposed here, with rank cutoff ``tol``, and nowhere else.
+    Checks, in order: dimensional conformity (y is T x 1, or T x B for B
+    responses), T > K, the dispersion is symmetric nonnegative definite,
+    and each response column lies in the column space of
+    (X : dispersion) within 1e-8 relative.  The dispersion is decomposed
+    here, with rank cutoff ``tol``, and nowhere else.
     """
     y = as_matrix(y, "y")
     X = as_matrix(X, "X")
     omega = as_matrix(dispersion, "dispersion")
     t_dim, k_dim = X.shape
-    if y.shape != (t_dim, 1):
-        raise DimensionMismatchError(f"y must be {t_dim} x 1, got {y.shape}")
+    if y.shape[0] != t_dim or y.shape[1] == 0:
+        raise DimensionMismatchError(f"y must be {t_dim} x 1 or {t_dim} x B, got {y.shape}")
     if omega.shape != (t_dim, t_dim):
         raise DimensionMismatchError(
             f"dispersion must be {t_dim} x {t_dim}, got {omega.shape}")
@@ -246,11 +257,23 @@ def build_model(y, X, dispersion, sigma2: float | None = None,
         cutoff = default_tolerance(t_dim, t_dim + k_dim, scale)
         basis = u[:, : int(np.count_nonzero(s > cutoff))]
         resid = g_y - basis @ (basis.T @ g_y)
-        if float(np.linalg.norm(resid)) > MEMBERSHIP_RTOL * (1.0 + float(np.linalg.norm(y))):
-            raise ResponseOutsideRangeError(
-                "response is outside the column space of (design : dispersion)")
+        outside = np.flatnonzero(np.linalg.norm(resid, axis=0)
+                                 > MEMBERSHIP_RTOL * (1.0 + np.linalg.norm(y, axis=0)))
+        if outside.size:
+            raise _column_refusal(
+                ResponseOutsideRangeError,
+                "response is outside the column space of (design : dispersion)",
+                int(outside[0]), y.shape[1])
     return GaussMarkoffModel(y=y, X=X, dispersion=omega, spectrum=spec,
                              sigma2=sigma2, ordering=ordering)
+
+
+def _column_refusal(cls, message: str, column: int | None, columns: int):
+    """``cls`` for a check that failed on response column ``column`` of
+    ``columns``; the message names the column when there are several."""
+    if column is not None and columns > 1:
+        message = f"{message} (response column {column})"
+    return cls(message, column=column)
 
 
 def _block_diag(*blocks) -> np.ndarray:

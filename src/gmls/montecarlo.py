@@ -4,9 +4,14 @@ Replications use counter-based Philox (4x64, 10 rounds) streams: the
 design of a scenario is drawn once from the stream keyed (seed, 0) and
 held fixed across replications, and replication j draws its errors from
 the stream keyed (seed, 1 + j).  Identical (scenario, seed, replication)
-triples therefore reproduce identical data in any execution order, and
-aggregation fills a preallocated array indexed by replication, so
-results do not depend on completion order.
+triples therefore reproduce identical data in any execution order.  One
+Philox generator is re-keyed for each replication rather than built
+anew; the draws are the same bits.
+
+A study stacks the responses of all its replications as the columns of
+one T x B block and fits them with one estimator call, since every
+estimator is affine in the response; generate_instance returns one
+column of the same block.
 
 Errors are always generated as F sqrt(Lambda) z with z standard normal,
 F and Lambda from the spectral decomposition of the scenario dispersion.
@@ -41,7 +46,7 @@ from .model import (
     build_model,
 )
 from .panel import FEPanelModel, build_fe_model, fe_gls, fe_mls
-from .spectral import SpectralDecomposition, spectral_decompose
+from .spectral import spectral_decompose
 
 REGULAR_GLS = "regular-gls"
 SINGULAR_ADDING_UP = "singular-adding-up"
@@ -92,8 +97,9 @@ class SimulationConfig:
         if self.scenario not in SCENARIOS:
             raise InvalidConfigError(f"unknown scenario {self.scenario!r}; "
                                      f"choose from {', '.join(SCENARIOS)}")
-        if self.replications < 1:
-            raise InvalidConfigError("replications must be positive")
+        if self.replications < 2:
+            # one replication has no sample dispersion to check
+            raise InvalidConfigError("replications must be at least 2")
         if self.n < 2 or self.m < 2 or self.coeff_count < 1:
             raise InvalidConfigError("dimensions must satisfy n >= 2, m >= 2, K >= 1")
         if self.sigma2 <= 0:
@@ -155,6 +161,21 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _replication_streams(seed: int, first: int, count: int):
+    """The generators of replications first, ..., first + count - 1.
+
+    Yields one Generator, re-keyed before each replication to the state
+    ``_rng(seed, 1 + j)`` starts from: key (seed, 1 + j), counter 0 and
+    an empty buffer.  Valid until the next item is requested.
+    """
+    gen = _rng(seed, 1 + first)
+    state = gen.bit_generator.state
+    for j in range(first, first + count):
+        state["state"]["key"][1] = 1 + j
+        gen.bit_generator.state = state
+        yield gen
+
+
 def _default_beta(k_total: int) -> np.ndarray:
     return 1.0 + 0.25 * np.arange(k_total, dtype=float)
 
@@ -170,9 +191,9 @@ def _random_spd(rng: np.random.Generator, dim: int,
 class _Structure:
     """Replication-invariant part of a scenario.
 
-    ``template`` is the model with the noise-free response X beta; a
-    replication swaps in its own response and keeps the template's
-    decomposed dispersion.
+    ``template`` is the model with the noise-free response X beta; the
+    replications swap in their block of responses and keep the
+    template's decomposed dispersion.
     """
 
     kind: str
@@ -249,52 +270,67 @@ def _build_structure(config: SimulationConfig) -> _Structure:
                       template=template, restrictions=restrictions, layout=layout)
 
 
-def _draw_errors(spec: SpectralDecomposition, sigma2: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(size=(spec.rank, 1))
-    return np.sqrt(sigma2) * (spec.eigenvectors_pos @
-                              (np.sqrt(spec.eigenvalues_pos)[:, None] * z))
+def _draw_errors(specs, sigma2: float, seed: int, first: int, count: int) -> list:
+    """Errors F sqrt(Lambda) z of replications first, ..., first + count - 1.
+
+    Returns one T_i x count block per decomposition in ``specs``;
+    replication j draws the z of every block in turn from its own
+    stream.
+    """
+    ranks = [spec.rank for spec in specs]
+    z = np.empty((count, sum(ranks)))
+    for row, gen in zip(z, _replication_streams(seed, first, count)):
+        gen.standard_normal(out=row)
+    out, start = [], 0
+    for spec, rank in zip(specs, ranks):
+        block = z[:, start:start + rank].T
+        start += rank
+        out.append(np.sqrt(sigma2) * (spec.eigenvectors_pos @
+                                      (np.sqrt(spec.eigenvalues_pos)[:, None] * block)))
+    return out
 
 
-def _instance_from(structure: _Structure, config: SimulationConfig,
-                   rep: int) -> Instance:
-    rng = _rng(config.seed, 1 + rep)
+def _draw(structure: _Structure, config: SimulationConfig, first: int, count: int):
+    """The model or panel of replications first, ..., first + count - 1,
+    with one response column per replication."""
     beta0 = structure.true_beta.reshape(-1, 1)
     template = structure.template
     if template is not None:
-        u = _draw_errors(template.spectrum, structure.sigma2, rng)
-        model = dataclasses.replace(template, y=template.X @ beta0 + u)
-        return Instance(replication=rep, true_beta=structure.true_beta,
-                        model=model, restrictions=structure.restrictions,
-                        layout=structure.layout)
+        (u,) = _draw_errors((template.spectrum,), structure.sigma2, config.seed,
+                            first, count)
+        return dataclasses.replace(template, y=template.X @ beta0 + u)
     # fixed-effects kinds
-    n = config.n
-    responses = []
-    for i in range(n):
-        u_i = _draw_errors(structure.fe_sigma_specs[i], structure.sigma2, rng)
-        responses.append(structure.fe_designs[i] @ beta0
-                         + structure.fe_effects[i, 0] + u_i)
-    panel = build_fe_model(structure.fe_designs, responses,
-                           sigma=structure.fe_sigma,
-                           sigma_blocks=structure.fe_sigma_blocks)
-    return Instance(replication=rep, true_beta=structure.true_beta, panel=panel)
+    errors = _draw_errors(structure.fe_sigma_specs, structure.sigma2, config.seed,
+                          first, count)
+    responses = [x_i @ beta0 + structure.fe_effects[i, 0] + u_i
+                 for i, (x_i, u_i) in enumerate(zip(structure.fe_designs, errors))]
+    return build_fe_model(structure.fe_designs, responses, sigma=structure.fe_sigma,
+                          sigma_blocks=structure.fe_sigma_blocks)
 
 
 def generate_instance(config: SimulationConfig, replication: int) -> Instance:
     """Data for one replication; the design parts never vary with it."""
     if replication < 0:
         raise InvalidConfigError("replication index must be nonnegative")
-    return _instance_from(_build_structure(config), config, replication)
+    structure = _build_structure(config)
+    data = _draw(structure, config, replication, 1)
+    if isinstance(data, FEPanelModel):
+        return Instance(replication=replication, true_beta=structure.true_beta,
+                        panel=data)
+    return Instance(replication=replication, true_beta=structure.true_beta,
+                    model=data, restrictions=structure.restrictions,
+                    layout=structure.layout)
 
 
-def _estimate_once(name: str, inst: Instance):
+def _estimate(name: str, data, res: LinearRestrictions | None):
+    """Fit ``data``, a GaussMarkoffModel or an FEPanelModel, with ``name``."""
     if name in PANEL_ESTIMATORS:
-        if inst.panel is None:
+        if not isinstance(data, FEPanelModel):
             raise InvalidConfigError(f"estimator {name!r} needs a panel scenario")
-        return fe_gls(inst.panel) if name == "fe-gls" else fe_mls(inst.panel)
-    if inst.model is None:
+        return fe_gls(data) if name == "fe-gls" else fe_mls(data)
+    if not isinstance(data, GaussMarkoffModel):
         raise InvalidConfigError(f"estimator {name!r} needs a model scenario")
-    model, res = inst.model, inst.restrictions
+    model = data
     if name == "ols":
         return ols(model)
     if name == "gls":
@@ -334,7 +370,12 @@ def _jackknife_covariance_se(estimates: np.ndarray) -> np.ndarray:
 
 def run_study(config: SimulationConfig, estimator: str | None = None,
               bias_shift: float = 0.0) -> MCReport:
-    """Run the full replication loop for one estimator.
+    """Estimate every replication of a study with one estimator call.
+
+    The replications' responses form the columns of one block, fitted
+    at once.  A refusal keeps its class and is prefixed with the first
+    replication it concerns: the column a per-response check refused,
+    replication 0 when the refusal does not depend on the response.
 
     ``bias_shift`` adds a constant to every estimate and exists as a
     negative control: any nonzero shift beyond the Monte Carlo noise
@@ -344,24 +385,20 @@ def run_study(config: SimulationConfig, estimator: str | None = None,
     name = estimator if estimator is not None else DEFAULT_ESTIMATOR[structure.kind]
     reps = config.replications
     k_dim = structure.true_beta.size
-    estimates = np.empty((reps, k_dim))
-    theoretical = None
-    for rep in range(reps):
-        inst = _instance_from(structure, config, rep)
-        try:
-            result = _estimate_once(name, inst)
-        except GMLSError as exc:
-            raise type(exc)(f"replication {rep}: {exc}") from exc
-        estimates[rep] = result.beta_hat.ravel() + bias_shift
-        if rep == 0:
-            theoretical = config.sigma2 * result.covariance_factor
+    data = _draw(structure, config, 0, reps)
+    try:
+        result = _estimate(name, data, structure.restrictions)
+    except GMLSError as exc:
+        raise type(exc)(f"replication {exc.column or 0}: {exc}") from exc
+    estimates = result.beta_hat.T + bias_shift
+    theoretical = config.sigma2 * result.covariance_factor
     mean_beta = estimates.mean(axis=0)
     bias = mean_beta - structure.true_beta
     mc_se = estimates.std(axis=0, ddof=1) / np.sqrt(reps)
     sample_cov = np.cov(estimates.T, ddof=1).reshape(k_dim, k_dim)
     cov_se = None
     cov_ok = None
-    if theoretical is not None and reps > 2:
+    if reps > 2:
         cov_se = _jackknife_covariance_se(estimates)
         cov_ok = bool(np.all(np.abs(sample_cov - theoretical)
                              <= SE_MULTIPLE * cov_se))

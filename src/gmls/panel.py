@@ -11,6 +11,9 @@ and pseudo-inverse least squares on the within-transformed model, whose
 dispersion I_n kron (M_m Sigma M_m) is singular of rank n(m-1).  The
 identity P = M (I_n kron M_m Sigma M_m)^+ M is what verify_theorem5
 checks numerically.
+
+Responses may hold B >= 1 columns on the same designs and dispersion;
+the estimators sweep and factor once and return K x B slopes.
 """
 
 from __future__ import annotations
@@ -97,10 +100,11 @@ def dummy_matrix(n: int, m: int) -> np.ndarray:
 def build_fe_model(designs, responses, sigma=None, sigma_blocks=None) -> FEPanelModel:
     """Assemble a fixed-effects panel from per-equation data.
 
-    designs: n matrices of shape m x K; responses: n vectors of length m.
-    Provide either one common ``sigma`` (Kronecker dispersion) or
-    ``sigma_blocks`` with one m x m matrix per equation.  Every block
-    must be symmetric positive definite.
+    designs: n matrices of shape m x K; responses: n vectors of length m,
+    or n m x B matrices holding B responses each.  Provide either one
+    common ``sigma`` (Kronecker dispersion) or ``sigma_blocks`` with one
+    m x m matrix per equation.  Every block must be symmetric positive
+    definite, so every finite response is admissible.
     """
     xs = [as_matrix(d, f"design {i}") for i, d in enumerate(designs)]
     ys = [as_matrix(r, f"response {i}") for i, r in enumerate(responses)]
@@ -108,11 +112,13 @@ def build_fe_model(designs, responses, sigma=None, sigma_blocks=None) -> FEPanel
     if n == 0 or len(ys) != n:
         raise DimensionMismatchError("need matching non-empty design and response lists")
     m, k_dim = xs[0].shape
+    columns = ys[0].shape[1]
     for i in range(n):
         if xs[i].shape != (m, k_dim):
             raise DimensionMismatchError(f"design {i} must be {m} x {k_dim}")
-        if ys[i].shape != (m, 1):
-            raise DimensionMismatchError(f"response {i} must be {m} x 1")
+        if ys[i].shape != (m, columns) or columns == 0:
+            raise DimensionMismatchError(
+                f"response {i} must be {m} x 1 or {m} x B, all with the same B")
     if (sigma is None) == (sigma_blocks is None):
         raise DimensionMismatchError("provide exactly one of sigma, sigma_blocks")
     if sigma is not None:
@@ -163,8 +169,8 @@ def _solve_normal(normal: np.ndarray, rhs: np.ndarray):
     """Solution and symmetrized inverse of a positive definite normal system."""
     sol = np.linalg.solve(0.5 * (normal + normal.T),
                           np.hstack([rhs, np.eye(normal.shape[0])]))
-    cov = sol[:, 1:]
-    return sol[:, :1], 0.5 * (cov + cov.T)
+    cov = sol[:, rhs.shape[1]:]
+    return sol[:, :rhs.shape[1]], 0.5 * (cov + cov.T)
 
 
 def build_projectors(model: FEPanelModel,
@@ -196,7 +202,7 @@ def fe_gls(model: FEPanelModel) -> EstimateResult:
     blocks = _sweep_blocks(model)
     k_dim = model.num_params
     normal = np.zeros((k_dim, k_dim))
-    rhs = np.zeros((k_dim, 1))
+    rhs = np.zeros((k_dim, model.y.shape[1]))
     for i in range(model.n):
         rows = model.equation_rows(i)
         xp = model.X[rows].T @ blocks[i][1]
@@ -258,7 +264,7 @@ def fe_mls(model: FEPanelModel) -> EstimateResult:
     specs = _within_pinv_blocks(model)
     k_dim = model.num_params
     normal = np.zeros((k_dim, k_dim))
-    rhs = np.zeros((k_dim, 1))
+    rhs = np.zeros((k_dim, model.y.shape[1]))
     whitened_rows = []
     for i in range(model.n):
         rows = model.equation_rows(i)
@@ -294,7 +300,7 @@ def fe_drop_period(model: FEPanelModel, drop: int) -> EstimateResult:
     keep = [t for t in range(model.m) if t != drop - 1]
     k_dim = model.num_params
     normal = np.zeros((k_dim, k_dim))
-    rhs = np.zeros((k_dim, 1))
+    rhs = np.zeros((k_dim, model.y.shape[1]))
     reduced_inv = None
     for i in range(model.n):
         rows = model.equation_rows(i)

@@ -147,6 +147,16 @@ def mixed_direct(y_vec, x_mat, omega, r_mat, r_rhs, theta, s2) -> np.ndarray:
     return np.linalg.solve(lhs, x.T @ omega_inv @ y / s2 + r.T @ theta_inv @ rhs)
 
 
+def mixed_dispersion(x_mat, omega, r_mat, theta, s2) -> np.ndarray:
+    """Textbook D(beta_hat) = (X' Omega^{-1} X / s^2 + R' Theta^{-1} R)^{-1}
+    of the mixed estimator."""
+    x = np.asarray(x_mat, dtype=float)
+    r = np.asarray(r_mat, dtype=float)
+    omega_inv = np.linalg.inv(np.asarray(omega, dtype=float))
+    theta_inv = np.linalg.inv(np.asarray(theta, dtype=float))
+    return np.linalg.inv(x.T @ omega_inv @ x / s2 + r.T @ theta_inv @ r)
+
+
 def pinv_mls(y_vec, x_mat, omega) -> np.ndarray:
     """Unrestricted singular-dispersion estimator via numpy's own pinv."""
     x = np.asarray(x_mat, dtype=float)

@@ -1,5 +1,7 @@
 """Estimator correctness against independent reference computations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from gmls import (
     InfeasibleParticularError,
     LinearRestrictions,
     ReducedGramSingularError,
+    ResponseOutsideRangeError,
     RestrictionGramSingularError,
     RidgeSpec,
     ShiftInsufficientError,
@@ -40,6 +43,7 @@ from oracles import (
     constrained_wls,
     fraction_solve,
     mixed_direct,
+    mixed_dispersion,
     pinv_mls,
     ridge_direct,
     whitened_gls,
@@ -309,6 +313,35 @@ def test_mixed_uses_model_sigma2_weighting():
         res.R, res.r, theta))
     oracle = mixed_direct(y, x, omega, res.R, res.r, theta, 4.0)
     np.testing.assert_allclose(result.beta_hat, oracle, atol=1e-8)
+
+
+def _mixed_sigma2_instance(rng, rows, theta):
+    x = rng.normal(size=(10, 3))
+    y = x @ np.ones((3, 1)) + 2.0 * rng.normal(size=(10, 1))
+    model = build_model(y, x, random_spd(rng, 10), sigma2=4.0)
+    sres = StochasticRestrictions.build(rng.normal(size=(rows, 3)),
+                                        rng.normal(size=(rows, 1)), theta)
+    return model, sres
+
+
+def test_mixed_covariance_meets_the_no_row_limit():
+    """D(beta_hat) = sigma2 V holds with and without rows, so an
+    uninformative row (Theta = 1e12) leaves the no-row covariance."""
+    rng = np.random.default_rng(74)
+    model, loose = _mixed_sigma2_instance(rng, 1, np.array([[1e12]]))
+    none = StochasticRestrictions.build(np.zeros((0, 3)), np.zeros((0, 1)),
+                                        np.zeros((0, 0)))
+    np.testing.assert_allclose(
+        stochastic_restricted_gls(model, loose).covariance_factor,
+        stochastic_restricted_gls(model, none).covariance_factor, rtol=1e-6)
+
+
+def test_mixed_covariance_matches_textbook_dispersion():
+    rng = np.random.default_rng(75)
+    model, sres = _mixed_sigma2_instance(rng, 2, random_spd(rng, 2))
+    result = stochastic_restricted_gls(model, sres)
+    expected = mixed_dispersion(model.X, model.dispersion, sres.R, sres.theta, 4.0)
+    np.testing.assert_allclose(4.0 * result.covariance_factor, expected, rtol=1e-10)
 
 
 def test_mixed_with_no_rows_equals_gls():
@@ -630,3 +663,73 @@ def test_linear_representation_shape_check():
     with pytest.raises(DimensionMismatchError):
         linear_representation(model, combined,
                               np.zeros((model.num_params, 1)), implicit)
+
+
+# ---------------------------------------------------------------------------
+# several responses in one call
+
+
+def _fits_by_column(fit, model, columns):
+    block = fit(model)
+    for j in range(columns):
+        single = fit(replace(model, y=model.y[:, j:j + 1]))
+        scale = 1.0 + float(np.max(np.abs(single.beta_hat)))
+        assert float(np.max(np.abs(block.beta_hat[:, j:j + 1] - single.beta_hat))) \
+            <= 1e-12 * scale
+        np.testing.assert_allclose(block.residuals[:, j:j + 1], single.residuals,
+                                   rtol=0.0, atol=1e-12 * float(np.max(np.abs(model.y))))
+        np.testing.assert_array_equal(block.covariance_factor, single.covariance_factor)
+    assert block.beta_hat.shape == (model.num_params, columns)
+
+
+def test_estimators_fit_each_response_column():
+    rng = np.random.default_rng(95)
+    columns = 4
+    regular = _regular(rng)
+    regular = replace(regular, y=regular.X @ rng.normal(size=(3, columns))
+                      + rng.normal(size=(10, columns)))
+    res = _restriction(rng, 3)
+    sres = StochasticRestrictions.build(res.R, res.r, np.array([[0.5]]))
+    for fit in (ols, gls, mls, lambda m: rols(m, res), lambda m: rgls(m, res),
+                lambda m: tkn(m, res), lambda m: ridge(m, RidgeSpec.scalar(0.3)),
+                lambda m: stochastic_restricted_gls(m, sres)):
+        _fits_by_column(fit, regular, columns)
+    singular = _singular(rng)
+    root = singular.spectrum.eigenvectors_pos
+    singular = replace(singular, y=singular.X @ rng.normal(size=(3, columns))
+                       + root @ rng.normal(size=(root.shape[1], columns)))
+    explicit = LinearRestrictions.build(np.array([[1.0, -1.0, 0.0]]), np.zeros((1, 1)))
+    for fit in (mls, lambda m: constrained_singular_gls(m, _combined_for(m)),
+                lambda m: constrained_singular_gls(m, _combined_for(m, explicit=explicit))):
+        _fits_by_column(fit, singular, columns)
+
+
+def test_inconsistent_response_column_is_named():
+    # the explicit row repeats the first implicit row with column 0's
+    # right-hand side, so only column 1 conflicts
+    rng = np.random.default_rng(96)
+    model = _singular(rng)
+    root = model.spectrum.eigenvectors_pos
+    betas = np.hstack([np.ones((3, 1)), 2.0 * np.ones((3, 1))])
+    y = model.X @ betas + root @ rng.normal(size=(root.shape[1], 2))
+    model = build_model(y, model.X, model.dispersion)
+    implicit = extract_implicit_restrictions(model)
+    explicit = LinearRestrictions.build(implicit.G[:1], implicit.g[:1, :1])
+    combined = combine_restrictions(explicit, implicit)
+    assert not combined.consistent and combined.inconsistent_column == 1
+    with pytest.raises(InconsistentRestrictionsError, match="column 1") as info:
+        constrained_singular_gls(model, combined)
+    assert info.value.column == 1
+    first = combine_restrictions(explicit, extract_implicit_restrictions(
+        replace(model, y=model.y[:, :1])))
+    assert first.consistent and first.inconsistent_column is None
+
+
+def test_build_model_names_the_response_column_outside_the_range():
+    rng = np.random.default_rng(97)
+    # six implicit rows on two parameters, so most null directions are outside
+    model = _singular(rng, t_dim=12, k_dim=2, omega_rank=6)
+    y = np.hstack([model.y, model.y + model.spectrum.eigenvectors_null[:, :1]])
+    with pytest.raises(ResponseOutsideRangeError, match="column 1") as info:
+        build_model(y, model.X, model.dispersion)
+    assert info.value.column == 1

@@ -1,22 +1,42 @@
 """Simulation harness: determinism, data-generation exactness, checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gmls import (
     DispersionSingularError,
+    GMLSError,
     InvalidConfigError,
+    LinearRestrictions,
     SimulationConfig,
+    combine_restrictions,
+    constrained_singular_gls,
+    extract_implicit_restrictions,
+    fe_gls,
+    fe_mls,
     generate_instance,
+    gls,
+    mls,
+    ols,
+    rgls,
+    rols,
     run_study,
     spectral_decompose,
+    tkn,
 )
 from gmls.montecarlo import (
     COLLINEAR_RESTRICTED,
     FE_BLOCKDIAG,
     FE_KRONECKER,
+    MODEL_ESTIMATORS,
+    PANEL_ESTIMATORS,
     REGULAR_GLS,
+    SCENARIOS,
     SINGULAR_ADDING_UP,
+    _replication_streams,
+    _rng,
 )
 
 from oracles import matrix_rank_svd
@@ -43,6 +63,32 @@ def test_config_validation():
         _cfg(SINGULAR_ADDING_UP, coeff_count=1).validate()
     with pytest.raises(InvalidConfigError):
         _cfg(REGULAR_GLS, sigma2=0.0).validate()
+
+
+def test_single_replication_is_refused():
+    # one replication has no sample dispersion: refuse it up front rather
+    # than report NaN standard errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidConfigError, match="at least 2"):
+            _cfg(REGULAR_GLS, reps=1).validate()
+        with pytest.raises(InvalidConfigError, match="at least 2"):
+            run_study(_cfg(REGULAR_GLS, reps=1))
+        assert run_study(_cfg(REGULAR_GLS, reps=2)).replications == 2
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+def test_rekeyed_streams_reproduce_fresh_generators(seed):
+    """Re-keying one Philox gives each replication the bits of its own
+    generator keyed (seed, 1 + j), across several draws from it."""
+    for j, gen in enumerate(_replication_streams(seed, 0, 200)):
+        fresh = _rng(seed, 1 + j)
+        for size in (3, 5):
+            np.testing.assert_array_equal(gen.standard_normal(size),
+                                          fresh.standard_normal(size))
+    late = next(_replication_streams(seed, 150, 1))
+    np.testing.assert_array_equal(late.standard_normal(4),
+                                  _rng(seed, 151).standard_normal(4))
 
 
 def test_instances_are_deterministic():
@@ -190,6 +236,16 @@ def test_estimator_failures_carry_replication_index():
         run_study(_cfg(SINGULAR_ADDING_UP, reps=10), "gls")
 
 
+def test_response_dependent_failures_name_their_replication(monkeypatch):
+    from gmls import InconsistentRestrictionsError, montecarlo
+
+    def refuse(name, data, res):
+        raise InconsistentRestrictionsError("no solution", column=3)
+    monkeypatch.setattr(montecarlo, "_estimate", refuse)
+    with pytest.raises(InconsistentRestrictionsError, match="^replication 3: no solution"):
+        run_study(_cfg(SINGULAR_ADDING_UP, reps=10))
+
+
 def test_jackknife_variance_scale():
     """Jackknife SE of a sample variance tracks the classic 2 sigma^4 / R rate."""
     from gmls.montecarlo import _jackknife_covariance_se
@@ -199,3 +255,77 @@ def test_jackknife_variance_scale():
     se = _jackknife_covariance_se(draws)[0, 0]
     expected = np.sqrt(2.0 / reps)  # sigma = 1
     assert 0.5 * expected < se < 2.0 * expected
+
+
+# ---------------------------------------------------------------------------
+# one estimator call per study
+
+
+def _fit_instance(name, inst):
+    if name == "fe-gls":
+        return fe_gls(inst.panel)
+    if name == "fe-mls":
+        return fe_mls(inst.panel)
+    model, res = inst.model, inst.restrictions
+    if name == "constrained":
+        explicit = res if res is not None \
+            else LinearRestrictions.empty(model.num_params)
+        return constrained_singular_gls(
+            model, combine_restrictions(explicit, extract_implicit_restrictions(model)))
+    if name in ("rols", "rgls", "tkn"):
+        return {"rols": rols, "rgls": rgls, "tkn": tkn}[name](model, res)
+    return {"ols": ols, "gls": gls, "mls": mls}[name](model)
+
+
+def _relative_gap(a, b):
+    return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_study_matches_a_loop_over_instances(scenario):
+    """Every scenario/estimator pair run_study accepts reports what a loop
+    of the same estimator over generate_instance reports; a pair it
+    refuses is refused by the loop with the same class."""
+    cfg = _cfg(scenario, reps=40, seed=2024, sigma2=1.7)
+    accepted = 0
+    for name in MODEL_ESTIMATORS + PANEL_ESTIMATORS:
+        try:
+            report = run_study(cfg, name)
+        except GMLSError as exc:
+            if isinstance(exc, InvalidConfigError):
+                continue
+            with pytest.raises(type(exc)):
+                _fit_instance(name, generate_instance(cfg, 0))
+            continue
+        accepted += 1
+        fits = [_fit_instance(name, generate_instance(cfg, j)) for j in range(40)]
+        estimates = np.vstack([f.beta_hat.T for f in fits])
+        assert _relative_gap(report.mean_beta, estimates.mean(axis=0)) <= 1e-12, name
+        assert _relative_gap(report.sample_covariance,
+                             np.cov(estimates.T, ddof=1)) <= 1e-12, name
+        assert _relative_gap(report.theoretical_covariance,
+                             1.7 * fits[0].covariance_factor) <= 1e-12, name
+    assert accepted >= 2
+
+
+def _count_kernels(monkeypatch):
+    calls = []
+    for name in ("svd", "qr", "eigh", "cholesky"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_study_factorizations_do_not_grow_with_replications(monkeypatch, scenario):
+    calls = _count_kernels(monkeypatch)
+    counts = []
+    for reps in (50, 500):
+        del calls[:]
+        run_study(_cfg(scenario, reps=reps))
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]

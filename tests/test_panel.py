@@ -67,6 +67,32 @@ def test_build_fe_model_validation():
         build_fe_model(designs, responses, sigma=np.diag([1.0, 1.0, 1.0, 0.0]))
     with pytest.raises(DimensionMismatchError):
         build_fe_model(designs, responses[:-1], sigma=np.eye(4))
+    with pytest.raises(DimensionMismatchError):
+        # every equation must carry the same number of response columns
+        build_fe_model(designs, responses[:-1] + [np.ones((4, 2))], sigma=np.eye(4))
+
+
+@pytest.mark.parametrize("kron", [True, False])
+def test_panel_estimators_fit_each_response_column(kron):
+    rng = np.random.default_rng(111)
+    model, blocks = _panel(rng, kron=kron)
+    columns = 3
+    y = model.y + rng.normal(size=(model.num_obs, columns))
+    designs = [model.X[model.equation_rows(i)] for i in range(model.n)]
+    sigma = {"sigma": blocks[0]} if kron else {"sigma_blocks": blocks}
+    block = build_fe_model(designs, [y[model.equation_rows(i)] for i in range(model.n)],
+                           **sigma)
+    for fit in (fe_gls, fe_mls, lambda p: fe_drop_period(p, 2)):
+        both = fit(block)
+        assert both.beta_hat.shape == (model.num_params, columns)
+        for j in range(columns):
+            single = fit(build_fe_model(
+                designs, [y[model.equation_rows(i), j:j + 1] for i in range(model.n)],
+                **sigma))
+            np.testing.assert_allclose(both.beta_hat[:, j:j + 1], single.beta_hat,
+                                       rtol=1e-12, atol=1e-13)
+            np.testing.assert_allclose(both.covariance_factor, single.covariance_factor,
+                                       rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("kron", [True, False])
