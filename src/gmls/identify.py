@@ -20,15 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NullVectorMismatchError
-from .model import CombinedRestrictions, GaussMarkoffModel, LinearRestrictions, SURLayout
+from .model import (
+    CombinedRestrictions,
+    GaussMarkoffModel,
+    LinearRestrictions,
+    SURLayout,
+    _period_rows,
+)
 from .spectral import (
     RankReport,
     SpectralDecomposition,
+    _decompose_blocks,
     as_matrix,
     default_tolerance,
     null_space_basis,
     numeric_rank,
-    spectral_decompose,
 )
 
 
@@ -222,23 +228,34 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
             blocks = blocks * m
     if len(blocks) != m:
         raise DimensionMismatchError(f"expected {m} dispersion blocks, got {len(blocks)}")
-    specs = [spectral_decompose(b, tol=tol) for b in blocks]
-    for t, spec in enumerate(specs):
-        if spec.source_dim != n:
-            raise DimensionMismatchError(f"dispersion block {t} is not {n} x {n}")
-        if spec.rank != n - 1:
-            raise NullVectorMismatchError(
-                f"dispersion block {t} has {n - spec.rank} zero eigenvalues, expected 1")
-    a = specs[0].eigenvectors_null
-    scale = max(float(np.max(np.abs(b))) for b in blocks)
-    null_tol = 1e-8 * (1.0 + scale)
+    blocks = [as_matrix(b, "s") for b in blocks]
     for t, b in enumerate(blocks):
-        if float(np.max(np.abs(b @ a))) > null_tol:
-            raise NullVectorMismatchError(
-                f"dispersion block {t} does not annihilate the common null vector")
+        if b.shape[0] != b.shape[1]:
+            raise DimensionMismatchError(f"expected a square matrix, got {b.shape}")
+        if b.shape != (n, n):
+            raise DimensionMismatchError(f"dispersion block {t} is not {n} x {n}")
+    stack = np.stack(blocks)
+    # each block decomposed and cut as spectral_decompose would on its own
+    vals, vecs, cutoffs, refusal = _decompose_blocks(stack, tol=tol)
+    if refusal is not None:
+        raise refusal[1]
+    ranks = np.count_nonzero(vals > cutoffs[:, None], axis=1)
+    wrong = np.flatnonzero(ranks != n - 1)
+    if wrong.size:
+        t = int(wrong[0])
+        raise NullVectorMismatchError(
+            f"dispersion block {t} has {n - int(ranks[t])} zero eigenvalues, expected 1")
+    # rank n - 1: eigenvalue 0 is the null one, the rest positive, listed descending
+    a = vecs[0, :, :1].copy()
+    f = np.ascontiguousarray(vecs[:, :, :0:-1])
+    null_tol = 1e-8 * (1.0 + float(np.max(np.abs(stack))))
+    stray = np.flatnonzero(np.max(np.abs(stack @ a), axis=(1, 2)) > null_tol)
+    if stray.size:
+        raise NullVectorMismatchError(
+            f"dispersion block {int(stray[0])} does not annihilate the common null vector")
 
-    whitened = np.vstack([specs[t].eigenvectors_pos.T @ layout.period_row(t)
-                          for t in range(m)])
+    rows = _period_rows(layout)
+    whitened = np.matmul(f.transpose(0, 2, 1), rows).reshape(-1, k_total)
     report = numeric_rank(whitened, tol=tol)
     if report.numeric_rank == k_total:
         return TheilWitness(kind=WitnessKind.NONE, d=np.zeros((k_total, 1)),
@@ -278,6 +295,6 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
         # boundary case: fall back to a direct null vector of F'X
         d = null_space_basis(whitened, tol=tol)[:, :1]
     d = _unit(d)
-    s_rec = np.vstack([(a.T @ layout.period_row(t) @ d) for t in range(m)])
+    s_rec = np.vstack([(a.T @ rows[t] @ d) for t in range(m)])
     return TheilWitness(kind=WitnessKind.CROSS_EQUATION_COMBINATION, d=d,
                         s=s_rec, a=a, note=note)

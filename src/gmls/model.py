@@ -30,6 +30,7 @@ from .errors import (
 )
 from .spectral import (
     SpectralDecomposition,
+    _decompose_blocks,
     as_matrix,
     default_tolerance,
     spectral_decompose,
@@ -214,6 +215,14 @@ class SURLayout:
         return row
 
 
+def _period_rows(layout: SURLayout) -> np.ndarray:
+    """The m x n x K stack whose entry t is ``layout.period_row(t)``."""
+    rows = np.zeros((layout.m, layout.n, layout.num_params))
+    for i, (block, cols) in enumerate(zip(layout.block_design, layout.column_slices())):
+        rows[:, i, cols] = block
+    return rows
+
+
 def build_model(y, X, dispersion, sigma2: float | None = None,
                 tol: float | None = None,
                 ordering: str | None = None) -> GaussMarkoffModel:
@@ -297,16 +306,10 @@ def stacking_permutation(n: int, m: int, src: str, dst: str) -> np.ndarray:
             raise ValueError(f"unknown ordering {name!r}")
     if src == dst:
         return np.arange(n * m)
-    perm = np.empty(n * m, dtype=int)
-    if dst == PERIOD_MAJOR:  # src is equation-major
-        for i in range(n):
-            for t in range(m):
-                perm[t * n + i] = i * m + t
-    else:  # dst equation-major, src period-major
-        for i in range(n):
-            for t in range(m):
-                perm[i * m + t] = t * n + i
-    return perm
+    if dst == PERIOD_MAJOR:  # src is equation-major: position t*n + i holds i*m + t
+        return (np.arange(m)[:, None] + m * np.arange(n)).ravel()
+    # dst equation-major, src period-major: position i*m + t holds t*n + i
+    return (np.arange(n)[:, None] + n * np.arange(m)).ravel()
 
 
 def stack_sur(layout: SURLayout, responses, dispersion_blocks,
@@ -336,8 +339,8 @@ def stack_sur(layout: SURLayout, responses, dispersion_blocks,
         if len(blocks) != m or any(b.shape != (n, n) for b in blocks):
             raise DimensionMismatchError(
                 f"period-major stacking needs {m} blocks of shape {n} x {n}")
-        design = np.vstack([layout.period_row(t) for t in range(m)])
-        y = np.vstack([np.array([[ys[i][t, 0]] for i in range(n)]) for t in range(m)])
+        design = _period_rows(layout).reshape(n * m, -1)
+        y = np.hstack(ys).reshape(-1, 1)
     elif order == EQUATION_MAJOR:
         if len(blocks) != n or any(b.shape != (m, m) for b in blocks):
             raise DimensionMismatchError(
@@ -346,11 +349,11 @@ def stack_sur(layout: SURLayout, responses, dispersion_blocks,
         y = np.vstack(ys)
     else:
         raise ValueError(f"unknown ordering {order!r}")
-    for t, b in enumerate(blocks):
-        try:
-            spectral_decompose(b, tol=tol)
-        except (NonSymmetricError, IndefiniteInputError) as exc:
-            raise DispersionNotNNDError(f"dispersion block {t}: {exc}") from exc
+    # each block is checked at its own scale, as if decomposed alone
+    refusal = _decompose_blocks(np.stack(blocks), tol=tol)[3] if blocks else None
+    if refusal is not None:
+        t, exc = refusal
+        raise DispersionNotNNDError(f"dispersion block {t}: {exc}") from exc
     omega = _block_diag(*blocks)
     return build_model(y, design, omega, sigma2=sigma2, tol=tol, ordering=order)
 

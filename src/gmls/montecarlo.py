@@ -43,6 +43,7 @@ from .model import (
     GaussMarkoffModel,
     LinearRestrictions,
     SURLayout,
+    _period_rows,
     build_model,
 )
 from .panel import FEPanelModel, build_fe_model, fe_gls, fe_mls
@@ -247,7 +248,7 @@ def _build_structure(config: SimulationConfig) -> _Structure:
         proj = np.eye(n) - a @ a.T
         blocks = [proj @ np.diag(rng.uniform(0.5, 1.5, size=n)) @ proj
                   for _ in range(m)]
-        design = np.vstack([layout.period_row(t) for t in range(m)])
+        design = _period_rows(layout).reshape(t_dim, -1)
         omega = np.zeros((t_dim, t_dim))
         for t, b in enumerate(blocks):
             omega[t * n:(t + 1) * n, t * n:(t + 1) * n] = b

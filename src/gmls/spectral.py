@@ -8,6 +8,12 @@ overrides it, every routine in this module uses the same rule:
 Values at or below the threshold count as zero, so ties resolve toward
 the smaller (conservative) rank.  All outputs are deterministic for
 identical inputs within a single build of the underlying LAPACK.
+
+A block-diagonal input (a period-major SUR dispersion, a within-transformed
+panel) is decomposed block by block: its spectrum is the union of the
+blocks' spectra, cut under the same rule at the largest eigenvalue of the
+whole matrix.  The blocks are read off the zero pattern, so no caller
+declares them.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .errors import (
 # Relative asymmetry beyond this is treated as a hard input error rather
 # than noise to be symmetrized away.
 SYMMETRY_RTOL = 1e-12
+_ASYMMETRY_MESSAGE = "matrix is not symmetric within 1e-12 relative asymmetry"
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -49,13 +56,70 @@ def default_tolerance(rows: int, cols: int, scale: float) -> float:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip column signs so the first entry of largest magnitude is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        if col.size and col[np.argmax(np.abs(col))] < 0:
-            out[:, j] = -col
-    return out
+    """Flip column signs so the first entry of largest magnitude is positive.
+
+    Works on a matrix or a stack of matrices (columns along the last axis);
+    the result is a new C-ordered array.
+    """
+    if vectors.shape[-2] == 0:
+        return vectors.copy()
+    lead = np.take_along_axis(
+        vectors, np.abs(vectors).argmax(axis=-2)[..., None, :], axis=-2)
+    return np.multiply(vectors, np.where(lead < 0, -1.0, 1.0), order="C")
+
+
+def _block_ends(sym: np.ndarray) -> np.ndarray:
+    """End rows (exclusive) of the finest contiguous block-diagonal partition.
+
+    A block ends at row j when no row up to j has a nonzero entry past
+    column j; a zero row is a 1 x 1 block.  One block when row 0 reaches
+    the last column, without scanning the matrix.
+    """
+    t_dim = sym.shape[0]
+    if sym[0, -1] != 0:
+        return np.array([t_dim])
+    nonzero = sym != 0
+    rows = np.arange(t_dim)
+    last = t_dim - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    last = np.where(nonzero[rows, last], last, rows)
+    return np.flatnonzero(np.maximum.accumulate(last) == rows) + 1
+
+
+def _decompose_blocks(blocks: np.ndarray, tol: float | None = None):
+    """spectral_decompose's checks and cutoff on each of a stack of blocks.
+
+    ``blocks`` is count x s x s.  One batched ``eigh`` decomposes every
+    block; each block is checked for symmetry at its own scale and cut at
+    its own s * eps * lambda_max (or ``tol``), as spectral_decompose would
+    on that block alone.  Returns ``(vals, vecs, cutoffs, refusal)``:
+    ascending eigenvalues (count x s), sign-fixed eigenvectors as columns
+    (count x s x s), the cutoffs (count,), and ``(t, error)`` for the
+    first block spectral_decompose would refuse, None when all pass.
+    """
+    size = blocks.shape[-1]
+    flat = blocks.reshape(blocks.shape[0], -1)
+    scale = np.max(np.abs(flat), axis=1, initial=0.0)
+    asym = np.max(np.abs(blocks - blocks.transpose(0, 2, 1)).reshape(flat.shape),
+                  axis=1, initial=0.0) > SYMMETRY_RTOL * (1.0 + scale)
+    # block 0 alone would have raised this once past its symmetry check
+    if tol is not None and tol < 0 and not asym[0]:
+        raise ValueError("tolerance must be nonnegative")
+    vals, vecs = np.linalg.eigh(0.5 * (blocks + blocks.transpose(0, 2, 1)))
+    lam_max = np.max(np.abs(vals), axis=1, initial=0.0)
+    cutoffs = default_tolerance(size, size, 1.0) * lam_max if tol is None \
+        else np.full(blocks.shape[0], float(tol))
+    failing = np.flatnonzero(asym | (vals[:, 0] < -cutoffs))
+    refusal = None
+    if failing.size:
+        t = int(failing[0])
+        refusal = (t, NonSymmetricError(_ASYMMETRY_MESSAGE) if asym[t]
+                   else _indefinite(vals[t, 0], cutoffs[t]))
+    return vals, _fix_signs(vecs), cutoffs, refusal
+
+
+def _indefinite(value: float, cutoff: float) -> IndefiniteInputError:
+    return IndefiniteInputError(
+        f"matrix has eigenvalue {value:.6g} below -tol={-cutoff:.6g}")
 
 
 @dataclass(frozen=True)
@@ -136,20 +200,26 @@ def spectral_decompose(s, tol: float | None = None) -> SpectralDecomposition:
     if mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {mat.shape}")
     scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    if t_dim and float(np.max(np.abs(mat - mat.T))) > SYMMETRY_RTOL * (1.0 + scale):
-        raise NonSymmetricError("matrix is not symmetric within 1e-12 relative asymmetry")
-    sym = 0.5 * (mat + mat.T)
+    # one T x T temporary at a time, each reused in place
+    asym = mat - mat.T
+    if t_dim and float(np.max(np.abs(asym, out=asym))) > SYMMETRY_RTOL * (1.0 + scale):
+        raise NonSymmetricError(_ASYMMETRY_MESSAGE)
+    del asym
+    sym = mat + mat.T
+    sym *= 0.5
     if t_dim == 0:
         return SpectralDecomposition(0, np.zeros((0, 0)), np.zeros((0, 0)),
                                      np.zeros(0), 0, 0.0)
+    ends = _block_ends(sym)
+    if ends.size > 1:
+        return _decompose_block_diagonal(sym, ends, tol)
     vals, vecs = np.linalg.eigh(sym)
     lam_max = float(np.max(np.abs(vals)))
     cutoff = default_tolerance(t_dim, t_dim, lam_max) if tol is None else float(tol)
     if cutoff < 0:
         raise ValueError("tolerance must be nonnegative")
     if float(vals[0]) < -cutoff:
-        raise IndefiniteInputError(
-            f"matrix has eigenvalue {vals[0]:.6g} below -tol={-cutoff:.6g}")
+        raise _indefinite(vals[0], cutoff)
     positive = vals > cutoff
     # eigh returns ascending order; positive eigenvalues are re-listed descending
     idx_pos = np.nonzero(positive)[0][::-1]
@@ -161,6 +231,59 @@ def spectral_decompose(s, tol: float | None = None) -> SpectralDecomposition:
         eigenvectors_null=a,
         eigenvectors_pos=f,
         eigenvalues_pos=vals[idx_pos].copy(),
+        rank=int(idx_pos.size),
+        tolerance_used=cutoff,
+    )
+
+
+def _decompose_block_diagonal(sym: np.ndarray, ends: np.ndarray,
+                              tol: float | None) -> SpectralDecomposition:
+    """spectral_decompose of a block-diagonal matrix, one batched eigh per
+    block size.
+
+    The union of the block spectra is cut at the whole matrix's cutoff and
+    listed in the dense path's order (ascending by a stable sort, the
+    positive part reversed); each eigenvector is its block's sign-fixed
+    eigenvector embedded at the block's rows.
+    """
+    t_dim = sym.shape[0]
+    starts = np.concatenate([[0], ends[:-1]])
+    sizes = ends - starts
+    groups = []
+    for size in sorted(set(sizes.tolist())):
+        rows = starts[sizes == size][:, None] + np.arange(size)
+        # symmetry was checked on the whole matrix and the cut is global, so
+        # the per-block verdicts are not used
+        vals, vecs = _decompose_blocks(sym[rows[:, :, None], rows[:, None, :]], tol)[:2]
+        groups.append((rows, vals, vecs))
+    every = np.concatenate([vals.ravel() for _, vals, _ in groups])
+    lam_max = float(np.max(np.abs(every)))
+    cutoff = default_tolerance(t_dim, t_dim, lam_max) if tol is None else float(tol)
+    if cutoff < 0:
+        raise ValueError("tolerance must be nonnegative")
+    order = np.argsort(every, kind="stable")
+    if float(every[order[0]]) < -cutoff:
+        raise _indefinite(every[order[0]], cutoff)
+    positive = every > cutoff
+    idx_pos = order[positive[order]][::-1]
+    idx_null = order[~positive[order]]
+    column = np.empty(t_dim, dtype=int)
+    column[idx_pos] = np.arange(idx_pos.size)
+    column[idx_null] = np.arange(idx_null.size)
+    f = np.zeros((t_dim, idx_pos.size))
+    a = np.zeros((t_dim, idx_null.size))
+    first = 0
+    for rows, vals, vecs in groups:
+        pair = first + np.arange(vals.size).reshape(vals.shape)
+        for target, keep in ((f, positive[pair]), (a, ~positive[pair])):
+            block, j = np.nonzero(keep)
+            target[rows[block], column[pair[block, j]][:, None]] = vecs[block, :, j]
+        first += vals.size
+    return SpectralDecomposition(
+        source_dim=t_dim,
+        eigenvectors_null=a,
+        eigenvectors_pos=f,
+        eigenvalues_pos=every[idx_pos],
         rank=int(idx_pos.size),
         tolerance_used=cutoff,
     )

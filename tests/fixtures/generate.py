@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.abspath(os.path.join(HERE, os.pardir, os.pardir, "src"))
 
 
 def save(name, arr):
@@ -132,9 +133,14 @@ def main():
             "simulate", "--scenario", "regular-gls", "--reps", "120",
             "--seed", "7", "--output", "machine"],
     }
+    # the children run inside fixtures/, where a relative PYTHONPATH=src
+    # would no longer resolve
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    env.pop("GMLS_TOL", None)
     for name, argv in goldens.items():
         out = subprocess.run([sys.executable, "-m", "gmls"] + argv,
-                             cwd=HERE, capture_output=True)
+                             cwd=HERE, env=env, capture_output=True)
         if out.returncode != 0:
             raise SystemExit(f"{name}: exit {out.returncode}: {out.stderr.decode()}")
         with open(os.path.join(HERE, name), "wb") as f:

@@ -5,7 +5,9 @@ import pytest
 
 from gmls import (
     DimensionMismatchError,
+    IndefiniteInputError,
     LinearRestrictions,
+    NonSymmetricError,
     NullVectorMismatchError,
     SURLayout,
     WitnessKind,
@@ -280,3 +282,26 @@ def test_wrong_block_count_rejected():
     blocks, _ = _adding_up_blocks(rng, 3, 2)
     with pytest.raises(DimensionMismatchError):
         check_theil_condition(layout, blocks)
+
+
+def test_bad_period_blocks_keep_their_refusals():
+    rng = np.random.default_rng(49)
+    n, m = 3, 5
+    layout = SURLayout.build([rng.normal(size=(m, 2)) for _ in range(n)])
+    blocks, _ = _adding_up_blocks(rng, n, m)
+    skewed = list(blocks)
+    skewed[3] = blocks[3] + np.triu(np.ones((n, n)), 1) * 1e-6
+    with pytest.raises(NonSymmetricError):
+        check_theil_condition(layout, skewed)
+    indefinite = list(blocks)
+    indefinite[2] = np.diag([0.0, 1.0, -1.0])
+    with pytest.raises(IndefiniteInputError, match="eigenvalue -1 below"):
+        check_theil_condition(layout, indefinite)
+    wrong = list(blocks)
+    wrong[4] = np.eye(n + 1)
+    with pytest.raises(DimensionMismatchError, match="dispersion block 4 is not 3 x 3"):
+        check_theil_condition(layout, wrong)
+    double = list(blocks)
+    double[1] = np.diag([0.0, 0.0, 1.0])
+    with pytest.raises(NullVectorMismatchError, match="dispersion block 1 has 2 zero"):
+        check_theil_condition(layout, double)

@@ -13,6 +13,7 @@ from gmls import (
     SimulationConfig,
     TooFewObservationsError,
     build_model,
+    check_theil_condition,
     combine_restrictions,
     constrained_singular_gls,
     extract_implicit_restrictions,
@@ -244,6 +245,11 @@ def test_stacking_permutation_roundtrip():
     moved = labels[fwd]
     for pos, (i, t) in enumerate(moved):
         assert pos == t * n + i
+    # n != m, both directions pinned
+    np.testing.assert_array_equal(
+        stacking_permutation(2, 3, src=EQUATION_MAJOR, dst=PERIOD_MAJOR), [0, 3, 1, 4, 2, 5])
+    np.testing.assert_array_equal(
+        stacking_permutation(2, 3, src=PERIOD_MAJOR, dst=EQUATION_MAJOR), [0, 2, 4, 1, 3, 5])
 
 
 def test_stacking_permutation_identity_and_validation():
@@ -303,6 +309,70 @@ def test_stack_sur_rejects_indefinite_block():
     blocks[2] = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(DispersionNotNNDError):
         stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
+
+
+def test_period_major_stack_is_the_period_rows():
+    rng = np.random.default_rng(15)
+    layout, responses = _sur_parts(rng)
+    n = layout.n
+    model = stack_sur(layout, responses, [np.eye(n)] * layout.m, order=PERIOD_MAJOR)
+    for t in range(layout.m):
+        np.testing.assert_array_equal(model.X[t * n:(t + 1) * n], layout.period_row(t))
+        np.testing.assert_array_equal(model.y[t * n:(t + 1) * n, 0],
+                                      [responses[i][t, 0] for i in range(n)])
+
+
+def test_stack_sur_names_the_first_failing_block():
+    rng = np.random.default_rng(16)
+    layout, responses = _sur_parts(rng)
+    skewed = np.eye(layout.n)
+    skewed[0, 1] = 0.5
+    indefinite = np.diag([1.0, -1.0, 1.0])
+    for first, second, message in ((skewed, indefinite, "not symmetric"),
+                                   (indefinite, skewed, "eigenvalue -1 below")):
+        blocks = [np.eye(layout.n) for _ in range(layout.m)]
+        blocks[1], blocks[3] = first, second
+        with pytest.raises(DispersionNotNNDError,
+                           match=f"^dispersion block 1: .*{message}"):
+            stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
+
+
+def test_stack_sur_cuts_each_block_at_its_own_scale():
+    """-1e-12 is far below block 2's own cutoff 3 * eps * 1, but above
+    the 15 * eps * 1e6 of the whole stacked dispersion."""
+    rng = np.random.default_rng(17)
+    layout, responses = _sur_parts(rng)
+    blocks = [np.eye(layout.n) for _ in range(layout.m)]
+    blocks[0] = 1e6 * np.eye(layout.n)
+    blocks[2] = np.diag([1.0, 1.0, -1e-12])
+    with pytest.raises(DispersionNotNNDError, match="^dispersion block 2: "):
+        stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
+
+
+def test_sur_fit_makes_no_eigh_larger_than_a_period_block(monkeypatch):
+    """The block-diagonal dispersion of a period-major SUR system is
+    decomposed block by block, at n = 4 and m = 500 (T = 2000)."""
+    rng = np.random.default_rng(18)
+    n, m, width = 4, 500, 3
+    layout = SURLayout.build([rng.normal(size=(m, width)) for _ in range(n)])
+    a = np.full((n, 1), 1.0 / np.sqrt(n))
+    proj = np.eye(n) - a @ a.T
+    scales = rng.uniform(0.5, 1.5, size=(m, n))
+    blocks = [proj @ np.diag(d) @ proj for d in scales]
+    beta = rng.normal(size=(n * width, 1))
+    errors = (proj @ (np.sqrt(scales) * rng.standard_normal(size=(m, n))).T).T
+    responses = [layout.block_design[i] @ beta[i * width:(i + 1) * width, 0] + errors[:, i]
+                 for i in range(n)]
+    explicit = LinearRestrictions.build(np.eye(1, n * width), beta[:1])
+    eighs = _counting(monkeypatch, "eigh", lambda shape: True)
+
+    model = stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
+    combined = combine_restrictions(explicit, extract_implicit_restrictions(model))
+    constrained_singular_gls(model, combined)
+    mls(model)
+    check_theil_condition(layout, blocks)
+    assert eighs and max(shape[-1] for shape in eighs) == n
+    assert model.spectrum.rank == (n - 1) * m
 
 
 def test_extract_sur_blocks_roundtrip():
