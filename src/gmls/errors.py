@@ -101,7 +101,7 @@ class ReducedGramSingularError(GMLSError):
 
 
 class ShiftInsufficientError(GMLSError):
-    """The ridge shift leaves the shifted normal matrix numerically singular."""
+    """The ridge shift leaves the shifted design [X; Psi^(1/2)] rank deficient."""
 
 
 class InfeasibleParticularError(GMLSError):

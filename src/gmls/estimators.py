@@ -8,18 +8,20 @@ pseudo-inverse estimator, its explicitly-restricted variant, and the
 fully general constrained estimator that folds the restrictions the
 singular dispersion itself imposes into the solve.
 
-Every estimator but ridge solves one problem,
+Every estimator solves one problem,
 
     minimize || W (y - X beta) ||  subject to  H beta = h,
 
 with the whitener W = Lambda^{-1/2} F' taken from ``model.spectrum``
 (W'W = Omega^+; W = I for OLS and restricted OLS) and H the estimator's
-restriction rows.  One core solves it in null-space coordinates
-beta = beta* + N c, with an SVD of H and a QR factorization of W X N,
-so no path forms the normal matrix X' W'W X and squares the condition
-number of the design.  The covariance factor N R^{-1} R^{-T} N' comes
-off the same R factor; OLS and restricted OLS wrap it in their
-sandwich.  Each estimator states its (W, H) and its own pre-checks.
+restriction rows; ridge and mixed estimation append rows to W X and
+W y.  One core solves it in null-space coordinates beta = beta* + N c,
+with an SVD of H and a QR factorization of W X N, so no path forms the
+normal matrix X' W'W X and squares the condition number of the design.
+The covariance factor N R^{-1} R^{-T} N' comes off the same R factor;
+OLS, restricted OLS and ridge wrap it in their sandwich G Omega G',
+read off the spectrum.  Each estimator states its (W, H) and its own
+pre-checks.
 Restricted estimates satisfy H beta_hat = H beta*, so the restrictions
 hold to rounding.
 
@@ -112,7 +114,8 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None):
     entry falls to the rank cutoff, ``refuse(message, report)`` builds
     the error raised, report describing |diag R|.
 
-    Returns (beta_hat, gain, beta*, rank report of H).
+    Returns (beta_hat, gain, beta*, rank report of H); beta_hat is None
+    when wy is, for callers that apply the gain themselves.
     """
     k_dim = wx.shape[1]
     h_report = RankReport(0, np.zeros(0), 0.0, deficient=False)
@@ -139,12 +142,22 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None):
         raise refuse(f"R factor of the whitened design has rank {rank} < {diag.size}",
                      RankReport(rank, diag, cutoff, deficient=True))
     gain = basis @ np.linalg.solve(r_factor, q.T)
-    beta = beta_star + gain @ (wy - wx @ beta_star)
+    beta = None if wy is None else beta_star + gain @ (wy - wx @ beta_star)
     return beta, gain, beta_star, h_report
 
 
 def _design_refusal(message, report):
     return DesignRankDeficientError(message)
+
+
+def _shift_refusal(message, report):
+    return ShiftInsufficientError(message)
+
+
+def _sandwich(gain: np.ndarray, spec: SpectralDecomposition) -> np.ndarray:
+    """G Omega G' as (G F Lambda^{1/2})(G F Lambda^{1/2})', F Lambda F' = Omega."""
+    half = (gain @ spec.eigenvectors_pos) * np.sqrt(spec.eigenvalues_pos)
+    return half @ half.T
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +218,7 @@ def ols(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     report = _design_full_rank(model, tol)
     beta, gain, _, _ = _whitened_lsq(model.X, model.y, _design_refusal, tol)
     return EstimateResult(beta_hat=beta,
-                          covariance_factor=gain @ model.dispersion @ gain.T,
+                          covariance_factor=_sandwich(gain, model.spectrum),
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.OLS,
                           diagnostics={"design_rank": report})
@@ -245,7 +258,7 @@ def rols(model: GaussMarkoffModel, res: LinearRestrictions,
     beta, gain, _, _ = _whitened_lsq(model.X, model.y, IdentificationError, tol,
                                      rows=(res.R, res.r))
     return EstimateResult(beta_hat=beta,
-                          covariance_factor=gain @ model.dispersion @ gain.T,
+                          covariance_factor=_sandwich(gain, model.spectrum),
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.ROLS,
                           diagnostics={"restriction_consistency": cons,
@@ -306,17 +319,22 @@ class RidgeSpec:
         return cls(full_matrix=as_matrix(psi, "psi"))
 
     def expand(self, num_params: int) -> np.ndarray:
+        return self._expand(num_params)[0]
+
+    def _expand(self, num_params: int):
+        """Psi and rows S with S'S = Psi: Lambda^{1/2} F' from the
+        decomposition of a full matrix, the root of the diagonal otherwise."""
         if self.full_matrix is not None:
             psi = self.full_matrix
             if psi.shape != (num_params, num_params):
                 raise DimensionMismatchError(
                     f"shift matrix must be {num_params} x {num_params}, got {psi.shape}")
             try:
-                spectral_decompose(psi)
+                spec = spectral_decompose(psi)
             except (NonSymmetricError, IndefiniteInputError) as exc:
                 raise IndefiniteInputError(
                     f"shift matrix must be symmetric nonnegative definite: {exc}") from exc
-            return psi
+            return psi, np.sqrt(spec.eigenvalues_pos)[:, None] * spec.eigenvectors_pos.T
         if self.block_parameters is None:
             raise DimensionMismatchError("ridge specification is empty")
         if any(p < 0 for p in self.block_parameters):
@@ -325,40 +343,38 @@ class RidgeSpec:
             if len(self.block_parameters) != 1:
                 raise DimensionMismatchError(
                     "block parameters without widths only allowed for a scalar shift")
-            return self.block_parameters[0] * np.eye(num_params)
-        if sum(self.block_widths) != num_params:
-            raise DimensionMismatchError(
-                f"block widths sum to {sum(self.block_widths)}, expected {num_params}")
-        if len(self.block_parameters) != len(self.block_widths):
-            raise DimensionMismatchError("one parameter per block required")
-        diag = np.concatenate([np.full(w, p) for p, w
-                               in zip(self.block_parameters, self.block_widths)])
-        return np.diag(diag)
+            diag = np.full(num_params, self.block_parameters[0])
+        else:
+            if sum(self.block_widths) != num_params:
+                raise DimensionMismatchError(
+                    f"block widths sum to {sum(self.block_widths)}, expected {num_params}")
+            if len(self.block_parameters) != len(self.block_widths):
+                raise DimensionMismatchError("one parameter per block required")
+            diag = np.concatenate([np.full(w, p) for p, w
+                                   in zip(self.block_parameters, self.block_widths)])
+        return np.diag(diag), np.diag(np.sqrt(diag))
 
 
 def ridge(model: GaussMarkoffModel, shift: RidgeSpec,
           tol: float | None = None) -> EstimateResult:
     """Ridge estimator beta_hat = (X'X + Psi)^{-1} X'y.
 
-    Deliberately biased unless Psi = 0; useful when X'X is ill
-    conditioned.  Raises ShiftInsufficientError when X'X + Psi is still
-    numerically singular.
+    Least squares on the rows [X; S] and [y; 0] with S'S = Psi, so
+    X'X + Psi is never formed.  Deliberately biased unless Psi = 0;
+    useful when X is ill conditioned.  Raises ShiftInsufficientError
+    when [X; S] is numerically rank deficient.  The covariance factor
+    is the sandwich G Omega G' of the gain G = (X'X + Psi)^{-1} X'.
     """
-    psi = shift.expand(model.num_params)
-    a_mat = model.X.T @ model.X + psi
-    report = numeric_rank(a_mat, tol=tol)
+    augmented = np.vstack([model.X, shift._expand(model.num_params)[1]])
+    report = numeric_rank(augmented, tol=tol)
     if report.numeric_rank < model.num_params:
         raise ShiftInsufficientError(
-            f"shifted normal matrix has rank {report.numeric_rank} < K")
-    try:
-        chol_inv = np.linalg.inv(np.linalg.cholesky(a_mat))
-    except np.linalg.LinAlgError:
-        raise ShiftInsufficientError("shifted normal matrix "
-                                     "is not positive definite") from None
-    a_inv = chol_inv.T @ chol_inv
-    beta = a_inv @ (model.X.T @ model.y)
-    middle = model.X.T @ model.dispersion @ model.X
-    return EstimateResult(beta_hat=beta, covariance_factor=a_inv @ middle @ a_inv,
+            f"shifted design [X; Psi^(1/2)] has rank {report.numeric_rank} < K")
+    _, gain, _, _ = _whitened_lsq(augmented, None, _shift_refusal, tol)
+    # the appended rows have zero response, so only the gain on y acts
+    gain = gain[:, :model.num_obs]
+    beta = gain @ model.y
+    return EstimateResult(beta_hat=beta, covariance_factor=_sandwich(gain, model.spectrum),
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.RIDGE,
                           diagnostics={"shifted_rank": report})

@@ -10,10 +10,9 @@ GLS after sweeping out the fixed effects with the oblique projector P,
 and pseudo-inverse least squares on the within-transformed model, whose
 dispersion I_n kron (M_m Sigma M_m) is singular of rank n(m-1).  The
 identity P = M (I_n kron M_m Sigma M_m)^+ M is what verify_theorem5
-checks numerically.
-
-Responses may hold B >= 1 columns on the same designs and dispersion;
-the estimators sweep and factor once and return K x B slopes.
+checks numerically.  Each estimator is the least-squares core of
+gmls.estimators on the rows W_i X_i, one whitener W_i per equation (one
+for all in the Kronecker case), run once for B >= 1 response columns.
 """
 
 from __future__ import annotations
@@ -29,9 +28,10 @@ from .errors import (
     IdentificationError,
     TheilRankConditionError,
 )
+from .estimators import _whitened_lsq
 from .model import (EstimateResult, EstimatorTag, GaussMarkoffModel, _block_diag,
                     build_model)
-from .spectral import as_matrix, numeric_rank, spectral_decompose
+from .spectral import _decompose_blocks, as_matrix, numeric_rank, spectral_decompose
 
 # Projector matrices are materialized densely only up to this many rows.
 DENSE_PROJECTOR_CAP = 2000
@@ -64,9 +64,6 @@ class FEPanelModel:
     @property
     def kronecker(self) -> bool:
         return self.sigma is not None
-
-    def block(self, i: int) -> np.ndarray:
-        return self.sigma if self.kronecker else self.sigma_blocks[i]
 
     def equation_rows(self, i: int) -> slice:
         return slice(i * self.m, (i + 1) * self.m)
@@ -144,33 +141,75 @@ def build_fe_model(designs, responses, sigma=None, sigma_blocks=None) -> FEPanel
     )
 
 
-def _sweep_blocks(model: FEPanelModel):
-    """Per-equation (Q_i, P_i) blocks of the fixed-effects sweep."""
-    ones = np.ones((model.m, 1))
-    out = []
-    for i in range(model.n):
-        sig = 0.5 * (model.block(i) + model.block(i).T)
+def _sigmas(model: FEPanelModel) -> np.ndarray:
+    """The distinct dispersion blocks: 1 x m x m (Kronecker) or n x m x m."""
+    return np.stack([model.sigma] if model.kronecker else model.sigma_blocks)
+
+
+def _per_equation(model: FEPanelModel, blocks: np.ndarray) -> np.ndarray:
+    """Dense block-diagonal matrix of one block per distinct dispersion block."""
+    return _block_diag(*np.broadcast_to(blocks, (model.n, *blocks.shape[1:])))
+
+
+def _cholesky_solve(blocks: np.ndarray, rhs: np.ndarray, error, what: str):
+    """L_i^{-1} rhs with L_i L_i' = blocks[i], refusing a numerically
+    singular or indefinite block i, which ``what.format(i)`` names."""
+    factors = []
+    for i, block in enumerate(blocks):
+        if numeric_rank(block).numeric_rank < block.shape[0]:
+            raise error(f"{what.format(i)} is singular")
         try:
-            np.linalg.cholesky(sig)
+            factors.append(np.linalg.cholesky(0.5 * (block + block.T)))
         except np.linalg.LinAlgError:
-            raise DispersionNotPDError(f"sigma block {i} is not positive definite") \
-                from None
-        sig_inv_e = np.linalg.solve(sig, ones)
-        denom = float((ones.T @ sig_inv_e)[0, 0])
-        q_i = ones @ (sig_inv_e.T / denom)
-        p_i = np.linalg.solve(sig, np.eye(model.m) - q_i)
-        out.append((q_i, p_i))
-        if model.kronecker:
-            return [out[0]] * model.n
-    return out
+            raise error(f"{what.format(i)} is not positive definite") from None
+    return np.linalg.solve(np.stack(factors), rhs)
 
 
-def _solve_normal(normal: np.ndarray, rhs: np.ndarray):
-    """Solution and symmetrized inverse of a positive definite normal system."""
-    sol = np.linalg.solve(0.5 * (normal + normal.T),
-                          np.hstack([rhs, np.eye(normal.shape[0])]))
-    cov = sol[:, rhs.shape[1]:]
-    return sol[:, :rhs.shape[1]], 0.5 * (cov + cov.T)
+def _swept_whiteners(model: FEPanelModel) -> np.ndarray:
+    """S_i = (I - u u') L_i^{-1} with Sigma_i = L_i L_i' and u the unit
+    vector along L_i^{-1} e, so S_i'S_i = P_i, the swept GLS weight."""
+    l_inv = _cholesky_solve(_sigmas(model), np.eye(model.m), DispersionNotPDError,
+                            "sigma block {}")
+    u = l_inv.sum(axis=2, keepdims=True)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return l_inv - u @ (u.transpose(0, 2, 1) @ l_inv)
+
+
+def _within_whiteners(model: FEPanelModel) -> np.ndarray:
+    """Lambda_i^{-1/2} F_i' M from M Sigma_i M = F_i Lambda_i F_i' of rank m - 1."""
+    cm = centering_matrix(model.m)
+    vals, vecs, cutoffs, refusal = _decompose_blocks(cm @ _sigmas(model) @ cm)
+    if refusal is not None:
+        raise refusal[1]
+    ranks = np.count_nonzero(vals > cutoffs[:, None], axis=1)
+    wrong = np.flatnonzero(ranks != model.m - 1)
+    if wrong.size:
+        raise DispersionSingularError(f"within dispersion of equation {wrong[0]} has "
+                                      f"rank {ranks[wrong[0]]}, expected {model.m - 1}")
+    # eigenvalues ascend, so the null one comes first
+    f = vecs[:, :, :0:-1] / np.sqrt(vals[:, None, :0:-1])
+    return f.transpose(0, 2, 1) @ cm
+
+
+def _fit(model: FEPanelModel, whiteners: np.ndarray, refuse, tag: EstimatorTag,
+         rank_key: str, **diagnostics) -> EstimateResult:
+    """Slopes minimizing sum_i ||W_i (y_i - X_i beta)||^2.
+
+    The core factors the stacked rows W_i X_i once; its gain splits into
+    blocks G_i, and the K x T operator hstack(G_i W_i) maps all responses.
+    """
+    k_dim = model.num_params
+    wx = (whiteners @ model.X.reshape(model.n, model.m, k_dim)).reshape(-1, k_dim)
+    report = numeric_rank(wx)
+    if report.numeric_rank < k_dim:
+        raise refuse(f"whitened design has rank {report.numeric_rank} < K={k_dim}; "
+                     "time-invariant regressors are not identified", report=report)
+    _, gain, _, _ = _whitened_lsq(wx, None, refuse, None)
+    blocks = gain.reshape(k_dim, model.n, -1).transpose(1, 0, 2) @ whiteners
+    beta = blocks.transpose(1, 0, 2).reshape(k_dim, -1) @ model.y
+    return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
+                          residuals=model.y - model.X @ beta, estimator_tag=tag,
+                          diagnostics={rank_key: report, **diagnostics})
 
 
 def build_projectors(model: FEPanelModel,
@@ -178,46 +217,28 @@ def build_projectors(model: FEPanelModel,
     """Materialize M, Q, and P as dense matrices.
 
     Refuses above ``dense_cap`` rows; the estimators never materialize
-    these and work per equation block instead.
+    these and whiten per equation block instead.
     """
     if model.num_obs > dense_cap:
         raise ValueError(
             f"refusing to materialize {model.num_obs} x {model.num_obs} projectors; "
             f"raise dense_cap explicitly if that is intended")
     cm = centering_matrix(model.m)
-    blocks = _sweep_blocks(model)
+    swept = _swept_whiteners(model)
+    p_blocks = swept.transpose(0, 2, 1) @ swept
     return ProjectorSet(
         M=np.kron(np.eye(model.n), cm),
-        Q=_block_diag(*[q for q, _ in blocks]),
-        P=_block_diag(*[p for _, p in blocks]),
+        Q=_per_equation(model, np.eye(model.m) - _sigmas(model) @ p_blocks),
+        P=_per_equation(model, p_blocks),
         centering=cm,
     )
 
 
 def fe_gls(model: FEPanelModel) -> EstimateResult:
-    """Slope GLS after sweeping out the fixed effects.
-
-    beta_hat = (X' P X)^{-1} X' P y, accumulated equation by equation.
-    """
-    blocks = _sweep_blocks(model)
-    k_dim = model.num_params
-    normal = np.zeros((k_dim, k_dim))
-    rhs = np.zeros((k_dim, model.y.shape[1]))
-    for i in range(model.n):
-        rows = model.equation_rows(i)
-        xp = model.X[rows].T @ blocks[i][1]
-        normal += xp @ model.X[rows]
-        rhs += xp @ model.y[rows]
-    report = numeric_rank(normal)
-    if report.numeric_rank < k_dim:
-        raise IdentificationError(
-            "swept normal matrix X'PX is singular; the slopes are not identified "
-            "(check for time-invariant regressors)", report=report)
-    beta, cov = _solve_normal(normal, rhs)
-    return EstimateResult(beta_hat=beta, covariance_factor=cov,
-                          residuals=model.y - model.X @ beta,
-                          estimator_tag=EstimatorTag.PANEL_GLS,
-                          diagnostics={"swept_rank": report})
+    """Slope GLS after sweeping out the fixed effects: GLS on [X Z] under
+    I kron Sigma, whitening equation i with S_i, S_i'S_i = P_i."""
+    return _fit(model, _swept_whiteners(model), IdentificationError,
+                EstimatorTag.PANEL_GLS, "swept_rank")
 
 
 def within_transform(model: FEPanelModel) -> GaussMarkoffModel:
@@ -228,63 +249,18 @@ def within_transform(model: FEPanelModel) -> GaussMarkoffModel:
     n(m-1), one direction per equation having been removed.
     """
     cm = centering_matrix(model.m)
-    xs, ys, disp = [], [], []
-    for i in range(model.n):
-        rows = model.equation_rows(i)
-        xs.append(cm @ model.X[rows])
-        ys.append(cm @ model.y[rows])
-        disp.append(cm @ model.block(i) @ cm)
-    omega = _block_diag(*disp)
-    return build_model(np.vstack(ys), np.vstack(xs), omega)
-
-
-def _within_pinv_blocks(model: FEPanelModel):
-    """Pseudo-inverses of the per-equation within dispersions M Sigma M."""
-    cm = centering_matrix(model.m)
-    out = []
-    for i in range(model.n):
-        spec = spectral_decompose(cm @ model.block(i) @ cm)
-        if spec.rank != model.m - 1:
-            raise DispersionSingularError(
-                f"within dispersion of equation {i} has rank {spec.rank}, "
-                f"expected {model.m - 1}")
-        out.append(spec)
-        if model.kronecker:
-            return [spec] * model.n
-    return out
+    shape = (model.n, model.m, -1)
+    return build_model((cm @ model.y.reshape(shape)).reshape(model.num_obs, -1),
+                       (cm @ model.X.reshape(shape)).reshape(model.num_obs, -1),
+                       _per_equation(model, cm @ _sigmas(model) @ cm))
 
 
 def fe_mls(model: FEPanelModel) -> EstimateResult:
-    """Pseudo-inverse least squares on the within-transformed model.
-
-    beta_hat = (X'M (I kron MSM)^+ MX)^{-1} X'M (I kron MSM)^+ y.
-    Coincides with fe_gls whenever the latter exists.
-    """
-    cm = centering_matrix(model.m)
-    specs = _within_pinv_blocks(model)
-    k_dim = model.num_params
-    normal = np.zeros((k_dim, k_dim))
-    rhs = np.zeros((k_dim, model.y.shape[1]))
-    whitened_rows = []
-    for i in range(model.n):
-        rows = model.equation_rows(i)
-        wx = cm @ model.X[rows]
-        pinv = specs[i].pinv()
-        xp = wx.T @ pinv
-        normal += xp @ wx
-        rhs += xp @ model.y[rows]
-        whitened_rows.append(
-            (specs[i].eigenvectors_pos / np.sqrt(specs[i].eigenvalues_pos)).T @ wx)
-    report = numeric_rank(np.vstack(whitened_rows))
-    if report.numeric_rank < k_dim:
-        raise TheilRankConditionError(
-            "whitened within design lacks full column rank; the pseudo-inverse "
-            "normal matrix is not invertible", report=report)
-    beta, cov = _solve_normal(normal, rhs)
-    return EstimateResult(beta_hat=beta, covariance_factor=cov,
-                          residuals=model.y - model.X @ beta,
-                          estimator_tag=EstimatorTag.PANEL_MLS,
-                          diagnostics={"whitened_within_rank": report})
+    """Pseudo-inverse least squares on the within-transformed model,
+    whitening equation i with Lambda_i^{-1/2} F_i' M from the within
+    dispersion M Sigma_i M = F_i Lambda_i F_i'.  Equals fe_gls."""
+    return _fit(model, _within_whiteners(model), TheilRankConditionError,
+                EstimatorTag.PANEL_MLS, "whitened_within_rank")
 
 
 def fe_drop_period(model: FEPanelModel, drop: int) -> EstimateResult:
@@ -292,47 +268,17 @@ def fe_drop_period(model: FEPanelModel, drop: int) -> EstimateResult:
 
     ``drop`` is the 1-based period index.  Deleting any single period
     from the centered data removes the rank deficiency, and the reduced
-    GLS estimate equals fe_mls exactly.
+    GLS estimate equals fe_mls exactly.  Equation i is whitened with
+    L_i^{-1} D M, D deleting the period and L_i L_i' = D M Sigma_i M D'.
     """
     if not 1 <= drop <= model.m:
         raise ValueError(f"drop period must be in 1..{model.m}, got {drop}")
-    cm = centering_matrix(model.m)
-    keep = [t for t in range(model.m) if t != drop - 1]
-    k_dim = model.num_params
-    normal = np.zeros((k_dim, k_dim))
-    rhs = np.zeros((k_dim, model.y.shape[1]))
-    reduced_inv = None
-    for i in range(model.n):
-        rows = model.equation_rows(i)
-        within = cm @ model.block(i) @ cm
-        reduced = within[np.ix_(keep, keep)]
-        if reduced_inv is None or not model.kronecker:
-            rep = numeric_rank(reduced)
-            if rep.numeric_rank < model.m - 1:
-                raise DispersionSingularError(
-                    f"reduced within dispersion of equation {i} is singular")
-            reduced = 0.5 * (reduced + reduced.T)
-            try:
-                np.linalg.cholesky(reduced)
-            except np.linalg.LinAlgError:
-                raise DispersionSingularError(
-                    f"reduced within dispersion of equation {i} is not positive "
-                    "definite") from None
-            reduced_inv = np.linalg.solve(reduced, np.eye(model.m - 1))
-        wx = (cm @ model.X[rows])[keep, :]
-        wy = (cm @ model.y[rows])[keep, :]
-        xp = wx.T @ reduced_inv
-        normal += xp @ wx
-        rhs += xp @ wy
-    report = numeric_rank(normal)
-    if report.numeric_rank < k_dim:
-        raise IdentificationError("reduced within normal matrix is singular",
-                                  report=report)
-    beta, cov = _solve_normal(normal, rhs)
-    return EstimateResult(beta_hat=beta, covariance_factor=cov,
-                          residuals=model.y - model.X @ beta,
-                          estimator_tag=EstimatorTag.PANEL_GLS,
-                          diagnostics={"reduced_rank": report, "dropped_period": drop})
+    rows = centering_matrix(model.m)[np.arange(model.m) != drop - 1]
+    whiteners = _cholesky_solve(rows @ _sigmas(model) @ rows.T, rows,
+                                DispersionSingularError,
+                                "reduced within dispersion of equation {}")
+    return _fit(model, whiteners, IdentificationError, EstimatorTag.PANEL_GLS,
+                "reduced_rank", dropped_period=drop)
 
 
 @dataclass(frozen=True)
@@ -365,21 +311,15 @@ def verify_theorem5(model: FEPanelModel, projectors: ProjectorSet | None = None,
     default the projectors are built from the model.
     """
     proj = projectors if projectors is not None else build_projectors(model)
-    cm = centering_matrix(model.m)
-    specs = _within_pinv_blocks(model)
-    pinv_within = _block_diag(*[s.pinv() for s in specs])
-    m_full = np.kron(np.eye(model.n), cm)
-    gap = float(np.max(np.abs(proj.P - m_full @ pinv_within @ m_full)))
+    within = _within_whiteners(model)
+    # W_i'W_i = M F_i Lambda_i^{-1} F_i' M = M (M Sigma_i M)^+ M
+    rebuilt = _per_equation(model, within.transpose(0, 2, 1) @ within)
+    gap = float(np.max(np.abs(proj.P - rebuilt)))
     res_gls = fe_gls(model)
     res_mls = fe_mls(model)
     beta_gap = float(np.max(np.abs(res_gls.beta_hat - res_mls.beta_hat)))
     scale = 1.0 + float(np.max(np.abs(res_mls.beta_hat)))
-    return Theorem5Report(
-        beta_gls=res_gls.beta_hat,
-        beta_mls=res_mls.beta_hat,
-        beta_gap=beta_gap,
-        projector_gap=gap,
-        tolerance=tolerance,
-        beta_equal=beta_gap <= tolerance * scale,
-        projector_equal=gap <= tolerance,
-    )
+    return Theorem5Report(beta_gls=res_gls.beta_hat, beta_mls=res_mls.beta_hat,
+                          beta_gap=beta_gap, projector_gap=gap, tolerance=tolerance,
+                          beta_equal=beta_gap <= tolerance * scale,
+                          projector_equal=gap <= tolerance)

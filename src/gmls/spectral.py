@@ -6,8 +6,10 @@ overrides it, every routine in this module uses the same rule:
     tol = max(rows, cols) * machine_epsilon * largest_[eigen|singular]_value
 
 Values at or below the threshold count as zero, so ties resolve toward
-the smaller (conservative) rank.  All outputs are deterministic for
-identical inputs within a single build of the underlying LAPACK.
+the smaller (conservative) rank.  Input is refused as indefinite only
+below -max(tol, 4 s eps lambda_max), the error bound of the eigensolver
+on an s x s matrix.  All outputs are deterministic for identical inputs
+within a single build of the underlying LAPACK.
 
 A block-diagonal input (a period-major SUR dispersion, a within-transformed
 panel) is decomposed block by block: its spectrum is the union of the
@@ -34,6 +36,14 @@ from .errors import (
 SYMMETRY_RTOL = 1e-12
 _ASYMMETRY_MESSAGE = "matrix is not symmetric within 1e-12 relative asymmetry"
 
+# A backward-stable symmetric eigensolver returns each eigenvalue of an
+# s x s matrix B within p(s) * eps * ||B||_2 of the exact one (LAPACK
+# Users' Guide, sec. 4.7; Demmel 1997, Applied Numerical Linear Algebra,
+# sec. 5.2), p a modestly growing function of s.  A computed eigenvalue
+# above -p(s) * eps * lambda_max is therefore consistent with a
+# nonnegative definite input and is not refused; p(s) = 4 s.
+_EIGENVALUE_ERROR_FACTOR = 4
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce input to a 2-d float array, rejecting non-finite entries.
@@ -53,6 +63,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def default_tolerance(rows: int, cols: int, scale: float) -> float:
     """Default rank cutoff: max(rows, cols) * eps * scale."""
     return max(rows, cols) * np.finfo(float).eps * float(scale)
+
+
+def _indefiniteness_threshold(size: int, lam_max, cutoff):
+    """max(cutoff, p(size) * eps * lambda_max): input with an eigenvalue
+    below its negative is refused as indefinite."""
+    bound = _EIGENVALUE_ERROR_FACTOR * size * np.finfo(float).eps * lam_max
+    return np.maximum(cutoff, bound)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -108,12 +125,13 @@ def _decompose_blocks(blocks: np.ndarray, tol: float | None = None):
     lam_max = np.max(np.abs(vals), axis=1, initial=0.0)
     cutoffs = default_tolerance(size, size, 1.0) * lam_max if tol is None \
         else np.full(blocks.shape[0], float(tol))
-    failing = np.flatnonzero(asym | (vals[:, 0] < -cutoffs))
+    floors = _indefiniteness_threshold(size, lam_max, cutoffs)
+    failing = np.flatnonzero(asym | (vals[:, 0] < -floors))
     refusal = None
     if failing.size:
         t = int(failing[0])
         refusal = (t, NonSymmetricError(_ASYMMETRY_MESSAGE) if asym[t]
-                   else _indefinite(vals[t, 0], cutoffs[t]))
+                   else _indefinite(vals[t, 0], floors[t]))
     return vals, _fix_signs(vecs), cutoffs, refusal
 
 
@@ -191,7 +209,8 @@ def spectral_decompose(s, tol: float | None = None) -> SpectralDecomposition:
     NonSymmetricError
         If the relative asymmetry exceeds 1e-12.
     IndefiniteInputError
-        If any eigenvalue falls below -tol.
+        If any eigenvalue falls below -max(tol, 4 T eps lambda_max), the
+        eigensolver's error bound for a T x T input.
     NonFiniteError
         If the input contains NaN or Inf.
     """
@@ -218,8 +237,9 @@ def spectral_decompose(s, tol: float | None = None) -> SpectralDecomposition:
     cutoff = default_tolerance(t_dim, t_dim, lam_max) if tol is None else float(tol)
     if cutoff < 0:
         raise ValueError("tolerance must be nonnegative")
-    if float(vals[0]) < -cutoff:
-        raise _indefinite(vals[0], cutoff)
+    floor = _indefiniteness_threshold(t_dim, lam_max, cutoff)
+    if float(vals[0]) < -floor:
+        raise _indefinite(vals[0], floor)
     positive = vals > cutoff
     # eigh returns ascending order; positive eigenvalues are re-listed descending
     idx_pos = np.nonzero(positive)[0][::-1]
@@ -262,8 +282,9 @@ def _decompose_block_diagonal(sym: np.ndarray, ends: np.ndarray,
     if cutoff < 0:
         raise ValueError("tolerance must be nonnegative")
     order = np.argsort(every, kind="stable")
-    if float(every[order[0]]) < -cutoff:
-        raise _indefinite(every[order[0]], cutoff)
+    floor = _indefiniteness_threshold(t_dim, lam_max, cutoff)
+    if float(every[order[0]]) < -floor:
+        raise _indefinite(every[order[0]], floor)
     positive = every > cutoff
     idx_pos = order[positive[order]][::-1]
     idx_null = order[~positive[order]]

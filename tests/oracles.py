@@ -242,13 +242,15 @@ def bordered_normal_system(y_vec, x_mat, weight, h_mat, h_rhs):
     return solution[:k], solution[k:], residual
 
 
-def exact_bordered_beta(y_vec, x_mat, dispersion_diag, h_mat, h_rhs) -> np.ndarray:
+def exact_bordered_beta(y_vec, x_mat, dispersion_diag, h_mat, h_rhs,
+                        shift=0.0) -> np.ndarray:
     """beta of the bordered system in exact rational arithmetic.
 
     The dispersion is diagonal, so its Moore-Penrose inverse diag(1/d)
     over the nonzero d is exact in rationals, and so are X' Omega^+ X
-    and X' Omega^+ y.  H must have full row rank and the system must be
-    nonsingular.  Only the final beta is rounded to floats.
+    and X' Omega^+ y.  ``shift`` is added to the diagonal of X' Omega^+ X
+    (the ridge system X'X + psi I).  H must have full row rank and the
+    system must be nonsingular.  Only the final beta is rounded to floats.
     """
     x = _to_fractions(x_mat)
     y = [row[0] for row in _to_fractions(np.asarray(y_vec).reshape(-1, 1))]
@@ -259,6 +261,8 @@ def exact_bordered_beta(y_vec, x_mat, dispersion_diag, h_mat, h_rhs) -> np.ndarr
     rows = len(h)
     system = [[sum((w * xt[i] * xt[j] for w, xt in zip(weight, x)), Fraction(0))
                for j in range(k)] + [h[r][i] for r in range(rows)] for i in range(k)]
+    for i in range(k):
+        system[i][i] += Fraction(float(shift))
     system += [h[r] + [Fraction(0)] * rows for r in range(rows)]
     rhs = [[sum((w * xt[i] * yt for w, xt, yt in zip(weight, x, y)), Fraction(0))]
            for i in range(k)] + h_vec

@@ -16,6 +16,7 @@ import scipy.linalg
 
 from gmls import (
     LinearRestrictions,
+    RidgeSpec,
     SURLayout,
     StochasticRestrictions,
     WitnessKind,
@@ -29,12 +30,14 @@ from gmls import (
     dummy_matrix,
     extract_implicit_restrictions,
     fe_drop_period,
+    fe_gls,
     fe_mls,
     gls,
     linear_representation,
     mls,
     ols,
     rgls,
+    ridge,
     rols,
     run_study,
     spectral_decompose,
@@ -440,6 +443,17 @@ def test_cli_machine_output_stable_and_refusals_coded():
 # ---------------------------------------------------------------------------
 # 11. backward-stable solves on ill-conditioned designs
 
+def ill_conditioned_design(rng, t_dim, k, cond):
+    """A t_dim x k design with singular values spaced from 1 to 1/cond."""
+    u, _ = np.linalg.qr(rng.normal(size=(t_dim, k)))
+    v, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    return (u * np.logspace(0.0, -np.log10(cond), k)) @ v.T
+
+
+def relative_error(fitted, exact):
+    return float(np.max(np.abs(fitted - exact))) / float(np.max(np.abs(exact)))
+
+
 @pytest.mark.parametrize("cond", [1e6, 1e7])
 def test_solves_stay_accurate_on_ill_conditioned_designs(cond):
     # noise-free y, so a solve that forms X' Omega^+ X loses about
@@ -447,9 +461,7 @@ def test_solves_stay_accurate_on_ill_conditioned_designs(cond):
     rng = np.random.default_rng(1111 + int(np.log10(cond)))
     start = time.perf_counter()
     t_dim, k = 40, 6
-    u, _ = np.linalg.qr(rng.normal(size=(t_dim, k)))
-    v, _ = np.linalg.qr(rng.normal(size=(k, k)))
-    x = (u * np.logspace(0.0, -np.log10(cond), k)) @ v.T
+    x = ill_conditioned_design(rng, t_dim, k, cond)
     beta = rng.normal(size=(k, 1))
     y = x @ beta
     # diagonal dispersions keep Omega^+ exact in rationals; the singular
@@ -473,8 +485,7 @@ def test_solves_stay_accurate_on_ill_conditioned_designs(cond):
     }
     for name, (fitted, diag, (h_mat, h_vec)) in cases.items():
         exact = exact_bordered_beta(y, x, diag, h_mat, h_vec)
-        err = float(np.max(np.abs(fitted.beta_hat - exact))) \
-            / float(np.max(np.abs(exact)))
+        err = relative_error(fitted.beta_hat, exact)
         assert err <= 1e-7, (name, err)
 
     # restricted OLS against LAPACK's equality-constrained least squares
@@ -482,6 +493,46 @@ def test_solves_stay_accurate_on_ill_conditioned_designs(cond):
                                                         res.r.ravel())
     assert info == 0
     fitted = rols(build_model(y, x, np.eye(t_dim)), res).beta_hat.ravel()
-    err = float(np.max(np.abs(fitted - lapack_beta))) / float(np.max(np.abs(lapack_beta)))
+    err = relative_error(fitted, lapack_beta)
     assert err <= 1e-7, ("rols", err)
+    assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("cond", [1e6, 1e7])
+def test_panel_solves_stay_accurate_on_ill_conditioned_designs(cond):
+    # the panel slopes are GLS on [X Z] under I kron Sigma; with integer
+    # diagonal Sigma_i that system is exact in rationals
+    rng = np.random.default_rng(1212 + int(np.log10(cond)))
+    start = time.perf_counter()
+    n, m, k = 3, 40, 6
+    x = ill_conditioned_design(rng, n * m, k, cond)
+    y = x @ rng.normal(size=(k, 1)) + np.repeat(rng.uniform(-1.0, 1.0, size=n), m)[:, None]
+    diags = [rng.integers(1, 5, size=m).astype(float) for _ in range(n)]
+    model = build_fe_model([x[i * m:(i + 1) * m] for i in range(n)],
+                           [y[i * m:(i + 1) * m] for i in range(n)],
+                           sigma_blocks=[np.diag(d) for d in diags])
+    exact = exact_bordered_beta(y, np.hstack([x, dummy_matrix(n, m)]),
+                                np.concatenate(diags), np.zeros((0, k + n)),
+                                np.zeros((0, 1)))[:k]
+    for name, fitted in (("fe_gls", fe_gls(model)), ("fe_mls", fe_mls(model)),
+                         ("fe_drop_period", fe_drop_period(model, 7))):
+        err = relative_error(fitted.beta_hat, exact)
+        assert err <= 1e-7, (name, err)
+    assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.parametrize("psi", [1e-10, 1e-12])
+def test_ridge_stays_accurate_on_an_ill_conditioned_design(psi):
+    # the oracle forms X'X + psi I in rationals from X itself, so it
+    # carries no rounding of a float normal matrix
+    rng = np.random.default_rng(1313 + int(-np.log10(psi)))
+    start = time.perf_counter()
+    t_dim, k = 40, 6
+    x = ill_conditioned_design(rng, t_dim, k, 1e7)
+    y = x @ rng.normal(size=(k, 1))
+    fitted = ridge(build_model(y, x, np.eye(t_dim)), RidgeSpec.scalar(psi))
+    exact = exact_bordered_beta(y, x, np.ones(t_dim), np.zeros((0, k)),
+                                np.zeros((0, 1)), shift=psi)
+    err = relative_error(fitted.beta_hat, exact)
+    assert err <= 1e-7, err
     assert time.perf_counter() - start < 10.0

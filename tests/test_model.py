@@ -12,6 +12,7 @@ from gmls import (
     SURLayout,
     SimulationConfig,
     TooFewObservationsError,
+    WitnessKind,
     build_model,
     check_theil_condition,
     combine_restrictions,
@@ -21,6 +22,7 @@ from gmls import (
     mls,
     run_study,
     stack_sur,
+    spectral_decompose,
     stacking_permutation,
     tkn,
 )
@@ -347,6 +349,40 @@ def test_stack_sur_cuts_each_block_at_its_own_scale():
     blocks[2] = np.diag([1.0, 1.0, -1e-12])
     with pytest.raises(DispersionNotNNDError, match="^dispersion block 2: "):
         stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
+
+
+# Period blocks P diag(d) P, P the projector orthogonal to (1, 1, 1, 1)/2, of
+# bench/workloads.py's sur_instance(80, 9) (block 304) and sur_instance(0, 131)
+# (block 248): nonnegative definite by construction, but eigh computes their
+# null eigenvalue as -1.03e-15 and -6.67e-16, just below -4 * eps * lambda_max.
+ROUNDED_PSD_BLOCKS = [
+    ["0x1.ac004b578465fp-1", "-0x1.cd622ea2c7044p-3", "-0x1.2ecf849e2bb39p-2",
+     "-0x1.427ffabf79962p-2", "-0x1.cd622ea2c7044p-3", "0x1.3425094effe9fp-1",
+     "-0x1.6de8852b4e6f2p-3", "-0x1.9549716dea343p-3", "-0x1.2ecf849e2bb39p-2",
+     "-0x1.6de8852b4e6f2p-3", "0x1.7c43769bc81b5p-1", "-0x1.12c32603bd4b8p-2",
+     "-0x1.427ffabf79961p-2", "-0x1.9549716dea342p-3", "-0x1.12c32603bd4b8p-2",
+     "0x1.8ff3ecbd15fdep-1"],
+    ["0x1.15c943ec0bb6dp-1", "-0x1.a1345f2e619a4p-3", "-0x1.456b418def91ep-3",
+     "-0x1.70856ef3ddaf6p-3", "-0x1.a1345f2e619a4p-3", "0x1.0eec5773641d6p-1",
+     "-0x1.37b1689ca05eep-3", "-0x1.62cb96028e7c6p-3", "-0x1.456b418def91ep-3",
+     "-0x1.37b1689ca05eep-3", "0x1.c20f914656327p-2", "-0x1.070278621c741p-3",
+     "-0x1.70856ef3ddaf6p-3", "-0x1.62cb96028e7c7p-3", "-0x1.070278621c741p-3",
+     "0x1.ed29beac444ffp-2"],
+]
+
+
+@pytest.mark.parametrize("entries", ROUNDED_PSD_BLOCKS, ids=["80-9-304", "0-131-248"])
+def test_period_blocks_psd_up_to_rounding_are_accepted(entries):
+    """A computed eigenvalue within the eigensolver's error bound of zero
+    is not evidence of an indefinite block."""
+    block = np.array([float.fromhex(v) for v in entries]).reshape(4, 4)
+    assert spectral_decompose(block).rank == 3
+    rng = np.random.default_rng(19)
+    layout = SURLayout.build([rng.normal(size=(6, 1)) for _ in range(4)])
+    responses = [x[:, 0] * (i + 1.0) for i, x in enumerate(layout.block_design)]
+    model = stack_sur(layout, responses, [block] * 6, order=PERIOD_MAJOR)
+    assert model.spectrum.rank == 18
+    assert check_theil_condition(layout, block).kind is WitnessKind.NONE
 
 
 def test_sur_fit_makes_no_eigh_larger_than_a_period_block(monkeypatch):
