@@ -505,10 +505,10 @@ def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
     """
     cons = _consistency_or_raise(res, tol)
     report = _whitened_rank_or_raise(model, tol)
-    # consistent, so rank(R) = rank(R, r), the rank the report describes
-    if cons.numeric_rank < res.count:
+    rank_r = numeric_rank(res.R, tol=tol).numeric_rank
+    if rank_r < res.count:
         raise RestrictionGramSingularError(
-            f"R has rank {cons.numeric_rank} < {res.count} rows, "
+            f"R has rank {rank_r} < {res.count} rows, "
             "so R C+^{-1} R' is singular")
     wx, wy = _whiten(model.spectrum, model.X, model.y)
     beta, gain, _, _ = _whitened_lsq(wx, wy, TheilRankConditionError, tol,

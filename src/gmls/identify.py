@@ -85,14 +85,13 @@ class TheilWitness:
 
 def check_restriction_consistency(res: LinearRestrictions,
                                   tol: float | None = None):
-    """Solvability of R beta = r: rank(R) must equal rank(R, r).
+    """Solvability of R beta = r, decided as combine_restrictions decides it.
 
     Returns (consistent, report) where the report describes the
     augmented matrix (R, r).
     """
-    rank_r = numeric_rank(res.R, tol=tol).numeric_rank
-    report = numeric_rank(np.hstack([res.R, res.r]), tol=tol)
-    return report.numeric_rank == rank_r, report
+    consistent = not _inconsistent_columns(res.R, res.r, tol).size
+    return consistent, numeric_rank(np.hstack([res.R, res.r]), tol=tol)
 
 
 def check_joint_identification(X, res: LinearRestrictions,
@@ -126,9 +125,8 @@ def combine_restrictions(explicit: LinearRestrictions,
     """Stack explicit restrictions on top of the implicit ones.
 
     The result records which rows came from where and whether the joint
-    system H beta = h_j is solvable (rank(H) = rank(H, h_j)) for every
-    column h_j of h, one per response column.  The augmented ranks use
-    numeric_rank's rule, from one stacked SVD over the columns.
+    system H beta = h_j is solvable for every column h_j of h, one per
+    response column (see _inconsistent_columns).
     """
     if implicit.G.shape[1] != explicit.num_params:
         raise DimensionMismatchError(
@@ -137,8 +135,7 @@ def combine_restrictions(explicit: LinearRestrictions,
     h_mat = np.vstack([explicit.R, implicit.G])
     h_vec = np.vstack([np.broadcast_to(explicit.r, (explicit.count, implicit.g.shape[1])),
                        implicit.g])
-    rank_h = numeric_rank(h_mat, tol=tol).numeric_rank
-    failing = np.flatnonzero(_augmented_ranks(h_mat, h_vec, tol) != rank_h)
+    failing = _inconsistent_columns(h_mat, h_vec, tol)
     return CombinedRestrictions(
         H=h_mat,
         h=h_vec,
@@ -149,11 +146,22 @@ def combine_restrictions(explicit: LinearRestrictions,
     )
 
 
+def _inconsistent_columns(h_mat: np.ndarray, h_vec: np.ndarray, tol) -> np.ndarray:
+    """The columns h_j for which H beta = h_j has no solution.
+
+    H of full numeric row rank is onto, so every h_j is consistent
+    (Bjorck 1996, sec. 1.2).  Otherwise rank(H, h_j) must equal rank(H)
+    by numeric_rank's rule, from one stacked SVD over the columns.
+    """
+    rank_h = numeric_rank(h_mat, tol=tol).numeric_rank
+    if rank_h == h_mat.shape[0]:
+        return np.zeros(0, dtype=int)
+    return np.flatnonzero(_augmented_ranks(h_mat, h_vec, tol) != rank_h)
+
+
 def _augmented_ranks(h_mat: np.ndarray, h_vec: np.ndarray, tol) -> np.ndarray:
     """numeric_rank of (H, h_j) for every column h_j of h."""
     rows, cols = h_mat.shape[0], h_mat.shape[1] + 1
-    if rows == 0:
-        return np.zeros(h_vec.shape[1], dtype=int)
     stacked = np.concatenate(
         [np.broadcast_to(h_mat, (h_vec.shape[1], *h_mat.shape)), h_vec.T[:, :, None]],
         axis=2)

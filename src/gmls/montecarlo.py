@@ -2,11 +2,12 @@
 
 Replications use counter-based Philox (4x64, 10 rounds) streams: the
 design of a scenario is drawn once from the stream keyed (seed, 0) and
-held fixed across replications, and replication j draws its errors from
-the stream keyed (seed, 1 + j).  Identical (scenario, seed, replication)
-triples therefore reproduce identical data in any execution order.  One
-Philox generator is re-keyed for each replication rather than built
-anew; the draws are the same bits.
+held fixed across replications.  Replication j takes row j mod
+STREAM_CHUNK of the one standard_normal((STREAM_CHUNK, r)) draw, r the
+error rank, from the stream keyed (seed, 1 + j // STREAM_CHUNK).  Any
+split of a study into replication ranges, in any order, therefore draws
+the same data, and a study of B replications keys ceil(B / STREAM_CHUNK)
+generators.
 
 A study stacks the responses of all its replications as the columns of
 one T x B block and fits them with one estimator call, since every
@@ -72,6 +73,9 @@ DEFAULT_ESTIMATOR = {
 # Threshold, in Monte Carlo standard errors, for the bias and covariance
 # checks.  Four keeps the false-alarm rate per scalar check around 6e-5.
 SE_MULTIPLE = 4.0
+
+# Replications per keyed error stream; fixing it fixes the random numbers.
+STREAM_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -160,21 +164,6 @@ class MCReport:
 def _rng(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _replication_streams(seed: int, first: int, count: int):
-    """The generators of replications first, ..., first + count - 1.
-
-    Yields one Generator, re-keyed before each replication to the state
-    ``_rng(seed, 1 + j)`` starts from: key (seed, 1 + j), counter 0 and
-    an empty buffer.  Valid until the next item is requested.
-    """
-    gen = _rng(seed, 1 + first)
-    state = gen.bit_generator.state
-    for j in range(first, first + count):
-        state["state"]["key"][1] = 1 + j
-        gen.bit_generator.state = state
-        yield gen
 
 
 def _default_beta(k_total: int) -> np.ndarray:
@@ -275,13 +264,12 @@ def _draw_errors(specs, sigma2: float, seed: int, first: int, count: int) -> lis
     """Errors F sqrt(Lambda) z of replications first, ..., first + count - 1.
 
     Returns one T_i x count block per decomposition in ``specs``;
-    replication j draws the z of every block in turn from its own
-    stream.
+    replication j's row of z holds the z of every block in turn.
     """
     ranks = [spec.rank for spec in specs]
-    z = np.empty((count, sum(ranks)))
-    for row, gen in zip(z, _replication_streams(seed, first, count)):
-        gen.standard_normal(out=row)
+    chunks = range(first // STREAM_CHUNK, -(-(first + count) // STREAM_CHUNK))
+    z = np.vstack([_rng(seed, 1 + c).standard_normal((STREAM_CHUNK, sum(ranks)))
+                   for c in chunks])[first % STREAM_CHUNK:][:count]
     out, start = [], 0
     for spec, rank in zip(specs, ranks):
         block = z[:, start:start + rank].T
@@ -356,17 +344,20 @@ def _estimate(name: str, data, res: LinearRestrictions | None):
 
 
 def _jackknife_covariance_se(estimates: np.ndarray) -> np.ndarray:
-    """Delete-one jackknife SEs for each sample covariance entry."""
-    reps, k_dim = estimates.shape
-    total = estimates.sum(axis=0)
-    cross = estimates.T @ estimates
-    outer = estimates[:, :, None] * estimates[:, None, :]
-    mean_wo = (total[None, :] - estimates) / (reps - 1)
-    cross_wo = cross[None, :, :] - outer
-    cov_wo = (cross_wo - (reps - 1) * mean_wo[:, :, None] * mean_wo[:, None, :]) \
-        / (reps - 2)
-    center = cov_wo.mean(axis=0)
-    return np.sqrt((reps - 1) / reps * ((cov_wo - center) ** 2).sum(axis=0))
+    """Delete-one jackknife SEs for each sample covariance entry.
+
+    Deleting replication i downdates the sample covariance S by a rank
+    one term, cov_-i = (B-1)/(B-2) S - B/((B-1)(B-2)) d_i d_i' with d_i
+    the deviation of estimate i from the mean, so the jackknife spread
+    of entry (k, l) needs only sum_i (d_ik d_il)^2 and M = D'D/B.
+    """
+    reps = estimates.shape[0]
+    deviations = estimates - estimates.mean(axis=0)
+    mean_outer = deviations.T @ deviations / reps
+    squares = deviations * deviations
+    # a sum of squares; rounding can take it just below zero
+    spread = np.maximum(squares.T @ squares - reps * mean_outer * mean_outer, 0.0)
+    return reps / ((reps - 1) * (reps - 2)) * np.sqrt((reps - 1) / reps * spread)
 
 
 def run_study(config: SimulationConfig, estimator: str | None = None,

@@ -267,3 +267,41 @@ def exact_bordered_beta(y_vec, x_mat, dispersion_diag, h_mat, h_rhs,
     rhs = [[sum((w * xt[i] * yt for w, xt, yt in zip(weight, x, y)), Fraction(0))]
            for i in range(k)] + h_vec
     return _solve_fraction_rows(system, rhs)[:k]
+
+
+def augmented_rank_refusals(h_mat, h_vec, tol=None) -> np.ndarray:
+    """Columns h_j with rank(H, h_j) != rank(H), one SVD per column.
+
+    The rule combine_restrictions applied to every H before it accepted
+    full-row-rank H outright: each rank counts the singular values above
+    max(rows, cols) * eps * sigma_1, or above ``tol`` when given.
+    """
+    h_mat = np.asarray(h_mat, dtype=float)
+    h_vec = np.asarray(h_vec, dtype=float)
+
+    def rank(mat):
+        values = np.linalg.svd(mat, compute_uv=False)
+        cutoff = max(mat.shape) * np.finfo(float).eps * values[0] if tol is None \
+            else float(tol)
+        return int(np.count_nonzero(values > cutoff))
+
+    rank_h = rank(h_mat)
+    return np.array([j for j in range(h_vec.shape[1])
+                     if rank(np.hstack([h_mat, h_vec[:, j:j + 1]])) != rank_h],
+                    dtype=int)
+
+
+def jackknife_covariance_se_direct(estimates) -> np.ndarray:
+    """Delete-one jackknife SEs of the sample covariance entries, from
+    all B delete-one covariances formed as B x K x K arrays."""
+    estimates = np.asarray(estimates, dtype=float)
+    reps = estimates.shape[0]
+    total = estimates.sum(axis=0)
+    cross = estimates.T @ estimates
+    outer = estimates[:, :, None] * estimates[:, None, :]
+    mean_wo = (total[None, :] - estimates) / (reps - 1)
+    cross_wo = cross[None, :, :] - outer
+    cov_wo = (cross_wo - (reps - 1) * mean_wo[:, :, None] * mean_wo[:, None, :]) \
+        / (reps - 2)
+    center = cov_wo.mean(axis=0)
+    return np.sqrt((reps - 1) / reps * ((cov_wo - center) ** 2).sum(axis=0))

@@ -1,5 +1,7 @@
 """Identification checks, implicit restrictions, and rank-failure witnesses."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,16 @@ from gmls import (
     check_theil_condition,
     combine_restrictions,
     extract_implicit_restrictions,
+    rols,
     spectral_decompose,
+    stack_sur,
+    tkn,
 )
+from gmls.cli import read_matrix, read_panel, read_restrictions
+from gmls.identify import ImplicitRestrictions, _inconsistent_columns
 
-from conftest import random_nnd
-from oracles import fraction_rank, matrix_rank_svd
+from conftest import FIXTURES, random_nnd
+from oracles import augmented_rank_refusals, fraction_rank, matrix_rank_svd
 
 
 def test_consistency_holds_for_solvable_system():
@@ -126,6 +133,107 @@ def test_combine_restrictions_flags_conflict():
     bad = LinearRestrictions.build(row, implicit.g[:1] + 1.0)
     combined = combine_restrictions(bad, implicit)
     assert not combined.consistent
+
+
+def test_invertible_system_with_a_large_rhs_is_consistent():
+    """H = diag(1, 1e-10) maps onto the plane, so H beta = (1e8, 0)' has a
+    solution although the numeric rank of (H, h) is 1 < rank(H) = 2."""
+    h_mat = np.diag([1.0, 1e-10])
+    h_vec = np.array([[1e8], [0.0]])
+    assert augmented_rank_refusals(h_mat, h_vec).tolist() == [0]
+    ok, report = check_restriction_consistency(LinearRestrictions.build(h_mat, h_vec))
+    assert ok
+    # the report still describes the augmented matrix (R, r)
+    assert report.numeric_rank == 1
+    combined = _combined(h_mat, h_vec, None)
+    assert combined.consistent and combined.inconsistent_column is None
+    # and the restricted estimators, tkn's row-rank test included, fit it
+    rng = np.random.default_rng(33)
+    model = build_model(rng.normal(size=(6, 1)), rng.normal(size=(6, 2)), np.eye(6))
+    for fit in (rols, tkn):
+        np.testing.assert_allclose(
+            fit(model, LinearRestrictions.build(h_mat, h_vec)).beta_hat, h_vec,
+            rtol=1e-12, atol=1e-6)
+
+
+def _fixture_systems():
+    """(H, h) of every restriction system the CLI fixtures feed the checks."""
+    def path(name):
+        return os.path.join(FIXTURES, name)
+    model = build_model(read_matrix(path("response.csv")), read_matrix(path("design.csv")),
+                        read_matrix(path("dispersion.csv")))
+    designs, responses, _, periods = read_panel(path("sur_ok.csv"))
+    sigma = read_matrix(path("sigma.csv"))
+    sur = stack_sur(SURLayout.build(designs), responses, [sigma] * len(periods),
+                    order="period")
+    systems = []
+    for fit, name in ((model, "restrictions.csv"), (model, "useless_restrictions.csv"),
+                      (model, "inconsistent_restrictions.csv"),
+                      (sur, "conflicting_sur_restrictions.csv")):
+        explicit = read_restrictions(path(name))
+        systems.append((explicit.R, explicit.r))
+        combined = combine_restrictions(explicit, extract_implicit_restrictions(fit))
+        systems.append((combined.H, combined.h))
+    return systems
+
+
+def _random_systems(rng, full_row_rank):
+    """Random (H, h): columns in col(H), outside it, and scaled far apart."""
+    for _ in range(60):
+        rows, cols = int(rng.integers(2, 7)), int(rng.integers(2, 8))
+        rank = min(rows, cols) if full_row_rank else int(rng.integers(1, min(rows, cols)))
+        if full_row_rank and rows > cols:
+            rows = cols
+        h_mat = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        if full_row_rank:
+            # rows of very different scale: some numerically near-dependent
+            h_mat *= 10.0 ** rng.integers(-12, 1, size=(rows, 1))
+        inside = h_mat @ rng.normal(size=(cols, 8))
+        outside = rng.normal(size=(rows, 8))
+        h_vec = np.hstack([inside, outside, 1e8 * inside, 1e8 * outside])
+        yield h_mat, h_vec
+
+
+def _combined(h_mat, h_vec, tol):
+    """combine_restrictions on H beta = h posed as implicit rows."""
+    implicit = ImplicitRestrictions(G=h_mat, g=h_vec, A=np.zeros((0, h_mat.shape[0])))
+    return combine_restrictions(LinearRestrictions.empty(h_mat.shape[1]), implicit,
+                                tol=tol)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9])
+def test_consistency_on_rank_deficient_h_is_the_augmented_rank_rule(tol):
+    rng = np.random.default_rng(7070)
+    deficient = [(h_mat, h_vec) for h_mat, h_vec in _fixture_systems()
+                 if matrix_rank_svd(h_mat) < h_mat.shape[0]]
+    assert len(deficient) >= 2  # the two conflicting fixtures at least
+    refused = 0
+    for h_mat, h_vec in deficient + list(_random_systems(rng, full_row_rank=False)):
+        expected = augmented_rank_refusals(h_mat, h_vec, tol)
+        assert _inconsistent_columns(h_mat, h_vec, tol).tolist() == expected.tolist()
+        combined = _combined(h_mat, h_vec, tol)
+        assert combined.consistent == (expected.size == 0)
+        assert combined.inconsistent_column == (expected[0] if expected.size else None)
+        refused += expected.size
+        if h_vec.shape[1] == 1:
+            res = LinearRestrictions.build(h_mat, h_vec)
+            assert check_restriction_consistency(res, tol)[0] == (expected.size == 0)
+    assert refused > 0
+
+
+def test_consistency_on_full_row_rank_h_only_accepts_more():
+    rng = np.random.default_rng(7071)
+    systems = [(h_mat, h_vec) for h_mat, h_vec in
+               _fixture_systems() + list(_random_systems(rng, full_row_rank=True))
+               if matrix_rank_svd(h_mat) == h_mat.shape[0]]
+    assert len(systems) >= 60
+    flipped = 0
+    for h_mat, h_vec in systems:
+        assert _inconsistent_columns(h_mat, h_vec, None).size == 0
+        assert _combined(h_mat, h_vec, None).consistent
+        flipped += augmented_rank_refusals(h_mat, h_vec).size
+    # the battery reaches columns the augmented rule refused
+    assert flipped > 0
 
 
 def test_mls_invertibility_matches_direct_rank():

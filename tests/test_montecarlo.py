@@ -1,6 +1,7 @@
 """Simulation harness: determinism, data-generation exactness, checks."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,11 +36,15 @@ from gmls.montecarlo import (
     REGULAR_GLS,
     SCENARIOS,
     SINGULAR_ADDING_UP,
-    _replication_streams,
-    _rng,
+    STREAM_CHUNK,
+    _build_structure,
+    _draw,
+    _draw_errors,
+    _estimate,
+    _jackknife_covariance_se,
 )
 
-from oracles import matrix_rank_svd
+from oracles import jackknife_covariance_se_direct, matrix_rank_svd
 
 
 def _cfg(scenario, reps=200, seed=314, **kw):
@@ -78,17 +83,28 @@ def test_single_replication_is_refused():
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
-def test_rekeyed_streams_reproduce_fresh_generators(seed):
-    """Re-keying one Philox gives each replication the bits of its own
-    generator keyed (seed, 1 + j), across several draws from it."""
-    for j, gen in enumerate(_replication_streams(seed, 0, 200)):
-        fresh = _rng(seed, 1 + j)
-        for size in (3, 5):
-            np.testing.assert_array_equal(gen.standard_normal(size),
-                                          fresh.standard_normal(size))
-    late = next(_replication_streams(seed, 150, 1))
-    np.testing.assert_array_equal(late.standard_normal(4),
-                                  _rng(seed, 151).standard_normal(4))
+def test_any_split_of_a_study_draws_the_same_errors(seed):
+    """Replication j's z is row j mod STREAM_CHUNK of one
+    standard_normal((STREAM_CHUNK, r)) draw keyed (seed, 1 + j // STREAM_CHUNK),
+    whichever range of replications asks for it."""
+    ranks = (3, 5)
+    specs = [SimpleNamespace(rank=r, eigenvectors_pos=np.eye(r),
+                             eigenvalues_pos=np.ones(r)) for r in ranks]
+
+    def z_rows(first, count):
+        return np.vstack(_draw_errors(specs, 1.0, seed, first, count)).T
+
+    whole = z_rows(0, 857)
+    for chunk in range(-(-857 // STREAM_CHUNK)):
+        key = np.array([seed, 1 + chunk], dtype=np.uint64)
+        draw = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+            (STREAM_CHUNK, sum(ranks)))
+        rows = whole[chunk * STREAM_CHUNK:(chunk + 1) * STREAM_CHUNK]
+        np.testing.assert_array_equal(rows, draw[:len(rows)])
+    for first in (0, 255, 256, 257):
+        for count in range(1, 601):
+            np.testing.assert_array_equal(z_rows(first, count),
+                                          whole[first:first + count])
 
 
 def test_instances_are_deterministic():
@@ -130,6 +146,21 @@ def test_adding_up_null_directions_are_exact():
         u = (model.y - model.X @ beta0).reshape(cfg.m, n)
         a_vec = np.full(n, 1.0 / np.sqrt(n))
         assert float(np.max(np.abs(u @ a_vec))) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [1000038, 1000039])
+def test_adding_up_studies_with_rounding_size_residuals_are_accepted(seed):
+    """H = A'X is 4 x 6 of full row rank in these studies, so every column
+    of h is consistent; a residual rule ||(I - U U') h_j|| <= cutoff_j
+    refused 1006 and 2000 of their 2000 columns."""
+    cfg = _cfg(SINGULAR_ADDING_UP, reps=2000, seed=seed)
+    structure = _build_structure(cfg)
+    model = _draw(structure, cfg, 0, cfg.replications)
+    implicit = extract_implicit_restrictions(model)
+    assert implicit.G.shape == (4, 6) and matrix_rank_svd(implicit.G) == 4
+    combined = combine_restrictions(LinearRestrictions.empty(6), implicit)
+    assert combined.consistent and combined.inconsistent_column is None
+    assert run_study(cfg).replications == 2000
 
 
 def test_collinear_instances_verify_rank_repair():
@@ -248,13 +279,59 @@ def test_response_dependent_failures_name_their_replication(monkeypatch):
 
 def test_jackknife_variance_scale():
     """Jackknife SE of a sample variance tracks the classic 2 sigma^4 / R rate."""
-    from gmls.montecarlo import _jackknife_covariance_se
     rng = np.random.default_rng(99)
     reps = 2000
     draws = rng.normal(size=(reps, 1))
     se = _jackknife_covariance_se(draws)[0, 0]
     expected = np.sqrt(2.0 / reps)  # sigma = 1
     assert 0.5 * expected < se < 2.0 * expected
+
+
+@pytest.mark.parametrize("reps", [3, 50, 2000])
+def test_jackknife_closed_form_matches_all_delete_one_covariances(reps):
+    rng = np.random.default_rng(1200 + reps)
+    for _ in range(5):
+        draws = rng.normal(size=(reps, 6)) * rng.uniform(0.1, 3.0, size=6) \
+            + rng.normal(size=6)
+        se = _jackknife_covariance_se(draws)
+        assert np.all(np.isfinite(se))
+        assert _relative_gap(se, jackknife_covariance_se_direct(draws)) <= 1e-12
+
+
+def test_jackknife_closed_form_on_a_rank_deficient_study():
+    """The collinear-restricted study ties its first and last coefficients,
+    so the sample covariance of its estimates is singular."""
+    cfg = _cfg(COLLINEAR_RESTRICTED, reps=500, seed=77)
+    structure = _build_structure(cfg)
+    fit = _estimate("constrained", _draw(structure, cfg, 0, cfg.replications),
+                    structure.restrictions)
+    estimates = fit.beta_hat.T
+    assert matrix_rank_svd(np.cov(estimates.T)) < estimates.shape[1]
+    se = _jackknife_covariance_se(estimates)
+    assert np.all(np.isfinite(se))
+    assert _relative_gap(se, jackknife_covariance_se_direct(estimates)) <= 1e-12
+    np.testing.assert_array_equal(run_study(cfg).covariance_se, se)
+
+
+def test_jackknife_clamps_a_rounding_negative_spread():
+    """Two-point estimates d_i = +-a give every delete-one covariance the
+    same value, so the spread is zero and rounding can put it below zero;
+    the SE must come out at rounding size (the root of a rounding-size
+    spread), never NaN."""
+    rng = np.random.default_rng(55)
+    negative = 0
+    for _ in range(200):
+        reps = int(rng.choice([4, 8]))
+        a, c = rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0)
+        draws = c + a * np.repeat([1.0, -1.0], reps // 2)[:, None]
+        dev = draws - draws.mean(axis=0)
+        squares = dev * dev
+        mean_outer = dev.T @ dev / reps
+        negative += int((squares.T @ squares - reps * mean_outer * mean_outer)[0, 0] < 0)
+        se = _jackknife_covariance_se(draws)
+        assert np.all(np.isfinite(se)) and float(se[0, 0]) <= 1e-6 * a * a
+        assert float(jackknife_covariance_se_direct(draws)[0, 0]) <= 1e-6 * a * a
+    assert negative > 0
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +406,20 @@ def test_study_factorizations_do_not_grow_with_replications(monkeypatch, scenari
         run_study(_cfg(scenario, reps=reps))
         counts.append(sorted(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("reps", [50, STREAM_CHUNK, STREAM_CHUNK + 1, 2000])
+@pytest.mark.parametrize("scenario", [SINGULAR_ADDING_UP, FE_BLOCKDIAG])
+def test_study_keys_one_generator_per_chunk(monkeypatch, scenario, reps):
+    """A study keys its design stream once and ceil(B / STREAM_CHUNK)
+    error streams, one per chunk of replications."""
+    streams = []
+    real = np.random.Philox
+
+    def counted(*args, key=None, **kwargs):
+        streams.append(int(key[1]))
+        return real(*args, key=key, **kwargs)
+    monkeypatch.setattr(np.random, "Philox", counted)
+    run_study(_cfg(scenario, reps=reps))
+    chunks = -(-reps // STREAM_CHUNK)
+    assert sorted(streams) == list(range(chunks + 1))
