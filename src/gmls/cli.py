@@ -8,9 +8,11 @@ side last.
 
 Exit codes: 0 success, 1 input or usage problems, 2 identification or
 model precondition failures, 3 numerical failures past the rank checks,
-4 a simulation's statistical checks failed.  Refusals name the violated
-condition by its catalogue label (e.g. "Eq. (4) identification failed");
-the README lists the catalogue.
+4 a simulation's statistical checks failed.  ``estimate`` fits through
+the method table of gmls.methods; a refusal of one of the estimator's
+own catalogue checks is named by its label (e.g. "Eq. (4)
+identification failed"), and the ``checks`` block lists the decisions
+the fit recorded.  The README lists the catalogue.
 
 Machine output (--output machine) is canonical JSON with sorted keys and
 shortest round-trip floats, byte-identical across runs on the same
@@ -27,39 +29,15 @@ import sys
 import numpy as np
 
 from .errors import (
-    DesignRankDeficientError,
     DimensionMismatchError,
-    DispersionNotNNDError,
-    DispersionNotPDError,
-    DispersionSingularError,
     GMLSError,
-    IdentificationError,
-    InconsistentRestrictionsError,
-    IndefiniteInputError,
-    InfeasibleParticularError,
     InvalidConfigError,
     NonFiniteError,
     NonSymmetricError,
     NullVectorMismatchError,
     ReducedGramSingularError,
-    ResponseOutsideRangeError,
     RestrictionGramSingularError,
     ShiftInsufficientError,
-    TheilRankConditionError,
-    TooFewObservationsError,
-)
-from .estimators import (
-    RidgeSpec,
-    StochasticRestrictions,
-    constrained_singular_gls,
-    gls,
-    mls,
-    ols,
-    rgls,
-    ridge,
-    rols,
-    stochastic_restricted_gls,
-    tkn,
 )
 from .identify import (
     check_joint_identification,
@@ -69,9 +47,10 @@ from .identify import (
     combine_restrictions,
     extract_implicit_restrictions,
 )
+from .methods import METHODS, MODEL
 from .model import LinearRestrictions, SURLayout, build_model, stack_sur
-from .montecarlo import DEFAULT_ESTIMATOR, SCENARIOS, SimulationConfig, run_study
-from .panel import build_fe_model, fe_drop_period, fe_gls, fe_mls, verify_theorem5
+from .montecarlo import SCENARIOS, SimulationConfig, run_study
+from .panel import build_fe_model, fe_drop_period, verify_theorem5
 from .spectral import RankReport, numeric_rank
 
 EXIT_OK = 0
@@ -80,22 +59,24 @@ EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 EXIT_STATISTICAL = 4
 
-# Labels of the checkable conditions, used verbatim in refusal messages.
-COND_CONSISTENCY = "Eq. (3) restriction consistency"
-COND_IDENTIFICATION = "Eq. (4) identification"
-COND_WHITENED_RANK = "Eq. (14) whitened-design rank"
-COND_COMBINED = "Eq. (20) combined-restriction consistency"
+# Each catalogue decision by the diagnostics key an estimator records it
+# under (and its refusal names): its key in the ``checks`` block and its
+# label, used verbatim in refusal messages, in the order the decisions
+# are made.
+_CHECKS = {
+    "restriction_consistency": ("restriction_consistency",
+                                "Eq. (3) restriction consistency"),
+    "joint_identification": ("identification", "Eq. (4) identification"),
+    "whitened_design_rank": ("whitened_rank", "Eq. (14) whitened-design rank"),
+    "combined_consistency": ("combined_consistency",
+                             "Eq. (20) combined-restriction consistency"),
+}
 
 TOL_ENV_VAR = "GMLS_TOL"
 
+# every other GMLSError is a violated precondition
 _INPUT_ERRORS = (DimensionMismatchError, NonFiniteError, NonSymmetricError,
                  InvalidConfigError)
-_PRECONDITION_ERRORS = (DispersionNotNNDError, DispersionNotPDError,
-                        DispersionSingularError, ResponseOutsideRangeError,
-                        TooFewObservationsError, InconsistentRestrictionsError,
-                        DesignRankDeficientError, IdentificationError,
-                        TheilRankConditionError, NullVectorMismatchError,
-                        InfeasibleParticularError, IndefiniteInputError)
 _NUMERICAL_ERRORS = (ReducedGramSingularError, RestrictionGramSingularError,
                      ShiftInsufficientError)
 
@@ -119,23 +100,18 @@ def _read_lines(path: str) -> list:
         raise CommandFailure(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
 
 
-def _parse_row(path: str, lineno: int, line: str) -> list:
-    cells = [c.strip() for c in line.split(",")]
-    try:
-        return [float(c) for c in cells]
-    except ValueError:
-        raise CommandFailure(
-            EXIT_INPUT, f"{path}: line {lineno}: malformed numeric row") from None
-
-
-def read_matrix(path: str) -> np.ndarray:
-    """Headerless CSV matrix; ragged or non-numeric rows are input errors."""
+def _read_rows(path: str, lines: list, start: int = 0) -> list:
+    """The numeric rows of lines[start:], blank lines skipped."""
     rows = []
     width = None
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
-        row = _parse_row(path, lineno, line)
+        try:
+            row = [float(c) for c in line.split(",")]
+        except ValueError:
+            raise CommandFailure(
+                EXIT_INPUT, f"{path}: line {lineno}: malformed numeric row") from None
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -143,6 +119,12 @@ def read_matrix(path: str) -> np.ndarray:
                 EXIT_INPUT,
                 f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
         rows.append(row)
+    return rows
+
+
+def read_matrix(path: str) -> np.ndarray:
+    """Headerless CSV matrix; ragged or non-numeric rows are input errors."""
+    rows = _read_rows(path, _read_lines(path))
     if not rows:
         raise CommandFailure(EXIT_INPUT, f"{path}: no data rows")
     return np.array(rows, dtype=float)
@@ -160,22 +142,10 @@ def read_restrictions(path: str) -> LinearRestrictions:
             [float(c) for c in lines[0].split(",")]
         except ValueError:
             start = 1
-    rows = []
-    width = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
-        row = _parse_row(path, lineno, line)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise CommandFailure(
-                EXIT_INPUT,
-                f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
-        rows.append(row)
+    rows = _read_rows(path, lines, start)
     if not rows:
         raise CommandFailure(EXIT_INPUT, f"{path}: no restriction rows")
-    if width < 2:
+    if len(rows[0]) < 2:
         raise CommandFailure(
             EXIT_INPUT, f"{path}: need coefficient columns plus a final rhs column")
     data = np.array(rows, dtype=float)
@@ -308,6 +278,11 @@ def _rank_entry(report: RankReport) -> dict:
             "deficient": bool(report.deficient)}
 
 
+def _check_entry(decision: str, holds: bool, report: RankReport | None = None) -> dict:
+    entry = {"condition": _CHECKS[decision][1], "holds": holds}
+    return entry if report is None else {**entry, **_rank_entry(report)}
+
+
 def _witness_entry(witness) -> dict:
     entry = {
         "kind": witness.kind.value,
@@ -368,108 +343,81 @@ def _load_model(args, tol):
     return model, None, None
 
 
-def _maybe_witness(model, layout, sigma_block, tol):
-    if layout is None or sigma_block is None:
+def _load_restrictions(args, model):
+    """The --restrictions rows, None without the option."""
+    if not args.restrictions:
         return None
+    restrictions = read_restrictions(args.restrictions)
+    if restrictions.num_params != model.num_params:
+        raise CommandFailure(
+            EXIT_INPUT,
+            f"restrictions have {restrictions.num_params} coefficient columns, "
+            f"design has {model.num_params}")
+    return restrictions
+
+
+def _refusal(decision, layout, sigma_block, tol) -> str:
+    """The message of a failed catalogue decision; a whitened-rank failure
+    of a SUR system carries the Theil witness when one can be built."""
+    detail = f"{_CHECKS[decision][1]} failed"
+    if decision != "whitened_design_rank" or layout is None:
+        return detail
     try:
-        return check_theil_condition(layout, sigma_block, tol=tol)
+        witness = check_theil_condition(layout, sigma_block, tol=tol)
     except GMLSError:
-        return None
+        return detail
+    return (f"{detail}; witness kind {witness.kind.value}, "
+            f"certificate d = {witness.d.ravel().tolist()}")
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-_METHODS = ("ols", "gls", "rols", "rgls", "ridge", "mixed", "mls", "tkn",
-            "constrained")
+_METHODS = tuple(name for name, method in METHODS.items() if method.kind == MODEL)
 
 
 def cmd_estimate(args) -> int:
     tol = args.tol
     model, layout, sigma_block = _load_model(args, tol)
-    restrictions = read_restrictions(args.restrictions) if args.restrictions else None
-    if restrictions is not None and restrictions.num_params != model.num_params:
-        raise CommandFailure(
-            EXIT_INPUT,
-            f"restrictions have {restrictions.num_params} coefficient columns, "
-            f"design has {model.num_params}")
-    method = args.method
-    needs_restrictions = method in ("rols", "rgls", "tkn", "mixed")
-    if needs_restrictions and restrictions is None:
-        raise CommandFailure(EXIT_INPUT, f"method {method} requires --restrictions")
-    explicit = restrictions if restrictions is not None \
-        else LinearRestrictions.empty(model.num_params)
-
+    restrictions = _load_restrictions(args, model)
+    method = METHODS[args.method]
+    inputs = {"restrictions": restrictions, "ridge_psi": args.ridge_psi,
+              "theta": args.theta or None}
+    for need in method.needs:
+        if inputs[need] is None:
+            raise CommandFailure(
+                EXIT_INPUT, f"method {args.method} requires --{need.replace('_', '-')}")
+    if "theta" in method.needs:
+        inputs["theta"] = read_matrix(args.theta)
+    try:
+        result = method.fit(model, inputs, tol)
+    except GMLSError as exc:
+        if exc.decision not in _CHECKS:
+            raise
+        raise CommandFailure(EXIT_PRECONDITION,
+                             _refusal(exc.decision, layout, sigma_block, tol)) from exc
     checks = {}
-    # identification pass before any solving
-    if method in ("rols", "rgls", "tkn", "constrained") and explicit.count:
-        ok, report = check_restriction_consistency(explicit, tol=tol)
-        checks["restriction_consistency"] = {"condition": COND_CONSISTENCY,
-                                             "holds": ok, **_rank_entry(report)}
-        if not ok:
-            raise CommandFailure(EXIT_PRECONDITION, f"{COND_CONSISTENCY} failed")
-    if method in ("rols", "rgls", "constrained"):
-        ok, report = check_joint_identification(model.X, explicit, tol=tol)
-        checks["identification"] = {"condition": COND_IDENTIFICATION,
-                                    "holds": ok, **_rank_entry(report)}
-        if not ok:
-            raise CommandFailure(EXIT_PRECONDITION, f"{COND_IDENTIFICATION} failed")
-    if method in ("mls", "tkn"):
-        ok, report = check_mls_invertibility(model.X, model.spectrum, tol=tol)
-        checks["whitened_rank"] = {"condition": COND_WHITENED_RANK,
-                                   "holds": ok, **_rank_entry(report)}
-        if not ok:
-            witness = _maybe_witness(model, layout, sigma_block, tol)
-            detail = f"{COND_WHITENED_RANK} failed"
-            if witness is not None:
-                detail += (f"; witness kind {witness.kind.value}, "
-                           f"certificate d = {witness.d.ravel().tolist()}")
-            raise CommandFailure(EXIT_PRECONDITION, detail)
-    combined = None
-    if method == "constrained":
-        implicit = extract_implicit_restrictions(model)
-        combined = combine_restrictions(explicit, implicit, tol=tol)
-        checks["combined_consistency"] = {"condition": COND_COMBINED,
-                                          "holds": combined.consistent}
-        if not combined.consistent:
-            raise CommandFailure(EXIT_PRECONDITION, f"{COND_COMBINED} failed")
-
-    if method == "ols":
-        result = ols(model, tol=tol)
-    elif method == "gls":
-        result = gls(model, tol=tol)
-    elif method == "rols":
-        result = rols(model, explicit, tol=tol)
-    elif method == "rgls":
-        result = rgls(model, explicit, tol=tol)
-    elif method == "ridge":
-        if args.ridge_psi is None:
-            raise CommandFailure(EXIT_INPUT, "method ridge requires --ridge-psi")
-        result = ridge(model, RidgeSpec.scalar(args.ridge_psi), tol=tol)
-    elif method == "mixed":
-        if not args.theta:
-            raise CommandFailure(EXIT_INPUT, "method mixed requires --theta")
-        theta = read_matrix(args.theta)
-        sres = StochasticRestrictions.build(explicit.R, explicit.r, theta)
-        result = stochastic_restricted_gls(model, sres, tol=tol)
-    elif method == "mls":
-        result = mls(model, tol=tol)
-    elif method == "tkn":
-        result = tkn(model, explicit, tol=tol)
-    else:  # constrained
-        result = constrained_singular_gls(model, combined, tol=tol)
+    for key, (entry, _) in _CHECKS.items():
+        decided = result.diagnostics.get(key)
+        if decided is not None:
+            # a fitted estimate passed every decision it recorded
+            checks[entry] = _check_entry(
+                key, True, decided if isinstance(decided, RankReport) else None)
+    design_rank = result.diagnostics.get("design_rank")
+    if design_rank is None:
+        design_rank = numeric_rank(model.X, tol=tol)
 
     doc = {
         "command": "estimate",
         "inputs": {
             "observations": model.num_obs,
             "parameters": model.num_params,
-            "design_rank": _rank_entry(numeric_rank(model.X, tol=tol)),
-            "restriction_rows": explicit.count,
+            "design_rank": _rank_entry(design_rank),
+            "restriction_rows": 0 if restrictions is None else restrictions.count,
             "tolerance": "default" if tol is None else float(tol),
         },
         "checks": checks,
-        "results": {"method": method, **_result_entry(result)},
+        "results": {"method": args.method, **_result_entry(result)},
         "warnings": [],
         "exit_status": EXIT_OK,
     }
@@ -480,29 +428,21 @@ def cmd_estimate(args) -> int:
 def cmd_diagnose(args) -> int:
     tol = args.tol
     model, layout, sigma_block = _load_model(args, tol)
-    restrictions = read_restrictions(args.restrictions) if args.restrictions else None
-    if restrictions is not None and restrictions.num_params != model.num_params:
-        raise CommandFailure(
-            EXIT_INPUT,
-            f"restrictions have {restrictions.num_params} coefficient columns, "
-            f"design has {model.num_params}")
-    explicit = restrictions if restrictions is not None \
-        else LinearRestrictions.empty(model.num_params)
+    explicit = _load_restrictions(args, model)
+    if explicit is None:
+        explicit = LinearRestrictions.empty(model.num_params)
     checks = {}
     if explicit.count:
-        ok, report = check_restriction_consistency(explicit, tol=tol)
-        checks["restriction_consistency"] = {"condition": COND_CONSISTENCY,
-                                             "holds": ok, **_rank_entry(report)}
-    ok, report = check_joint_identification(model.X, explicit, tol=tol)
-    checks["identification"] = {"condition": COND_IDENTIFICATION, "holds": ok,
-                                **_rank_entry(report)}
-    ok, report = check_mls_invertibility(model.X, model.spectrum, tol=tol)
-    checks["whitened_rank"] = {"condition": COND_WHITENED_RANK, "holds": ok,
-                               **_rank_entry(report)}
+        checks["restriction_consistency"] = _check_entry(
+            "restriction_consistency", *check_restriction_consistency(explicit, tol=tol))
+    checks["identification"] = _check_entry(
+        "joint_identification", *check_joint_identification(model.X, explicit, tol=tol))
+    checks["whitened_rank"] = _check_entry(
+        "whitened_design_rank", *check_mls_invertibility(model.X, model.spectrum, tol=tol))
     implicit = extract_implicit_restrictions(model)
     combined = combine_restrictions(explicit, implicit, tol=tol)
-    checks["combined_consistency"] = {"condition": COND_COMBINED,
-                                      "holds": combined.consistent,
+    checks["combined_consistency"] = {**_check_entry("combined_consistency",
+                                                     combined.consistent),
                                       "explicit_rows": explicit.count,
                                       "implicit_rows": implicit.count}
     doc = {
@@ -539,28 +479,26 @@ def cmd_panel(args) -> int:
         raise CommandFailure(
             EXIT_INPUT,
             f"--drop-period must be in 1..{model.m}, got {args.drop_period}")
-    res_gls = fe_gls(model)
-    res_mls = fe_mls(model)
+    report = verify_theorem5(model)
     drops = [args.drop_period] if args.drop_period is not None \
         else list(range(1, model.m + 1))
     drop_entries = {}
     max_gap = 0.0
     for t0 in drops:
         res_drop = fe_drop_period(model, t0)
-        gap = float(np.max(np.abs(res_drop.beta_hat - res_mls.beta_hat)))
+        gap = float(np.max(np.abs(res_drop.beta_hat - report.beta_mls)))
         max_gap = max(max_gap, gap)
         drop_entries[f"period_{t0}"] = {
             "coefficients": res_drop.beta_hat.ravel().tolist(),
             "gap_to_mls": gap,
         }
-    report = verify_theorem5(model)
     doc = {
         "command": "panel",
         "inputs": {"equations": model.n, "periods": model.m,
                    "parameters": model.num_params},
         "results": {
-            "fe_gls": _result_entry(res_gls),
-            "fe_mls": _result_entry(res_mls),
+            "fe_gls": _result_entry(report.fe_gls),
+            "fe_mls": _result_entry(report.fe_mls),
             "drop_period": drop_entries,
             "max_drop_gap": max_gap,
             "equivalence": {
@@ -595,8 +533,7 @@ def cmd_simulate(args) -> int:
         coeff_count=args.coefficients if args.coefficients is not None else default_k,
         sigma2=args.sigma2,
     )
-    estimator = args.estimator if args.estimator else DEFAULT_ESTIMATOR[args.scenario]
-    report = run_study(config, estimator, bias_shift=args.inject_bias)
+    report = run_study(config, args.estimator or None, bias_shift=args.inject_bias)
     status = EXIT_OK if report.passed else EXIT_STATISTICAL
     doc = {
         "command": "simulate",
@@ -724,9 +661,6 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
-    except _PRECONDITION_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
     except GMLSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION

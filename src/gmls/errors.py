@@ -15,11 +15,17 @@ class GMLSError(Exception):
 
     ``column`` is the index of the response column a per-column check
     refused, None when the refusal does not depend on the response.
+    ``decision`` names a failed catalogue decision by the diagnostics key
+    a fit records it under (e.g. "joint_identification"), None for other
+    refusals.  ``report`` is the RankReport behind a rank refusal.
     """
 
-    def __init__(self, *args, column: int | None = None):
+    def __init__(self, *args, column: int | None = None, decision: str | None = None,
+                 report=None):
         super().__init__(*args)
         self.column = column
+        self.decision = decision
+        self.report = report
 
 
 class NonFiniteError(GMLSError):
@@ -69,19 +75,10 @@ class DesignRankDeficientError(GMLSError):
 class IdentificationError(GMLSError):
     """The joint rank condition on restrictions and design fails."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class TheilRankConditionError(GMLSError):
     """The whitened design F'X lacks full column rank, so the
     pseudo-inverse normal matrix cannot be inverted."""
-
-    def __init__(self, message, report=None, witness=None):
-        super().__init__(message)
-        self.report = report
-        self.witness = witness
 
 
 class NullVectorMismatchError(GMLSError):
@@ -94,10 +91,6 @@ class RestrictionGramSingularError(GMLSError):
 
 class ReducedGramSingularError(GMLSError):
     """The normal matrix projected onto the feasible directions is singular."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class ShiftInsufficientError(GMLSError):

@@ -21,7 +21,8 @@ normal matrix X' W'W X and squares the condition number of the design.
 The covariance factor N R^{-1} R^{-T} N' comes off the same R factor;
 OLS, restricted OLS and ridge wrap it in their sandwich G Omega G',
 read off the spectrum.  Each estimator states its (W, H) and its own
-pre-checks.
+pre-checks, and records each catalogue decision among them (README) in
+its diagnostics under the key its refusal names as ``decision``.
 Restricted estimates satisfy H beta_hat = H beta*, so the restrictions
 hold to rounding.
 
@@ -111,8 +112,9 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None):
     factorization wx N = Q R gives the gain G = N R^{-1} Q', the
     estimate beta* + G (wy - wx beta*) and the covariance factor
     G G' = N R^{-1} R^{-T} N'.  When R is not square or a diagonal
-    entry falls to the rank cutoff, ``refuse(message, report)`` builds
-    the error raised, report describing |diag R|.
+    entry falls to the rank cutoff, the error class ``refuse`` is raised
+    with a report describing |diag R|.  The SVD of H is thin unless H
+    has fewer rows than columns, the one case that needs the full V'.
 
     Returns (beta_hat, gain, beta*, rank report of H); beta_hat is None
     when wy is, for callers that apply the gain themselves.
@@ -122,7 +124,7 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None):
     basis, beta_star = np.eye(k_dim), np.zeros((k_dim, 1))
     if rows is not None and rows[0].shape[0]:
         h_mat, h_vec = rows
-        u, s, vt = np.linalg.svd(h_mat, full_matrices=True)
+        u, s, vt = np.linalg.svd(h_mat, full_matrices=h_mat.shape[0] < k_dim)
         cutoff = default_tolerance(*h_mat.shape, s[0]) if tol is None else float(tol)
         rank = int(np.count_nonzero(s > cutoff))
         h_report = RankReport(rank, s, cutoff, deficient=rank < min(h_mat.shape))
@@ -140,18 +142,10 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None):
     rank = int(np.count_nonzero(diag > cutoff))
     if rank < diag.size:
         raise refuse(f"R factor of the whitened design has rank {rank} < {diag.size}",
-                     RankReport(rank, diag, cutoff, deficient=True))
+                     report=RankReport(rank, diag, cutoff, deficient=True))
     gain = basis @ np.linalg.solve(r_factor, q.T)
     beta = None if wy is None else beta_star + gain @ (wy - wx @ beta_star)
     return beta, gain, beta_star, h_report
-
-
-def _design_refusal(message, report):
-    return DesignRankDeficientError(message)
-
-
-def _shift_refusal(message, report):
-    return ShiftInsufficientError(message)
 
 
 def _sandwich(gain: np.ndarray, spec: SpectralDecomposition) -> np.ndarray:
@@ -184,7 +178,8 @@ def _consistency_or_raise(res: LinearRestrictions, tol):
     ok, report = check_restriction_consistency(res, tol=tol)
     if not ok:
         raise InconsistentRestrictionsError(
-            "restriction system R beta = r has no solution")
+            "restriction system R beta = r has no solution",
+            decision="restriction_consistency")
     return report
 
 
@@ -193,7 +188,7 @@ def _joint_identification_or_raise(x_mat: np.ndarray, restr: np.ndarray, tol):
     if report.numeric_rank < x_mat.shape[1]:
         raise IdentificationError(
             f"stacked restriction/design matrix has rank {report.numeric_rank} "
-            f"< K={x_mat.shape[1]}", report=report)
+            f"< K={x_mat.shape[1]}", report=report, decision="joint_identification")
     return report
 
 
@@ -202,7 +197,8 @@ def _whitened_rank_or_raise(model: GaussMarkoffModel, tol):
     if not ok:
         raise TheilRankConditionError(
             f"F'X has rank {report.numeric_rank} < K={model.num_params}; "
-            "the pseudo-inverse normal matrix is not invertible", report=report)
+            "the pseudo-inverse normal matrix is not invertible", report=report,
+            decision="whitened_design_rank")
     return report
 
 
@@ -216,7 +212,7 @@ def ols(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     correct under the model dispersion sigma^2 * Omega.
     """
     report = _design_full_rank(model, tol)
-    beta, gain, _, _ = _whitened_lsq(model.X, model.y, _design_refusal, tol)
+    beta, gain, _, _ = _whitened_lsq(model.X, model.y, DesignRankDeficientError, tol)
     return EstimateResult(beta_hat=beta,
                           covariance_factor=_sandwich(gain, model.spectrum),
                           residuals=model.y - model.X @ beta,
@@ -232,7 +228,7 @@ def gls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     spec = _pd_dispersion(model)
     report = _design_full_rank(model, tol)
     wx, wy = _whiten(spec, model.X, model.y)
-    beta, gain, _, _ = _whitened_lsq(wx, wy, _design_refusal, tol)
+    beta, gain, _, _ = _whitened_lsq(wx, wy, DesignRankDeficientError, tol)
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.GLS,
@@ -273,9 +269,9 @@ def rgls(model: GaussMarkoffModel, res: LinearRestrictions,
     Minimizes (y - X beta)' Omega^{-1} (y - X beta) over R beta = r; a
     collinear design is fine under the joint rank condition on (R; X).
     """
-    spec = _pd_dispersion(model)
     cons = _consistency_or_raise(res, tol)
     ident = _joint_identification_or_raise(model.X, res.R, tol)
+    spec = _pd_dispersion(model)
     design = numeric_rank(model.X, tol=tol)
     wx, wy = _whiten(spec, model.X, model.y)
     beta, gain, _, _ = _whitened_lsq(wx, wy, IdentificationError, tol,
@@ -370,7 +366,7 @@ def ridge(model: GaussMarkoffModel, shift: RidgeSpec,
     if report.numeric_rank < model.num_params:
         raise ShiftInsufficientError(
             f"shifted design [X; Psi^(1/2)] has rank {report.numeric_rank} < K")
-    _, gain, _, _ = _whitened_lsq(augmented, None, _shift_refusal, tol)
+    _, gain, _, _ = _whitened_lsq(augmented, None, ShiftInsufficientError, tol)
     # the appended rows have zero response, so only the gain on y acts
     gain = gain[:, :model.num_obs]
     beta = gain @ model.y
@@ -505,14 +501,13 @@ def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
     """
     cons = _consistency_or_raise(res, tol)
     report = _whitened_rank_or_raise(model, tol)
-    rank_r = numeric_rank(res.R, tol=tol).numeric_rank
-    if rank_r < res.count:
-        raise RestrictionGramSingularError(
-            f"R has rank {rank_r} < {res.count} rows, "
-            "so R C+^{-1} R' is singular")
     wx, wy = _whiten(model.spectrum, model.X, model.y)
-    beta, gain, _, _ = _whitened_lsq(wx, wy, TheilRankConditionError, tol,
-                                     rows=(res.R, res.r))
+    beta, gain, _, r_report = _whitened_lsq(wx, wy, TheilRankConditionError, tol,
+                                            rows=(res.R, res.r))
+    if r_report.numeric_rank < res.count:
+        raise RestrictionGramSingularError(
+            f"R has rank {r_report.numeric_rank} < {res.count} rows, "
+            "so R C+^{-1} R' is singular")
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.TKN,
@@ -525,15 +520,20 @@ def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
 # combined explicit + implicit restrictions
 
 def _combined_checks(model: GaussMarkoffModel, combined: CombinedRestrictions, tol):
-    if not combined.consistent:
-        raise _column_refusal(InconsistentRestrictionsError,
-                              "combined restriction system H beta = h has no solution",
-                              combined.inconsistent_column, combined.h.shape[1])
+    """Identification, then combined consistency; the implicit rows A'X
+    lie in the row space of X, so (explicit rows; X) decides rank(H; X)."""
     if combined.num_params != model.num_params:
         raise DimensionMismatchError(
             f"restrictions have {combined.num_params} columns, "
             f"design has {model.num_params}")
-    return _joint_identification_or_raise(model.X, combined.H, tol)
+    ident = _joint_identification_or_raise(
+        model.X, combined.H[:len(combined.explicit_rows)], tol)
+    if not combined.consistent:
+        raise _column_refusal(InconsistentRestrictionsError,
+                              "combined restriction system H beta = h has no solution",
+                              combined.inconsistent_column, combined.h.shape[1],
+                              decision="combined_consistency")
+    return ident
 
 
 def _checked_particular(combined: CombinedRestrictions, particular):
@@ -568,6 +568,7 @@ def _constrained(model: GaussMarkoffModel, combined: CombinedRestrictions,
                             residuals=model.y - model.X @ beta,
                             estimator_tag=EstimatorTag.CONSTRAINED_SINGULAR,
                             diagnostics={"joint_identification": ident,
+                                         "combined_consistency": True,
                                          "dispersion_rank": model.spectrum.rank,
                                          "restriction_rank": h_report})
     return result, gain, beta_star, wx

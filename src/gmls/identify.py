@@ -213,6 +213,9 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
         for every period (homoskedastic case).  Each block must have
         exactly one zero eigenvalue, with the same null eigenvector
         across periods.
+    tol : float, optional
+        Rank cutoff of every block.  Defaults to the cutoff stack_sur
+        applies to the stacked dispersion: T eps max |lambda|, T = n m.
 
     Returns
     -------
@@ -243,10 +246,12 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
         if b.shape != (n, n):
             raise DimensionMismatchError(f"dispersion block {t} is not {n} x {n}")
     stack = np.stack(blocks)
-    # each block decomposed and cut as spectral_decompose would on its own
+    # each block is refused as spectral_decompose would refuse it alone
     vals, vecs, cutoffs, refusal = _decompose_blocks(stack, tol=tol)
     if refusal is not None:
         raise refusal[1]
+    if tol is None:
+        cutoffs = np.full(m, default_tolerance(n * m, n * m, np.max(np.abs(vals))))
     ranks = np.count_nonzero(vals > cutoffs[:, None], axis=1)
     wrong = np.flatnonzero(ranks != n - 1)
     if wrong.size:

@@ -277,12 +277,12 @@ def build_model(y, X, dispersion, sigma2: float | None = None,
                              sigma2=sigma2, ordering=ordering)
 
 
-def _column_refusal(cls, message: str, column: int | None, columns: int):
+def _column_refusal(cls, message: str, column: int | None, columns: int, **fields):
     """``cls`` for a check that failed on response column ``column`` of
     ``columns``; the message names the column when there are several."""
     if column is not None and columns > 1:
         message = f"{message} (response column {column})"
-    return cls(message, column=column)
+    return cls(message, column=column, **fields)
 
 
 def _block_diag(*blocks) -> np.ndarray:

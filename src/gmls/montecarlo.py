@@ -29,16 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GMLSError, InvalidConfigError
-from .estimators import (
-    constrained_singular_gls,
-    gls,
-    mls,
-    ols,
-    rgls,
-    rols,
-    tkn,
-)
-from .identify import combine_restrictions, extract_implicit_restrictions
+from .methods import METHODS, MODEL, PANEL
 from .model import (
     PERIOD_MAJOR,
     GaussMarkoffModel,
@@ -47,7 +38,7 @@ from .model import (
     _period_rows,
     build_model,
 )
-from .panel import FEPanelModel, build_fe_model, fe_gls, fe_mls
+from .panel import FEPanelModel, build_fe_model
 from .spectral import spectral_decompose
 
 REGULAR_GLS = "regular-gls"
@@ -59,8 +50,11 @@ FE_BLOCKDIAG = "fe-blockdiag"
 SCENARIOS = (REGULAR_GLS, SINGULAR_ADDING_UP, COLLINEAR_RESTRICTED,
              FE_KRONECKER, FE_BLOCKDIAG)
 
-MODEL_ESTIMATORS = ("ols", "gls", "mls", "rols", "rgls", "tkn", "constrained")
-PANEL_ESTIMATORS = ("fe-gls", "fe-mls")
+# a study can supply restrictions, and no other input a method may need
+MODEL_ESTIMATORS = tuple(name for name, method in METHODS.items()
+                         if method.kind == MODEL and set(method.needs) <= {"restrictions"})
+PANEL_ESTIMATORS = tuple(name for name, method in METHODS.items() if method.kind == PANEL)
+_DATA = {MODEL: GaussMarkoffModel, PANEL: FEPanelModel}
 
 DEFAULT_ESTIMATOR = {
     REGULAR_GLS: "gls",
@@ -312,35 +306,17 @@ def generate_instance(config: SimulationConfig, replication: int) -> Instance:
 
 
 def _estimate(name: str, data, res: LinearRestrictions | None):
-    """Fit ``data``, a GaussMarkoffModel or an FEPanelModel, with ``name``."""
-    if name in PANEL_ESTIMATORS:
-        if not isinstance(data, FEPanelModel):
-            raise InvalidConfigError(f"estimator {name!r} needs a panel scenario")
-        return fe_gls(data) if name == "fe-gls" else fe_mls(data)
-    if not isinstance(data, GaussMarkoffModel):
-        raise InvalidConfigError(f"estimator {name!r} needs a model scenario")
-    model = data
-    if name == "ols":
-        return ols(model)
-    if name == "gls":
-        return gls(model)
-    if name == "mls":
-        return mls(model)
-    if name in ("rols", "rgls", "tkn"):
-        if res is None:
-            raise InvalidConfigError(f"estimator {name!r} needs explicit restrictions")
-        if name == "rols":
-            return rols(model, res)
-        if name == "rgls":
-            return rgls(model, res)
-        return tkn(model, res)
-    if name == "constrained":
-        explicit = res if res is not None \
-            else LinearRestrictions.empty(model.num_params)
-        implicit = extract_implicit_restrictions(model)
-        combined = combine_restrictions(explicit, implicit)
-        return constrained_singular_gls(model, combined)
-    raise InvalidConfigError(f"unknown estimator {name!r}")
+    """Fit ``data`` (a GaussMarkoffModel or an FEPanelModel) with ``name``;
+    a name no study can run is judged as a model estimator."""
+    method = METHODS[name] if name in MODEL_ESTIMATORS + PANEL_ESTIMATORS else None
+    kind = MODEL if method is None else method.kind
+    if not isinstance(data, _DATA[kind]):
+        raise InvalidConfigError(f"estimator {name!r} needs a {kind} scenario")
+    if method is None:
+        raise InvalidConfigError(f"unknown estimator {name!r}")
+    if "restrictions" in method.needs and res is None:
+        raise InvalidConfigError(f"estimator {name!r} needs explicit restrictions")
+    return method.fit(data, {"restrictions": res}, None)
 
 
 def _jackknife_covariance_se(estimates: np.ndarray) -> np.ndarray:

@@ -1,16 +1,20 @@
 """End-to-end exercises of the command line front end.
 
-Every test shells out to ``python3 -m gmls`` so argument parsing, file
+Most tests shell out to ``python3 -m gmls`` so argument parsing, file
 loading, refusal paths, and report formatting are covered exactly as a
 user would hit them.  The golden files under fixtures/ pin the machine
-output format; byte-for-byte comparison is intentional.
+output format; byte-for-byte comparison is intentional.  The refusal
+matrix and the kernel counts call ``cli.main`` in process.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURES, SRC
@@ -265,3 +269,194 @@ def test_import_leaves_scipy_unloaded():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# refusal parity: every method on every refusal fixture, in process
+
+def _fixture(name):
+    return os.path.join(FIXTURES, name)
+
+
+def _main(*argv):
+    """Run cli.main in this process; returns (exit code, stdout, stderr)."""
+    from gmls import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+_GOLDEN_MODEL = ("--design", "design.csv", "--response", "response.csv",
+                 "--dispersion", "dispersion.csv")
+_COLLINEAR = ("--design", "design_collinear.csv",
+              "--response", "response_collinear.csv")
+_SUR = ("--sur", "sur.csv", "--sigma", "sigma.csv")
+_SUR_OK = ("--sur", "sur_ok.csv", "--sigma", "sigma.csv")
+_INCONSISTENT = ("--restrictions", "inconsistent_restrictions.csv")
+
+REFUSAL_INPUTS = {
+    "design+dispersion+inconsistent": _GOLDEN_MODEL + _INCONSISTENT,
+    "identity+inconsistent": _GOLDEN_MODEL[:4] + _INCONSISTENT,
+    "collinear+useless": _COLLINEAR + ("--restrictions", "useless_restrictions.csv"),
+    "collinear": _COLLINEAR,
+    "sur": _SUR,
+    "sur+restrictions": _SUR + ("--restrictions", "restrictions.csv"),
+    "sur_ok+conflicting": _SUR_OK + ("--restrictions",
+                                     "conflicting_sur_restrictions.csv"),
+    "sur_ok": _SUR_OK,
+}
+
+_OK = (0, "")
+_CONSISTENCY = (2, "Eq. (3) restriction consistency failed")
+_IDENTIFICATION = (2, "Eq. (4) identification failed")
+_WHITENED = (2, "Eq. (14) whitened-design rank failed")
+_SINGULAR = (2, "dispersion has rank 10 < T=15; use the pseudo-inverse estimators")
+_COLLINEAR_DESIGN = (2, "design has numeric rank 2 < K=3")
+_WIDTH = (1, "restrictions have 3 coefficient columns, design has 6")
+
+
+def _requires(method, flag):
+    return (1, f"method {method} requires --{flag}")
+
+
+# (exit code, first stderr line without "error: ") per input and method
+REFUSALS = {
+    "design+dispersion+inconsistent": {
+        "ols": _OK, "gls": _OK, "rols": _CONSISTENCY, "rgls": _CONSISTENCY,
+        "ridge": _requires("ridge", "ridge-psi"), "mixed": _requires("mixed", "theta"),
+        "mls": _OK, "tkn": _CONSISTENCY, "constrained": _CONSISTENCY},
+    "identity+inconsistent": {
+        "ols": _OK, "gls": _OK, "rols": _CONSISTENCY, "rgls": _CONSISTENCY,
+        "ridge": _requires("ridge", "ridge-psi"), "mixed": _requires("mixed", "theta"),
+        "mls": _OK, "tkn": _CONSISTENCY, "constrained": _CONSISTENCY},
+    "collinear+useless": {
+        "ols": _COLLINEAR_DESIGN, "gls": _COLLINEAR_DESIGN,
+        "rols": _IDENTIFICATION, "rgls": _IDENTIFICATION,
+        "ridge": _requires("ridge", "ridge-psi"), "mixed": _requires("mixed", "theta"),
+        "mls": _WHITENED, "tkn": _WHITENED, "constrained": _IDENTIFICATION},
+    "collinear": {
+        "ols": _COLLINEAR_DESIGN, "gls": _COLLINEAR_DESIGN,
+        "rols": _requires("rols", "restrictions"),
+        "rgls": _requires("rgls", "restrictions"),
+        "ridge": _requires("ridge", "ridge-psi"),
+        "mixed": _requires("mixed", "restrictions"),
+        "mls": _WHITENED, "tkn": _requires("tkn", "restrictions"),
+        "constrained": _IDENTIFICATION},
+    "sur": {
+        "ols": (2, "design has numeric rank 5 < K=6"), "gls": _SINGULAR,
+        "rols": _requires("rols", "restrictions"),
+        "rgls": _requires("rgls", "restrictions"),
+        "ridge": _requires("ridge", "ridge-psi"),
+        "mixed": _requires("mixed", "restrictions"),
+        "mls": (2, "Eq. (14) whitened-design rank failed; witness kind "
+                   "within-equation-collinearity, certificate d = "),
+        "tkn": _requires("tkn", "restrictions"), "constrained": _IDENTIFICATION},
+    "sur+restrictions": {method: _WIDTH for method in (
+        "ols", "gls", "rols", "rgls", "ridge", "mixed", "mls", "tkn", "constrained")},
+    "sur_ok+conflicting": {
+        "ols": _OK, "gls": _SINGULAR, "rols": _OK, "rgls": _SINGULAR,
+        "ridge": _requires("ridge", "ridge-psi"), "mixed": _requires("mixed", "theta"),
+        "mls": _OK, "tkn": _OK,
+        "constrained": (2, "Eq. (20) combined-restriction consistency failed")},
+    "sur_ok": {
+        "ols": _OK, "gls": _SINGULAR,
+        "rols": _requires("rols", "restrictions"),
+        "rgls": _requires("rgls", "restrictions"),
+        "ridge": _requires("ridge", "ridge-psi"),
+        "mixed": _requires("mixed", "restrictions"),
+        "mls": _OK, "tkn": _requires("tkn", "restrictions"), "constrained": _OK},
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(REFUSAL_INPUTS))
+def test_refusals_keep_their_order_codes_and_labels(monkeypatch, inputs):
+    """When several conditions fail at once, the one reported first, its
+    exit code and its catalogue label stay as pinned, for every method."""
+    monkeypatch.delenv("GMLS_TOL", raising=False)
+    argv = [_fixture(arg) if arg.endswith(".csv") else arg
+            for arg in REFUSAL_INPUTS[inputs]]
+    for method, (code, line) in REFUSALS[inputs].items():
+        got, _, err = _main("estimate", *argv, "--method", method, "--output", "machine")
+        # the certificate's digits are rounding-sensitive; its presence is not
+        head, certificate, _ = (err.splitlines() or [""])[0].partition("certificate d = ")
+        assert (got, head + certificate) == (code, f"error: {line}" if line else ""), method
+
+
+# ---------------------------------------------------------------------------
+# kernel counts: each decision made once per command
+
+_KERNELS = ("svd", "qr", "eigh", "cholesky", "solve")
+
+# Per command: numpy.linalg calls (svd, qr, eigh, cholesky, solve) and
+# (fe_gls, fe_mls) fits.  On the golden model (8 x 3 design, positive
+# definite 8 x 8 dispersion, one restriction row) build_model makes one
+# eigh and no admissibility SVD.  A restriction consistency decision takes
+# two SVDs: the rank of R (of full row rank, so no per-column SVD) and the
+# reported rank of (R, r).  The whitened least-squares core takes one SVD
+# of H when there are rows, one QR and one solve.
+KERNEL_COUNTS = {
+    # consistency 2 + identification (R; X) 1 + design rank 1, which the
+    # CLI reads off the fit, + core 1
+    "estimate rgls": ((*_GOLDEN_MODEL, "--restrictions", "restrictions.csv",
+                       "--method", "rgls"), (5, 1, 1, 0, 1), (0, 0)),
+    # consistency 2 + whitened rank 1 + core 1, whose SVD of H = R also
+    # decides R's row rank, + the CLI's design rank 1
+    "estimate tkn": ((*_GOLDEN_MODEL, "--restrictions", "restrictions.csv",
+                      "--method", "tkn"), (5, 1, 1, 0, 1), (0, 0)),
+    # whitened rank 1 + the CLI's design rank 1; the core has no rows
+    "estimate mls": ((*_GOLDEN_MODEL, "--method", "mls"), (2, 1, 1, 0, 1), (0, 0)),
+    # consistency 2 + identification 1 + whitened rank 1 + the rank of
+    # H = R in combine_restrictions 1; nothing is fitted
+    "diagnose": ((*_GOLDEN_MODEL, "--restrictions", "restrictions.csv"),
+                 (5, 0, 1, 0, 0), (0, 0)),
+    # stack_sur's block check and the model's batched decomposition: 2
+    # eigh; admissibility 1 + rank of H = A'X (5 x 6, full row rank) 1 +
+    # identification on (no explicit rows; X) 1 + core 1 + the CLI's
+    # design rank 1
+    "estimate constrained": ((*_SUR_OK, "--method", "constrained"),
+                             (5, 1, 2, 0, 1), (0, 0)),
+    # regular-gls, 12 x 3: the design draw's random SPD dispersion takes a
+    # QR, build_model an eigh; gls takes the design rank 1 and the core
+    # (no rows) a QR and a solve, once for all 120 replications
+    "simulate": (("--scenario", "regular-gls", "--reps", "120", "--seed", "7"),
+                 (1, 2, 1, 0, 1), (0, 0)),
+    # Kronecker panel, n = 3, m = 4, K = 2.  build_fe_model: 1 eigh.
+    # verify_theorem5 fits fe_gls (swept whitener: block rank 1 SVD,
+    # 1 cholesky, 1 solve; _fit: rank 1 SVD, core 1 QR, 1 solve) and
+    # fe_mls (within whitener 1 eigh; _fit: 1 SVD, 1 QR, 1 solve) once
+    # each, then builds the projectors (swept whitener again: 1 SVD,
+    # 1 cholesky, 1 solve) and the within whitener again (1 eigh).  Each
+    # of the 4 dropped periods: reduced whitener 1 SVD, 1 cholesky,
+    # 1 solve; _fit 1 SVD, 1 QR, 1 solve.
+    "panel": (("--panel", "panel.csv", "--sigma", "panel_sigma.csv"),
+              (4 + 4 * 2, 2 + 4, 1 + 2, 2 + 4, 4 + 4 * 2), (1, 1)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(KERNEL_COUNTS))
+def test_commands_make_each_factorization_once(monkeypatch, command):
+    from gmls import panel
+
+    monkeypatch.delenv("GMLS_TOL", raising=False)
+    argv, kernels, fits = KERNEL_COUNTS[command]
+    calls = dict.fromkeys(_KERNELS + ("fe_gls", "fe_mls"), 0)
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    for name in _KERNELS:
+        count(np.linalg, name)
+    for name in ("fe_gls", "fe_mls"):
+        count(panel, name)
+    subcommand = command.split()[0]
+    args = [_fixture(arg) if arg.endswith(".csv") else arg for arg in argv]
+    code, _, err = _main(subcommand, *args, "--output", "machine")
+    assert code == 0, err
+    assert tuple(calls[name] for name in _KERNELS) == kernels
+    assert (calls["fe_gls"], calls["fe_mls"]) == fits

@@ -589,6 +589,54 @@ def test_constrained_fully_determined_returns_particular():
     np.testing.assert_allclose(result.covariance_factor, 0.0, atol=1e-12)
 
 
+def test_constrained_fit_on_a_tall_h_takes_thin_svds(monkeypatch):
+    """Twelve implicit rows over three parameters: no SVD in the fit forms
+    a U wider than the smaller side of its operand."""
+    rng = np.random.default_rng(89)
+    x = rng.normal(size=(15, 3))
+    root = rng.normal(size=(15, 3))
+    model = build_model(x @ np.ones((3, 1)) + root @ rng.normal(size=(3, 1)), x,
+                        root @ root.T)
+    combined = _combined_for(model)
+    assert combined.H.shape == (12, 3)
+    widths = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        out = real(a, *args, **kwargs)
+        if kwargs.get("compute_uv", True):
+            widths.append((out[0].shape[1], min(np.shape(a)[-2:])))
+        return out
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    constrained_singular_gls(model, combined)
+    assert widths and all(width <= side for width, side in widths)
+
+
+def test_restricted_refusals_come_in_catalogue_order():
+    """With several faults at once the first catalogue decision refuses:
+    consistency before identification before the dispersion's rank, and
+    identification before combined consistency.  The refusal names the
+    decision by its diagnostics key."""
+    rng = np.random.default_rng(95)
+    x = rng.normal(size=(9, 3))
+    x[:, 2] = x[:, 0]
+    singular = build_model(x @ np.ones((3, 1)), x, random_nnd(rng, 9, rank=7))
+    contradiction = LinearRestrictions.build(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                                             np.array([[1.0], [3.0]]))
+    with pytest.raises(InconsistentRestrictionsError) as refused:
+        rgls(singular, contradiction)
+    assert refused.value.decision == "restriction_consistency"
+    useless = LinearRestrictions.build(np.array([[1.0, 0.0, 1.0]]), np.array([[2.0]]))
+    with pytest.raises(IdentificationError) as refused:
+        rgls(singular, useless)
+    assert refused.value.decision == "joint_identification"
+    base = _combined_for(singular)
+    broken = replace(base, h=base.h + 1.0, consistent=False, inconsistent_column=0)
+    with pytest.raises(IdentificationError) as refused:
+        constrained_singular_gls(singular, broken)
+    assert refused.value.decision == "joint_identification"
+
+
 # ---------------------------------------------------------------------------
 # bordered system and representation class
 

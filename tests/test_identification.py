@@ -413,3 +413,25 @@ def test_bad_period_blocks_keep_their_refusals():
     double[1] = np.diag([0.0, 0.0, 1.0])
     with pytest.raises(NullVectorMismatchError, match="dispersion block 1 has 2 zero"):
         check_theil_condition(layout, double)
+
+
+@pytest.mark.parametrize("seed, call", [(206, 8), (286, 4)])
+def test_theil_condition_cuts_blocks_where_stack_sur_cuts(seed, call):
+    """Adding-up SUR instances whose block null eigenvalue sits just above
+    the block's own 4 eps lambda_max but far below the stacked dispersion's
+    T eps lambda_max: the model has one null direction per period, so the
+    Theil check must find exactly one in every block too.  Drawn as the
+    fit-sur benchmark draws its call ``call`` under seed ``seed``."""
+    n, m, kw = 4, 500, 3
+    rng = np.random.default_rng([seed, call])
+    designs = [rng.normal(size=(m, kw)) for _ in range(n)]
+    a = np.full((n, 1), 1.0 / np.sqrt(n))
+    proj = np.eye(n) - a @ a.T
+    blocks = [proj @ np.diag(d) @ proj for d in rng.uniform(0.5, 1.5, size=(m, n))]
+    layout = SURLayout.build(designs)
+    responses = [d @ np.ones((kw, 1)) for d in designs]
+    model = stack_sur(layout, responses, blocks, order="period")
+    assert model.spectrum.rank == m * (n - 1)
+    witness = check_theil_condition(layout, blocks)
+    assert witness.kind is WitnessKind.NONE
+    np.testing.assert_allclose(np.abs(witness.a), a, atol=1e-12)
