@@ -575,11 +575,11 @@ def _tol_default():
 
 
 def _add_shared(parser, with_model=True):
-    parser.add_argument("--tol", type=float, default=None,
-                        help="rank tolerance override (default: adaptive; "
-                             f"env {TOL_ENV_VAR})")
     parser.add_argument("--output", choices=("human", "machine"), default="human")
     if with_model:
+        parser.add_argument("--tol", type=float, default=None,
+                            help="rank tolerance override (default: adaptive; "
+                                 f"env {TOL_ENV_VAR})")
         parser.add_argument("--design", help="design matrix CSV")
         parser.add_argument("--response", help="response vector CSV")
         parser.add_argument("--dispersion",
@@ -649,7 +649,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; fold into the input-error code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.tol is None:
+        # only the model commands, estimate and diagnose, take a tolerance
+        if getattr(args, "tol", 0.0) is None:
             args.tol = _tol_default()
         return _DISPATCH[args.subcommand](args)
     except CommandFailure as exc:

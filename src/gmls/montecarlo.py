@@ -39,7 +39,6 @@ from .model import (
     build_model,
 )
 from .panel import FEPanelModel, build_fe_model
-from .spectral import spectral_decompose
 
 REGULAR_GLS = "regular-gls"
 SINGULAR_ADDING_UP = "singular-adding-up"
@@ -175,22 +174,18 @@ def _random_spd(rng: np.random.Generator, dim: int,
 class _Structure:
     """Replication-invariant part of a scenario.
 
-    ``template`` is the model with the noise-free response X beta; the
-    replications swap in their block of responses and keep the
-    template's decomposed dispersion.
+    ``template`` is the model or panel with the noise-free response
+    (X beta, plus the effects for a panel); the replications swap in
+    their block of responses and keep the template's decomposed
+    dispersion.
     """
 
     kind: str
     true_beta: np.ndarray
     sigma2: float
-    template: GaussMarkoffModel | None = None
+    template: GaussMarkoffModel | FEPanelModel
     restrictions: LinearRestrictions | None = None
     layout: SURLayout | None = None
-    fe_designs: tuple | None = None
-    fe_effects: np.ndarray | None = None
-    fe_sigma: np.ndarray | None = None
-    fe_sigma_blocks: tuple | None = None
-    fe_sigma_specs: tuple | None = None
 
 
 def _build_structure(config: SimulationConfig) -> _Structure:
@@ -212,17 +207,14 @@ def _build_structure(config: SimulationConfig) -> _Structure:
             raise InvalidConfigError("need n*(m-1) > coefficient count for FE scenarios")
         designs = tuple(rng.normal(size=(m, k_total)) for _ in range(n))
         effects = rng.uniform(-1.0, 1.0, size=(n, 1))
+        responses = [x_i @ beta0.reshape(-1, 1) + effects[i, 0]
+                     for i, x_i in enumerate(designs)]
         if config.scenario == FE_KRONECKER:
-            sigma = _random_spd(rng, m)
-            return _Structure(kind=config.scenario, true_beta=beta0,
-                              sigma2=config.sigma2, fe_designs=designs,
-                              fe_effects=effects, fe_sigma=sigma,
-                              fe_sigma_specs=(spectral_decompose(sigma),) * n)
-        blocks = tuple(_random_spd(rng, m) for _ in range(n))
+            sigma = {"sigma": _random_spd(rng, m)}
+        else:
+            sigma = {"sigma_blocks": [_random_spd(rng, m) for _ in range(n)]}
         return _Structure(kind=config.scenario, true_beta=beta0, sigma2=config.sigma2,
-                          fe_designs=designs, fe_effects=effects,
-                          fe_sigma_blocks=blocks,
-                          fe_sigma_specs=tuple(spectral_decompose(b) for b in blocks))
+                          template=build_fe_model(designs, responses, **sigma))
 
     restrictions = layout = ordering = None
     if config.scenario == SINGULAR_ADDING_UP:
@@ -276,19 +268,14 @@ def _draw_errors(specs, sigma2: float, seed: int, first: int, count: int) -> lis
 def _draw(structure: _Structure, config: SimulationConfig, first: int, count: int):
     """The model or panel of replications first, ..., first + count - 1,
     with one response column per replication."""
-    beta0 = structure.true_beta.reshape(-1, 1)
     template = structure.template
-    if template is not None:
-        (u,) = _draw_errors((template.spectrum,), structure.sigma2, config.seed,
-                            first, count)
-        return dataclasses.replace(template, y=template.X @ beta0 + u)
-    # fixed-effects kinds
-    errors = _draw_errors(structure.fe_sigma_specs, structure.sigma2, config.seed,
-                          first, count)
-    responses = [x_i @ beta0 + structure.fe_effects[i, 0] + u_i
-                 for i, (x_i, u_i) in enumerate(zip(structure.fe_designs, errors))]
-    return build_fe_model(structure.fe_designs, responses, sigma=structure.fe_sigma,
-                          sigma_blocks=structure.fe_sigma_blocks)
+    if isinstance(template, FEPanelModel):
+        # a Kronecker panel's one spectrum serves every equation
+        specs = template.spectra * (template.n if template.kronecker else 1)
+    else:
+        specs = (template.spectrum,)
+    errors = _draw_errors(specs, structure.sigma2, config.seed, first, count)
+    return dataclasses.replace(template, y=template.y + np.vstack(errors))
 
 
 def generate_instance(config: SimulationConfig, replication: int) -> Instance:

@@ -13,6 +13,9 @@ identity P = M (I_n kron M_m Sigma M_m)^+ M is what verify_theorem5
 checks numerically.  Each estimator is the least-squares core of
 gmls.estimators on the rows W_i X_i, one whitener W_i per equation (one
 for all in the Kronecker case), run once for B >= 1 response columns.
+Every W_i is read off an eigendecomposition: of Sigma_i, made once when
+the panel is built (fe_gls), or of M Sigma_i M and D M Sigma_i M D'
+(fe_mls, fe_drop_period).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
 from .estimators import _whitened_lsq
 from .model import (EstimateResult, EstimatorTag, GaussMarkoffModel, _block_diag,
                     build_model)
-from .spectral import _decompose_blocks, as_matrix, numeric_rank, spectral_decompose
+from .spectral import SpectralDecomposition, _decompose_blocks, as_matrix, numeric_rank
 
 # Projector matrices are materialized densely only up to this many rows.
 DENSE_PROJECTOR_CAP = 2000
@@ -41,17 +44,18 @@ DENSE_PROJECTOR_CAP = 2000
 class FEPanelModel:
     """Equation-major fixed-effects panel data.
 
-    ``sigma`` holds the common m x m dispersion in the Kronecker case;
-    ``sigma_blocks`` the per-equation dispersions otherwise.  Exactly
-    one of the two is set.
+    ``sigmas`` stacks the distinct m x m dispersion blocks: the common
+    block alone in the Kronecker case (1 x m x m), one per equation
+    otherwise (n x m x m).  ``spectra`` holds the SpectralDecomposition
+    of each, made once by build_fe_model and read by every estimator.
     """
 
     n: int
     m: int
     X: np.ndarray
     y: np.ndarray
-    sigma: np.ndarray | None = None
-    sigma_blocks: tuple | None = None
+    sigmas: np.ndarray
+    spectra: tuple
 
     @property
     def num_obs(self) -> int:
@@ -63,7 +67,7 @@ class FEPanelModel:
 
     @property
     def kronecker(self) -> bool:
-        return self.sigma is not None
+        return self.sigmas.shape[0] == 1
 
     def equation_rows(self, i: int) -> slice:
         return slice(i * self.m, (i + 1) * self.m)
@@ -109,6 +113,8 @@ def build_fe_model(designs, responses, sigma=None, sigma_blocks=None) -> FEPanel
     if n == 0 or len(ys) != n:
         raise DimensionMismatchError("need matching non-empty design and response lists")
     m, k_dim = xs[0].shape
+    if m == 0:
+        raise DimensionMismatchError("need at least one period")
     columns = ys[0].shape[1]
     for i in range(n):
         if xs[i].shape != (m, k_dim):
@@ -127,23 +133,24 @@ def build_fe_model(designs, responses, sigma=None, sigma_blocks=None) -> FEPanel
     for i, b in enumerate(blocks):
         if b.shape != (m, m):
             raise DimensionMismatchError(f"sigma block {i} must be {m} x {m}")
-        try:
-            spec = spectral_decompose(b)
-        except Exception as exc:
-            raise DispersionNotPDError(f"sigma block {i}: {exc}") from exc
-        if spec.rank < m:
-            raise DispersionNotPDError(
-                f"sigma block {i} is singular (rank {spec.rank} < {m})")
-    return FEPanelModel(
-        n=n, m=m, X=np.vstack(xs), y=np.vstack(ys),
-        sigma=blocks[0] if sigma is not None else None,
-        sigma_blocks=None if sigma is not None else tuple(blocks),
-    )
-
-
-def _sigmas(model: FEPanelModel) -> np.ndarray:
-    """The distinct dispersion blocks: 1 x m x m (Kronecker) or n x m x m."""
-    return np.stack([model.sigma] if model.kronecker else model.sigma_blocks)
+    sigmas = np.stack(blocks)
+    vals, vecs, cutoffs, refusal = _decompose_blocks(sigmas)
+    ranks = np.count_nonzero(vals > cutoffs[:, None], axis=1)
+    singular = np.flatnonzero(ranks < m)
+    # refuse the first failing block, as a block-by-block check would
+    if singular.size and (refusal is None or singular[0] < refusal[0]):
+        i = singular[0]
+        raise DispersionNotPDError(f"sigma block {i} is singular (rank {ranks[i]} < {m})")
+    if refusal is not None:
+        raise DispersionNotPDError(f"sigma block {refusal[0]}: {refusal[1]}")
+    # descending and C-ordered, as spectral_decompose lists a full-rank block
+    spectra = tuple(SpectralDecomposition(
+        source_dim=m, eigenvectors_null=np.zeros((m, 0)),
+        eigenvectors_pos=np.ascontiguousarray(vecs[i, :, ::-1]),
+        eigenvalues_pos=vals[i, ::-1].copy(), rank=m, tolerance_used=float(cutoffs[i]))
+        for i in range(len(blocks)))
+    return FEPanelModel(n=n, m=m, X=np.vstack(xs), y=np.vstack(ys), sigmas=sigmas,
+                        spectra=spectra)
 
 
 def _per_equation(model: FEPanelModel, blocks: np.ndarray) -> np.ndarray:
@@ -151,44 +158,41 @@ def _per_equation(model: FEPanelModel, blocks: np.ndarray) -> np.ndarray:
     return _block_diag(*np.broadcast_to(blocks, (model.n, *blocks.shape[1:])))
 
 
-def _cholesky_solve(blocks: np.ndarray, rhs: np.ndarray, error, what: str):
-    """L_i^{-1} rhs with L_i L_i' = blocks[i], refusing a numerically
-    singular or indefinite block i, which ``what.format(i)`` names."""
-    factors = []
-    for i, block in enumerate(blocks):
-        if numeric_rank(block).numeric_rank < block.shape[0]:
-            raise error(f"{what.format(i)} is singular")
-        try:
-            factors.append(np.linalg.cholesky(0.5 * (block + block.T)))
-        except np.linalg.LinAlgError:
-            raise error(f"{what.format(i)} is not positive definite") from None
-    return np.linalg.solve(np.stack(factors), rhs)
-
-
 def _swept_whiteners(model: FEPanelModel) -> np.ndarray:
-    """S_i = (I - u u') L_i^{-1} with Sigma_i = L_i L_i' and u the unit
-    vector along L_i^{-1} e, so S_i'S_i = P_i, the swept GLS weight."""
-    l_inv = _cholesky_solve(_sigmas(model), np.eye(model.m), DispersionNotPDError,
-                            "sigma block {}")
-    u = l_inv.sum(axis=2, keepdims=True)
+    """S_i = (I - u u') W_i with W_i = Lambda_i^{-1/2} F_i' from the carried
+    Sigma_i = F_i Lambda_i F_i' and u the unit vector along W_i e, so
+    S_i'S_i = P_i, the swept GLS weight."""
+    w = np.stack([(spec.eigenvectors_pos / np.sqrt(spec.eigenvalues_pos)).T
+                  for spec in model.spectra])
+    u = w.sum(axis=2, keepdims=True)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return l_inv - u @ (u.transpose(0, 2, 1) @ l_inv)
+    return w - u @ (u.transpose(0, 2, 1) @ w)
 
 
-def _within_whiteners(model: FEPanelModel) -> np.ndarray:
-    """Lambda_i^{-1/2} F_i' M from M Sigma_i M = F_i Lambda_i F_i' of rank m - 1."""
-    cm = centering_matrix(model.m)
-    vals, vecs, cutoffs, refusal = _decompose_blocks(cm @ _sigmas(model) @ cm)
+def _top_whiteners(model: FEPanelModel, rows: np.ndarray, what: str) -> np.ndarray:
+    """Lambda_i^{-1/2} F_i' rows from the top m - 1 eigenpairs of
+    rows Sigma_i rows' = F_i Lambda_i F_i', refusing any other rank."""
+    blocks = rows @ model.sigmas @ rows.T
+    # symmetric by construction: the computed product's asymmetry is
+    # rounding, which grows with Sigma_i's variance along e
+    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    vals, vecs, cutoffs, refusal = _decompose_blocks(blocks)
     if refusal is not None:
         raise refusal[1]
     ranks = np.count_nonzero(vals > cutoffs[:, None], axis=1)
     wrong = np.flatnonzero(ranks != model.m - 1)
     if wrong.size:
-        raise DispersionSingularError(f"within dispersion of equation {wrong[0]} has "
+        raise DispersionSingularError(f"{what} of equation {wrong[0]} has "
                                       f"rank {ranks[wrong[0]]}, expected {model.m - 1}")
-    # eigenvalues ascend, so the null one comes first
-    f = vecs[:, :, :0:-1] / np.sqrt(vals[:, None, :0:-1])
-    return f.transpose(0, 2, 1) @ cm
+    # eigenvalues ascend: the top m - 1, largest first
+    top = slice(-1, -model.m, -1)
+    f = vecs[:, :, top] / np.sqrt(vals[:, None, top])
+    return f.transpose(0, 2, 1) @ rows
+
+
+def _within_whiteners(model: FEPanelModel) -> np.ndarray:
+    """Lambda_i^{-1/2} F_i' M from M Sigma_i M = F_i Lambda_i F_i' of rank m - 1."""
+    return _top_whiteners(model, centering_matrix(model.m), "within dispersion")
 
 
 def _fit(model: FEPanelModel, whiteners: np.ndarray, refuse, tag: EstimatorTag,
@@ -228,7 +232,7 @@ def build_projectors(model: FEPanelModel,
     p_blocks = swept.transpose(0, 2, 1) @ swept
     return ProjectorSet(
         M=np.kron(np.eye(model.n), cm),
-        Q=_per_equation(model, np.eye(model.m) - _sigmas(model) @ p_blocks),
+        Q=_per_equation(model, np.eye(model.m) - model.sigmas @ p_blocks),
         P=_per_equation(model, p_blocks),
         centering=cm,
     )
@@ -252,7 +256,7 @@ def within_transform(model: FEPanelModel) -> GaussMarkoffModel:
     shape = (model.n, model.m, -1)
     return build_model((cm @ model.y.reshape(shape)).reshape(model.num_obs, -1),
                        (cm @ model.X.reshape(shape)).reshape(model.num_obs, -1),
-                       _per_equation(model, cm @ _sigmas(model) @ cm))
+                       _per_equation(model, cm @ model.sigmas @ cm))
 
 
 def fe_mls(model: FEPanelModel) -> EstimateResult:
@@ -269,14 +273,13 @@ def fe_drop_period(model: FEPanelModel, drop: int) -> EstimateResult:
     ``drop`` is the 1-based period index.  Deleting any single period
     from the centered data removes the rank deficiency, and the reduced
     GLS estimate equals fe_mls exactly.  Equation i is whitened with
-    L_i^{-1} D M, D deleting the period and L_i L_i' = D M Sigma_i M D'.
+    Lambda_i^{-1/2} F_i' D M, D deleting the period and
+    D M Sigma_i M D' = F_i Lambda_i F_i' of full rank m - 1.
     """
     if not 1 <= drop <= model.m:
         raise ValueError(f"drop period must be in 1..{model.m}, got {drop}")
     rows = centering_matrix(model.m)[np.arange(model.m) != drop - 1]
-    whiteners = _cholesky_solve(rows @ _sigmas(model) @ rows.T, rows,
-                                DispersionSingularError,
-                                "reduced within dispersion of equation {}")
+    whiteners = _top_whiteners(model, rows, "reduced within dispersion")
     return _fit(model, whiteners, IdentificationError, EstimatorTag.PANEL_GLS,
                 "reduced_rank", dropped_period=drop)
 

@@ -255,6 +255,19 @@ def test_env_var_and_flag_produce_identical_reports():
     assert doc["inputs"]["tolerance"] == 1e-9
 
 
+def test_only_the_model_commands_take_a_tolerance():
+    # panel and simulate decide no rank at a user tolerance: they ignore
+    # GMLS_TOL and have no --tol option
+    with open(os.path.join(FIXTURES, "golden_panel.json"), "rb") as f:
+        expected = f.read()
+    panel = run_cli(*GOLDENS["golden_panel.json"], text=False,
+                    env_extra={"GMLS_TOL": "abc"})
+    assert panel.returncode == 0, panel.stderr
+    assert panel.stdout == expected
+    assert run_cli(*GOLDENS["golden_panel.json"], "--tol", "0.5").returncode == 1
+    assert run_cli(*GOLDENS["golden_simulate.json"], "--tol", "1e-3").returncode == 1
+
+
 # ---------------------------------------------------------------------------
 # import footprint
 
@@ -422,16 +435,25 @@ KERNEL_COUNTS = {
     # (no rows) a QR and a solve, once for all 120 replications
     "simulate": (("--scenario", "regular-gls", "--reps", "120", "--seed", "7"),
                  (1, 2, 1, 0, 1), (0, 0)),
-    # Kronecker panel, n = 3, m = 4, K = 2.  build_fe_model: 1 eigh.
-    # verify_theorem5 fits fe_gls (swept whitener: block rank 1 SVD,
-    # 1 cholesky, 1 solve; _fit: rank 1 SVD, core 1 QR, 1 solve) and
-    # fe_mls (within whitener 1 eigh; _fit: 1 SVD, 1 QR, 1 solve) once
-    # each, then builds the projectors (swept whitener again: 1 SVD,
-    # 1 cholesky, 1 solve) and the within whitener again (1 eigh).  Each
-    # of the 4 dropped periods: reduced whitener 1 SVD, 1 cholesky,
-    # 1 solve; _fit 1 SVD, 1 QR, 1 solve.
+    # Kronecker panel, n = 3, m = 4, K = 2.  build_fe_model decomposes the
+    # one sigma block: 1 eigh.  verify_theorem5 fits fe_gls (swept
+    # whitener read off that spectrum; _fit: rank 1 SVD, core 1 QR,
+    # 1 solve) and fe_mls (within whitener 1 eigh; _fit: 1 SVD, 1 QR,
+    # 1 solve) once each, then builds the projectors from the swept
+    # whitener (no kernel) and the within whitener again (1 eigh).  Each
+    # of the 4 dropped periods: reduced within whitener 1 eigh; _fit
+    # 1 SVD, 1 QR, 1 solve.
     "panel": (("--panel", "panel.csv", "--sigma", "panel_sigma.csv"),
-              (4 + 4 * 2, 2 + 4, 1 + 2, 2 + 4, 4 + 4 * 2), (1, 1)),
+              (2 + 4, 2 + 4, 1 + 2 + 4, 0, 2 + 4), (1, 1)),
+    # n = 3, m = 4, K = 3.  The design draw's 3 random SPD blocks take a
+    # QR each; the template panel's build_fe_model decomposes them in
+    # 1 batched eigh; fe_gls whitens off those spectra and runs _fit
+    # once for all 100 replications: rank 1 SVD, core 1 QR, 1 solve
+    "simulate fe-blockdiag": (("--scenario", "fe-blockdiag", "--reps", "100",
+                               "--seed", "7"), (1, 3 + 1, 1, 0, 1), (1, 0)),
+    # as fe-blockdiag with the one common block: 1 QR for its draw
+    "simulate fe-kronecker": (("--scenario", "fe-kronecker", "--reps", "100",
+                               "--seed", "7"), (1, 1 + 1, 1, 0, 1), (1, 0)),
 }
 
 

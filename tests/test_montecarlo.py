@@ -27,6 +27,7 @@ from gmls import (
     spectral_decompose,
     tkn,
 )
+from gmls import montecarlo
 from gmls.montecarlo import (
     COLLINEAR_RESTRICTED,
     FE_BLOCKDIAG,
@@ -105,6 +106,42 @@ def test_any_split_of_a_study_draws_the_same_errors(seed):
         for count in range(1, 601):
             np.testing.assert_array_equal(z_rows(first, count),
                                           whole[first:first + count])
+
+
+@pytest.mark.parametrize("scenario", [FE_KRONECKER, FE_BLOCKDIAG])
+def test_fe_draws_are_the_noise_free_panel_plus_spectral_errors(monkeypatch, scenario):
+    """Equation i of replication j holds X_i beta + effect_i
+    + sqrt(sigma2) F_i (sqrt(lambda_i) z_ji), F_i and lambda_i from
+    spectral_decompose of sigma block i and z_j replication j's row of
+    its keyed chunk, bit for bit, in a study and in generate_instance."""
+    cfg = _cfg(scenario, reps=300, seed=21, sigma2=2.0)
+    n, m, k = cfg.n, cfg.m, cfg.coeff_count
+    # the design stream's draws, in _build_structure's order
+    rng = montecarlo._rng(cfg.seed, 0)
+    designs = [rng.normal(size=(m, k)) for _ in range(n)]
+    effects = rng.uniform(-1.0, 1.0, size=(n, 1))
+    blocks = [montecarlo._random_spd(rng, m)] * n if scenario == FE_KRONECKER \
+        else [montecarlo._random_spd(rng, m) for _ in range(n)]
+    beta = 1.0 + 0.25 * np.arange(k, dtype=float).reshape(-1, 1)
+    z = np.vstack([montecarlo._rng(cfg.seed, 1 + c).standard_normal((STREAM_CHUNK, n * m))
+                   for c in range(-(-cfg.replications // STREAM_CHUNK))])
+    specs = [spectral_decompose(block) for block in blocks]
+
+    def panel_y(rows):
+        return np.vstack([x_i @ beta + effects[i, 0] + np.sqrt(cfg.sigma2) * (
+            spec.eigenvectors_pos @ (np.sqrt(spec.eigenvalues_pos)[:, None]
+                                     * rows[:, i * m:(i + 1) * m].T))
+            for i, (x_i, spec) in enumerate(zip(designs, specs))])
+
+    fitted = []
+    real = montecarlo._estimate
+    monkeypatch.setattr(montecarlo, "_estimate",
+                        lambda name, data, res: fitted.append(data.y) or real(name, data, res))
+    run_study(cfg)
+    np.testing.assert_array_equal(fitted[0], panel_y(z[:cfg.replications]))
+    for j in (0, 255, 256, 299):
+        np.testing.assert_array_equal(generate_instance(cfg, j).panel.y,
+                                      panel_y(z[j:j + 1]))
 
 
 def test_instances_are_deterministic():

@@ -72,6 +72,28 @@ def test_build_fe_model_validation():
         build_fe_model(designs, responses[:-1] + [np.ones((4, 2))], sigma=np.eye(4))
 
 
+_ASYMMETRIC = np.eye(4)
+_ASYMMETRIC[0, 1] = 0.5
+
+
+@pytest.mark.parametrize("block,message", [
+    (np.diag([1.0, 1.0, 1.0, 0.0]), " is singular (rank 3 < 4)"),
+    (np.diag([1.0, 1.0, 1.0, -0.5]),
+     ": matrix has eigenvalue -0.5 below -tol=-3.55271e-15"),
+    (_ASYMMETRIC, ": matrix is not symmetric within 1e-12 relative asymmetry"),
+], ids=["singular", "indefinite", "asymmetric"])
+def test_sigma_blocks_are_refused_by_name(block, message):
+    rng = np.random.default_rng(112)
+    designs = [rng.normal(size=(4, 2)) for _ in range(3)]
+    responses = [rng.normal(size=(4, 1)) for _ in range(3)]
+    with pytest.raises(DispersionNotPDError) as common:
+        build_fe_model(designs, responses, sigma=block)
+    assert str(common.value) == f"sigma block 0{message}"
+    with pytest.raises(DispersionNotPDError) as third:
+        build_fe_model(designs, responses, sigma_blocks=[np.eye(4), np.eye(4), block])
+    assert str(third.value) == f"sigma block 2{message}"
+
+
 @pytest.mark.parametrize("kron", [True, False])
 def test_panel_estimators_fit_each_response_column(kron):
     rng = np.random.default_rng(111)
@@ -186,6 +208,26 @@ def test_drop_period_invariance(kron):
         assert float(np.max(np.abs(dropped.beta_hat - reference.beta_hat))) \
             <= 1e-8 * scale
         assert dropped.diagnostics["dropped_period"] == t0
+
+
+def test_within_fits_accept_a_sigma_with_large_variance_along_e():
+    """M Sigma M and D M Sigma M D' are symmetric; with variance 1e6 along
+    e their computed products are asymmetric beyond 1e-12 relative, which
+    is rounding in the products and no fault of the input."""
+    rng = np.random.default_rng(113)
+    n, m = 3, 4
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(m), rng.normal(size=(m, m - 1))]))
+    sigma = (basis * [1e6, 1.0, 1.5, 0.7]) @ basis.T
+    sigma = 0.5 * (sigma + sigma.T)
+    within = centering_matrix(m) @ sigma[None] @ centering_matrix(m)
+    assert np.max(np.abs(within - within.transpose(0, 2, 1))) \
+        > 1e-12 * (1.0 + np.max(np.abs(within)))
+    model = build_fe_model([rng.normal(size=(m, 2)) for _ in range(n)],
+                           [rng.normal(size=(m, 1)) for _ in range(n)], sigma=sigma)
+    reference = fe_gls(model).beta_hat
+    for fit in [fe_mls] + [lambda p, t=t: fe_drop_period(p, t) for t in range(1, m + 1)]:
+        np.testing.assert_allclose(fit(model).beta_hat, reference, rtol=0, atol=1e-8)
+    assert verify_theorem5(model).passed
 
 
 def test_drop_period_range_check():
