@@ -37,7 +37,6 @@ from .spectral import (
     default_tolerance,
     null_space_basis,
     numeric_rank,
-    pseudo_inverse,
     spectral_decompose,
 )
 from .model import (
@@ -111,8 +110,7 @@ __all__ = [
     "ReducedGramSingularError", "ShiftInsufficientError",
     "InfeasibleParticularError", "InvalidConfigError",
     "RankReport", "SpectralDecomposition", "default_tolerance",
-    "null_space_basis", "numeric_rank", "pseudo_inverse",
-    "spectral_decompose",
+    "null_space_basis", "numeric_rank", "spectral_decompose",
     "CombinedRestrictions", "EstimateResult", "EstimatorTag",
     "GaussMarkoffModel", "LinearRestrictions", "SURLayout", "build_model",
     "extract_sur_blocks", "stack_sur",

@@ -403,7 +403,11 @@ def cmd_estimate(args) -> int:
             # a fitted estimate passed every decision it recorded
             checks[entry] = _check_entry(
                 key, True, decided if isinstance(decided, RankReport) else None)
+    rows = 0 if restrictions is None else restrictions.count
     design_rank = result.diagnostics.get("design_rank")
+    if design_rank is None and not rows:
+        # without explicit rows, the identification decision is rank(X)
+        design_rank = result.diagnostics.get("joint_identification")
     if design_rank is None:
         design_rank = numeric_rank(model.X, tol=tol)
 
@@ -413,7 +417,7 @@ def cmd_estimate(args) -> int:
             "observations": model.num_obs,
             "parameters": model.num_params,
             "design_rank": _rank_entry(design_rank),
-            "restriction_rows": 0 if restrictions is None else restrictions.count,
+            "restriction_rows": rows,
             "tolerance": "default" if tol is None else float(tol),
         },
         "checks": checks,

@@ -97,10 +97,10 @@ __all__ = [
 # the whitened least-squares core
 
 def _whiten(spec: SpectralDecomposition, *mats):
-    """Lambda^{-1/2} F' M for each M, with F Lambda F' the decomposition."""
-    f_t = spec.eigenvectors_pos.T
+    """Lambda^{-1/2} F' M for each M, with F Lambda F' the decomposition
+    and F'M taken block by block."""
     scale = np.sqrt(spec.eigenvalues_pos)[:, None]
-    return [(f_t @ mat) / scale for mat in mats]
+    return [spec.project(mat) / scale for mat in mats]
 
 
 def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None):

@@ -30,6 +30,7 @@ from .model import (
 from .spectral import (
     RankReport,
     SpectralDecomposition,
+    _as_matrices,
     _decompose_blocks,
     as_matrix,
     default_tolerance,
@@ -115,8 +116,9 @@ def extract_implicit_restrictions(model: GaussMarkoffModel) -> ImplicitRestricti
     A is the null basis of the model's own spectrum.  A positive
     definite dispersion yields an empty restriction set.
     """
-    a = model.spectrum.eigenvectors_null
-    return ImplicitRestrictions(G=a.T @ model.X, g=a.T @ model.y, A=a)
+    spec = model.spectrum
+    return ImplicitRestrictions(G=spec.project(model.X, null=True),
+                                g=spec.project(model.y, null=True), A=spec.eigenvectors_null)
 
 
 def combine_restrictions(explicit: LinearRestrictions,
@@ -182,7 +184,7 @@ def check_mls_invertibility(X, spec: SpectralDecomposition,
     X = as_matrix(X, "X")
     if spec.source_dim != X.shape[0]:
         raise DimensionMismatchError("decomposition does not match the design rows")
-    report = numeric_rank(spec.eigenvectors_pos.T @ X, tol=tol)
+    report = numeric_rank(spec.project(X), tol=tol)
     return report.numeric_rank == X.shape[1], report
 
 
@@ -239,13 +241,9 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
             blocks = blocks * m
     if len(blocks) != m:
         raise DimensionMismatchError(f"expected {m} dispersion blocks, got {len(blocks)}")
-    blocks = [as_matrix(b, "s") for b in blocks]
-    for t, b in enumerate(blocks):
-        if b.shape[0] != b.shape[1]:
-            raise DimensionMismatchError(f"expected a square matrix, got {b.shape}")
-        if b.shape != (n, n):
-            raise DimensionMismatchError(f"dispersion block {t} is not {n} x {n}")
-    stack = np.stack(blocks)
+    stack = _as_matrices(blocks, "s", (n, n), lambda t, shape: DimensionMismatchError(
+        f"expected a square matrix, got {shape}" if shape[0] != shape[1]
+        else f"dispersion block {t} is not {n} x {n}"))
     # each block is refused as spectral_decompose would refuse it alone
     vals, vecs, cutoffs, refusal = _decompose_blocks(stack, tol=tol)
     if refusal is not None:

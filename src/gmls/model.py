@@ -5,7 +5,9 @@ D(u) = sigma^2 * dispersion.  The dispersion matrix may be singular; the
 only admissibility requirement on the data is that the response lies in
 the column space of (X : dispersion), which build_model verifies.
 build_model decomposes the dispersion once and the model carries that
-decomposition, so its rank is fixed at construction.
+decomposition, so its rank is fixed at construction.  The model stores
+the dispersion as its diagonal blocks: stack_sur hands over its blocks'
+batched decomposition, so a SUR dispersion is never assembled.
 
 The response may hold B >= 1 columns, each a response on the same (X,
 dispersion); every estimator is affine in y, so it fits all B in one
@@ -30,6 +32,8 @@ from .errors import (
 )
 from .spectral import (
     SpectralDecomposition,
+    _as_matrices,
+    _assemble,
     _decompose_blocks,
     as_matrix,
     default_tolerance,
@@ -61,19 +65,25 @@ class EstimatorTag(enum.Enum):
 class GaussMarkoffModel:
     """Immutable model triple with optional error-variance scale.
 
-    ``spectrum`` is the decomposition F Lambda F' of the dispersion with
-    null basis A, computed once by build_model; every estimator reads
-    the dispersion rank from it.  ``ordering`` records the stacking
-    convention when the model was produced from per-equation SUR blocks
-    ("period" or "equation"), None otherwise.
+    The dispersion is zero off its diagonal blocks ``dispersion_blocks``
+    (count x s x s), from which ``dispersion`` assembles it.  ``spectrum``
+    is its decomposition F Lambda F' with null basis A, computed once by
+    build_model or stack_sur; every estimator reads the dispersion rank
+    from it.  ``ordering`` records the stacking convention when the model
+    was produced from per-equation SUR blocks ("period" or "equation"),
+    None otherwise.
     """
 
     y: np.ndarray
     X: np.ndarray
-    dispersion: np.ndarray
+    dispersion_blocks: np.ndarray
     spectrum: SpectralDecomposition
     sigma2: float | None = None
     ordering: str | None = None
+
+    @property
+    def dispersion(self) -> np.ndarray:
+        return _block_diag(*self.dispersion_blocks)
 
     @property
     def num_obs(self) -> int:
@@ -237,27 +247,39 @@ def build_model(y, X, dispersion, sigma2: float | None = None,
     y = as_matrix(y, "y")
     X = as_matrix(X, "X")
     omega = as_matrix(dispersion, "dispersion")
-    t_dim, k_dim = X.shape
+    t_dim = X.shape[0]
     if y.shape[0] != t_dim or y.shape[1] == 0:
         raise DimensionMismatchError(f"y must be {t_dim} x 1 or {t_dim} x B, got {y.shape}")
     if omega.shape != (t_dim, t_dim):
         raise DimensionMismatchError(
             f"dispersion must be {t_dim} x {t_dim}, got {omega.shape}")
-    if t_dim <= k_dim:
-        raise TooFewObservationsError(
-            f"need more observations than parameters, got T={t_dim}, K={k_dim}")
+    _require_more_rows(X)
     try:
         spec = spectral_decompose(omega, tol=tol)
     except (NonSymmetricError, IndefiniteInputError) as exc:
         raise DispersionNotNNDError(
             f"dispersion is not symmetric nonnegative definite: {exc}") from exc
+    return _admit(y, X, omega[None], spec, sigma2, ordering)
+
+
+def _require_more_rows(X) -> None:
+    t_dim, k_dim = X.shape
+    if t_dim <= k_dim:
+        raise TooFewObservationsError(
+            f"need more observations than parameters, got T={t_dim}, K={k_dim}")
+
+
+def _admit(y, X, blocks, spec, sigma2, ordering) -> GaussMarkoffModel:
+    """The model on (y, X) and the dispersion with diagonal blocks
+    ``blocks`` and decomposition ``spec``, once y passes the membership
+    check."""
+    t_dim, k_dim = X.shape
     # y must lie in the column space of (X : dispersion) for the model to
     # be internally consistent with probability one.  col(dispersion) =
     # col(F), so the distance of y from that space is the least-squares
     # residual of A'y on A'X.
-    a = spec.eigenvectors_null
-    if a.shape[1]:
-        g, g_y = a.T @ X, a.T @ y
+    if spec.order_null.size:
+        g, g_y = spec.project(X, null=True), spec.project(y, null=True)
         u, s, _ = np.linalg.svd(g, full_matrices=False)
         # the largest singular value of (X : dispersion) is within a
         # factor sqrt(2) of this scale
@@ -273,7 +295,7 @@ def build_model(y, X, dispersion, sigma2: float | None = None,
                 ResponseOutsideRangeError,
                 "response is outside the column space of (design : dispersion)",
                 int(outside[0]), y.shape[1])
-    return GaussMarkoffModel(y=y, X=X, dispersion=omega, spectrum=spec,
+    return GaussMarkoffModel(y=y, X=X, dispersion_blocks=blocks, spectrum=spec,
                              sigma2=sigma2, ordering=ordering)
 
 
@@ -329,33 +351,39 @@ def stack_sur(layout: SURLayout, responses, dispersion_blocks,
         blocks.  Each block must be symmetric nonnegative definite.
     order : str
         "period" or "equation"; recorded on the resulting model.
+
+    The blocks' one batched eigh is the model's spectrum.
     """
     n, m = layout.n, layout.m
     ys = [as_matrix(r, f"response {i}") for i, r in enumerate(responses)]
     if len(ys) != n or any(v.shape != (m, 1) for v in ys):
         raise DimensionMismatchError(f"expected {n} response vectors of length {m}")
-    blocks = [as_matrix(b, f"dispersion block {t}") for t, b in enumerate(dispersion_blocks)]
     if order == PERIOD_MAJOR:
-        if len(blocks) != m or any(b.shape != (n, n) for b in blocks):
-            raise DimensionMismatchError(
-                f"period-major stacking needs {m} blocks of shape {n} x {n}")
+        count, size = m, n
         design = _period_rows(layout).reshape(n * m, -1)
         y = np.hstack(ys).reshape(-1, 1)
     elif order == EQUATION_MAJOR:
-        if len(blocks) != n or any(b.shape != (m, m) for b in blocks):
-            raise DimensionMismatchError(
-                f"equation-major stacking needs {n} blocks of shape {m} x {m}")
+        count, size = n, m
         design = _block_diag(*layout.block_design)
         y = np.vstack(ys)
     else:
         raise ValueError(f"unknown ordering {order!r}")
-    # each block is checked at its own scale, as if decomposed alone
-    refusal = _decompose_blocks(np.stack(blocks), tol=tol)[3] if blocks else None
+    mismatch = DimensionMismatchError(
+        f"{order}-major stacking needs {count} blocks of shape {size} x {size}")
+    stack = _as_matrices(dispersion_blocks, "dispersion block {}", (size, size),
+                         lambda t, shape: mismatch)
+    if len(stack) != count:
+        raise mismatch
+    # each block is checked at its own scale, as if decomposed alone, which
+    # is at least as strict as the checks on the stacked dispersion, so the
+    # assembled spectrum passes them too
+    vals, vecs, _, refusal = _decompose_blocks(stack, tol=tol)
     if refusal is not None:
         t, exc = refusal
         raise DispersionNotNNDError(f"dispersion block {t}: {exc}") from exc
-    omega = _block_diag(*blocks)
-    return build_model(y, design, omega, sigma2=sigma2, tol=tol, ordering=order)
+    _require_more_rows(design)
+    spec = _assemble(n * m, [(np.arange(n * m).reshape(count, size), vals, vecs)], tol)
+    return _admit(y, design, stack, spec, sigma2, order)
 
 
 def extract_sur_blocks(model: GaussMarkoffModel, layout: SURLayout):

@@ -145,8 +145,8 @@ def build_fe_model(designs, responses, sigma=None, sigma_blocks=None) -> FEPanel
         raise DispersionNotPDError(f"sigma block {refusal[0]}: {refusal[1]}")
     # descending and C-ordered, as spectral_decompose lists a full-rank block
     spectra = tuple(SpectralDecomposition(
-        source_dim=m, eigenvectors_null=np.zeros((m, 0)),
-        eigenvectors_pos=np.ascontiguousarray(vecs[i, :, ::-1]),
+        source_dim=m, blocks=((np.arange(m)[None], vals[i:i + 1], vecs[i:i + 1]),),
+        order_pos=np.arange(m)[::-1], order_null=np.zeros(0, dtype=int),
         eigenvalues_pos=vals[i, ::-1].copy(), rank=m, tolerance_used=float(cutoffs[i]))
         for i in range(len(blocks)))
     return FEPanelModel(n=n, m=m, X=np.vstack(xs), y=np.vstack(ys), sigmas=sigmas,

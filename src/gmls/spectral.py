@@ -1,4 +1,4 @@
-"""Symmetric spectral decompositions, pseudo-inverses, and numeric rank.
+"""Symmetric spectral decompositions, numeric rank and null-space bases.
 
 Rank is a tolerance decision, not an exact property.  Unless a caller
 overrides it, every routine in this module uses the same rule:
@@ -14,13 +14,19 @@ within a single build of the underlying LAPACK.
 A block-diagonal input (a period-major SUR dispersion, a within-transformed
 panel) is decomposed block by block: its spectrum is the union of the
 blocks' spectra, cut under the same rule at the largest eigenvalue of the
-whole matrix.  The blocks are read off the zero pattern, so no caller
-declares them.
+whole matrix.  spectral_decompose reads the blocks off the zero pattern,
+so no caller declares them; a caller that already holds the blocks'
+eigenpairs (stack_sur) hands them to the same assembly.  The
+decomposition keeps its block form, and its dense eigenvector matrices
+are built only on request.  The products F'M and A'M of a decomposition
+handed over as blocks are taken block by block; those of a dense matrix
+take the dense eigenvector matrices, as they always have.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +64,26 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
+
+
+def _as_matrices(blocks, name: str, shape: tuple, mismatch) -> np.ndarray:
+    """A sequence of blocks of ``shape`` as a new count x r x c float array,
+    converted and checked at once.  Otherwise as_matrix refuses the first
+    block it cannot read, named ``name.format(index)``, or the error
+    ``mismatch(index, its shape)`` refuses the first block of another
+    shape."""
+    blocks = blocks if isinstance(blocks, np.ndarray) else list(blocks)
+    try:
+        stack = np.array(blocks, dtype=float)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is not None and stack.shape[1:] == shape and np.all(np.isfinite(stack)):
+        return stack
+    mats = [as_matrix(b, name.format(t)) for t, b in enumerate(blocks)]
+    for t, b in enumerate(mats):
+        if b.shape != shape:
+            raise mismatch(t, b.shape)
+    return np.array(mats)
 
 
 def default_tolerance(rows: int, cols: int, scale: float) -> float:
@@ -144,33 +170,68 @@ def _indefinite(value: float, cutoff: float) -> IndefiniteInputError:
 class SpectralDecomposition:
     """Eigendecomposition of a symmetric nonnegative definite matrix.
 
-    The eigenvector matrix splits into an orthonormal basis of the null
-    space (``eigenvectors_null``, one column per zero eigenvalue) and the
-    eigenvectors of the strictly positive eigenvalues
-    (``eigenvectors_pos``), whose eigenvalues are stored descending in
-    ``eigenvalues_pos``.  Stacked side by side the two blocks form a
-    complete orthonormal basis of R^source_dim.
+    ``blocks`` holds per diagonal block size s the blocks' rows in the
+    matrix (count x s), ascending eigenvalues (count x s) and sign-fixed
+    eigenvectors (count x s x s); without block structure, one T x T
+    block.  In that order the eigenpairs form the stacked spectrum, whose
+    positive eigenvalues ``order_pos`` indexes (descending, valued in
+    ``eigenvalues_pos``) and whose zero ones ``order_null`` indexes.  The
+    embedded eigenvectors of the two parts, F (``eigenvectors_pos``) and A
+    (``eigenvectors_null``), form an orthonormal basis of R^source_dim;
+    both are built on first use.  ``dense`` marks the decomposition of a
+    dense matrix, whose caller has paid for T x T storage already.
     """
 
     source_dim: int
-    eigenvectors_null: np.ndarray
-    eigenvectors_pos: np.ndarray
+    blocks: tuple
+    order_pos: np.ndarray
+    order_null: np.ndarray
     eigenvalues_pos: np.ndarray
     rank: int
     tolerance_used: float
+    dense: bool = False
 
-    def pinv(self) -> np.ndarray:
-        """Moore-Penrose inverse reassembled from the positive part."""
-        f = self.eigenvectors_pos
-        if self.rank == 0:
-            return np.zeros((self.source_dim, self.source_dim))
-        return (f / self.eigenvalues_pos) @ f.T
+    def project(self, mat: np.ndarray, null: bool = False) -> np.ndarray:
+        """F'M, or A'M when ``null``: block by block, or, for a dense
+        matrix, with the dense view as the dense path always has.  That
+        keeps its last bits, which the selected rows of V'M do not (A'X at
+        T = 1000 moves by 1.5e-15 relative), and spares small matrices the
+        per-block overhead."""
+        if self.dense:
+            return (self.eigenvectors_null if null else self.eigenvectors_pos).T @ mat
+        parts = [(vecs.transpose(0, 2, 1) @ mat[rows]).reshape(-1, mat.shape[1])
+                 for rows, _, vecs in self.blocks]
+        stacked = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return stacked[self.order_null if null else self.order_pos]
+
+    @cached_property
+    def eigenvectors_pos(self) -> np.ndarray:
+        """F, T x rank, built on first use."""
+        return self._embed(self.order_pos)
+
+    @cached_property
+    def eigenvectors_null(self) -> np.ndarray:
+        """A, T x (T - rank), built on first use."""
+        return self._embed(self.order_null)
+
+    def _embed(self, order: np.ndarray) -> np.ndarray:
+        """The eigenvectors at stacked positions ``order`` as dense columns."""
+        if self.blocks[0][0].shape[1] == self.source_dim:  # one block: a column copy
+            return np.ascontiguousarray(self.blocks[0][2][0][:, order])
+        out = np.zeros((self.source_dim, order.size))
+        column = np.full(self.source_dim, -1)
+        column[order] = np.arange(order.size)
+        first = 0
+        for rows, vals, vecs in self.blocks:
+            cols = column[first:first + vals.size].reshape(vals.shape)
+            block, j = np.nonzero(cols >= 0)
+            out[rows[block], cols[block, j][:, None]] = vecs[block, :, j]
+            first += vals.size
+        return out
 
     def reconstruct(self) -> np.ndarray:
         """Reassemble the original matrix from the positive part."""
         f = self.eigenvectors_pos
-        if self.rank == 0:
-            return np.zeros((self.source_dim, self.source_dim))
         return (f * self.eigenvalues_pos) @ f.T
 
 
@@ -226,47 +287,11 @@ def spectral_decompose(s, tol: float | None = None) -> SpectralDecomposition:
     del asym
     sym = mat + mat.T
     sym *= 0.5
-    if t_dim == 0:
-        return SpectralDecomposition(0, np.zeros((0, 0)), np.zeros((0, 0)),
-                                     np.zeros(0), 0, 0.0)
-    ends = _block_ends(sym)
-    if ends.size > 1:
-        return _decompose_block_diagonal(sym, ends, tol)
-    vals, vecs = np.linalg.eigh(sym)
-    lam_max = float(np.max(np.abs(vals)))
-    cutoff = default_tolerance(t_dim, t_dim, lam_max) if tol is None else float(tol)
-    if cutoff < 0:
-        raise ValueError("tolerance must be nonnegative")
-    floor = _indefiniteness_threshold(t_dim, lam_max, cutoff)
-    if float(vals[0]) < -floor:
-        raise _indefinite(vals[0], floor)
-    positive = vals > cutoff
-    # eigh returns ascending order; positive eigenvalues are re-listed descending
-    idx_pos = np.nonzero(positive)[0][::-1]
-    idx_null = np.nonzero(~positive)[0]
-    f = _fix_signs(vecs[:, idx_pos])
-    a = _fix_signs(vecs[:, idx_null])
-    return SpectralDecomposition(
-        source_dim=t_dim,
-        eigenvectors_null=a,
-        eigenvectors_pos=f,
-        eigenvalues_pos=vals[idx_pos].copy(),
-        rank=int(idx_pos.size),
-        tolerance_used=cutoff,
-    )
-
-
-def _decompose_block_diagonal(sym: np.ndarray, ends: np.ndarray,
-                              tol: float | None) -> SpectralDecomposition:
-    """spectral_decompose of a block-diagonal matrix, one batched eigh per
-    block size.
-
-    The union of the block spectra is cut at the whole matrix's cutoff and
-    listed in the dense path's order (ascending by a stable sort, the
-    positive part reversed); each eigenvector is its block's sign-fixed
-    eigenvector embedded at the block's rows.
-    """
-    t_dim = sym.shape[0]
+    ends = _block_ends(sym) if t_dim else np.array([0])
+    if ends.size == 1:
+        vals, vecs = np.linalg.eigh(sym)
+        return _assemble(t_dim, [(np.arange(t_dim)[None], vals[None], _fix_signs(vecs)[None])],
+                         tol, dense=True)
     starts = np.concatenate([[0], ends[:-1]])
     sizes = ends - starts
     groups = []
@@ -274,49 +299,41 @@ def _decompose_block_diagonal(sym: np.ndarray, ends: np.ndarray,
         rows = starts[sizes == size][:, None] + np.arange(size)
         # symmetry was checked on the whole matrix and the cut is global, so
         # the per-block verdicts are not used
-        vals, vecs = _decompose_blocks(sym[rows[:, :, None], rows[:, None, :]], tol)[:2]
-        groups.append((rows, vals, vecs))
+        groups.append((rows, *_decompose_blocks(sym[rows[:, :, None], rows[:, None, :]], tol)[:2]))
+    return _assemble(t_dim, groups, tol, dense=True)
+
+
+def _assemble(t_dim: int, groups, tol: float | None,
+              dense: bool = False) -> SpectralDecomposition:
+    """The decomposition of a T x T block-diagonal matrix from its blocks'
+    eigenpairs, ``groups`` holding (rows, values, vectors) per block size.
+
+    The union of the block spectra is cut at the whole matrix's cutoff and
+    refused as indefinite below the whole matrix's threshold; it is listed
+    in the dense path's order (ascending by a stable sort, the positive
+    part reversed).
+    """
     every = np.concatenate([vals.ravel() for _, vals, _ in groups])
-    lam_max = float(np.max(np.abs(every)))
+    lam_max = float(np.max(np.abs(every), initial=0.0))
     cutoff = default_tolerance(t_dim, t_dim, lam_max) if tol is None else float(tol)
     if cutoff < 0:
         raise ValueError("tolerance must be nonnegative")
     order = np.argsort(every, kind="stable")
     floor = _indefiniteness_threshold(t_dim, lam_max, cutoff)
-    if float(every[order[0]]) < -floor:
+    if every.size and float(every[order[0]]) < -floor:
         raise _indefinite(every[order[0]], floor)
     positive = every > cutoff
-    idx_pos = order[positive[order]][::-1]
-    idx_null = order[~positive[order]]
-    column = np.empty(t_dim, dtype=int)
-    column[idx_pos] = np.arange(idx_pos.size)
-    column[idx_null] = np.arange(idx_null.size)
-    f = np.zeros((t_dim, idx_pos.size))
-    a = np.zeros((t_dim, idx_null.size))
-    first = 0
-    for rows, vals, vecs in groups:
-        pair = first + np.arange(vals.size).reshape(vals.shape)
-        for target, keep in ((f, positive[pair]), (a, ~positive[pair])):
-            block, j = np.nonzero(keep)
-            target[rows[block], column[pair[block, j]][:, None]] = vecs[block, :, j]
-        first += vals.size
+    order_pos = order[positive[order]][::-1]
     return SpectralDecomposition(
         source_dim=t_dim,
-        eigenvectors_null=a,
-        eigenvectors_pos=f,
-        eigenvalues_pos=every[idx_pos],
-        rank=int(idx_pos.size),
+        blocks=tuple(groups),
+        order_pos=order_pos,
+        order_null=order[~positive[order]],
+        eigenvalues_pos=every[order_pos],
+        rank=int(order_pos.size),
         tolerance_used=cutoff,
+        dense=dense,
     )
-
-
-def pseudo_inverse(s, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric nonnegative definite matrix.
-
-    Computed as F diag(1/lambda) F' from the spectral decomposition, so
-    the null space of the input is exactly the null space of the output.
-    """
-    return spectral_decompose(s, tol=tol).pinv()
 
 
 def numeric_rank(b, tol: float | None = None) -> RankReport:

@@ -92,6 +92,14 @@ def penrose_defects(b_mat, b_pinv):
     )
 
 
+def spectral_pinv(spec) -> np.ndarray:
+    """Moore-Penrose inverse F diag(1/lambda) F' reassembled from the
+    positive part of a spectral decomposition, so the null space of the
+    decomposed matrix is exactly the null space of the result."""
+    f = spec.eigenvectors_pos
+    return (f / spec.eigenvalues_pos) @ f.T
+
+
 def whitened_gls(y_vec, x_mat, omega) -> np.ndarray:
     """GLS by Cholesky whitening followed by a plain least-squares solve."""
     chol = cholesky(np.asarray(omega, dtype=float), lower=True)

@@ -424,12 +424,12 @@ KERNEL_COUNTS = {
     # H = R in combine_restrictions 1; nothing is fitted
     "diagnose": ((*_GOLDEN_MODEL, "--restrictions", "restrictions.csv"),
                  (5, 0, 1, 0, 0), (0, 0)),
-    # stack_sur's block check and the model's batched decomposition: 2
-    # eigh; admissibility 1 + rank of H = A'X (5 x 6, full row rank) 1 +
-    # identification on (no explicit rows; X) 1 + core 1 + the CLI's
-    # design rank 1
+    # stack_sur's one batched eigh of the period blocks, whose
+    # decomposition the model keeps: 1 eigh; admissibility 1 + rank of
+    # H = A'X (5 x 6, full row rank) 1 + identification on (no explicit
+    # rows; X) 1, which the CLI reads as the design rank, + core 1
     "estimate constrained": ((*_SUR_OK, "--method", "constrained"),
-                             (5, 1, 2, 0, 1), (0, 0)),
+                             (4, 1, 1, 0, 1), (0, 0)),
     # regular-gls, 12 x 3: the design draw's random SPD dispersion takes a
     # QR, build_model an eigh; gls takes the design rank 1 and the core
     # (no rows) a QR and a solve, once for all 120 replications

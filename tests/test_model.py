@@ -31,6 +31,7 @@ from gmls.model import (
     EQUATION_MAJOR,
     MEMBERSHIP_RTOL,
     PERIOD_MAJOR,
+    _block_diag,
 )
 
 from conftest import random_nnd, random_spd
@@ -337,6 +338,23 @@ def test_stack_sur_names_the_first_failing_block():
         with pytest.raises(DispersionNotNNDError,
                            match=f"^dispersion block 1: .*{message}"):
             stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
+    # blocks that cannot be read as matrices are refused before any is
+    # decomposed, the first bad block by name
+    nan, inf = np.eye(layout.n), np.eye(layout.n)
+    nan[0, 0], inf[2, 1] = np.nan, np.inf
+    for first, second, error, message in (
+            (inf, nan, NonFiniteError, "^dispersion block 1 contains non-finite entries"),
+            (np.ones((1, layout.n, layout.n)), nan, DimensionMismatchError,
+             "^dispersion block 1 must be 2-dimensional, got ndim=3"),
+            (np.eye(layout.n + 1), np.eye(2), DimensionMismatchError,
+             f"^period-major stacking needs {layout.m} blocks of shape 3 x 3")):
+        blocks = [np.eye(layout.n) for _ in range(layout.m)]
+        blocks[1], blocks[3] = first, second
+        with pytest.raises(error, match=message):
+            stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
+    blocks = np.stack([np.eye(layout.n), inf, np.eye(layout.n), nan, np.eye(layout.n)])
+    with pytest.raises(NonFiniteError, match="^dispersion block 1 contains non-finite"):
+        stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
 
 
 def test_stack_sur_cuts_each_block_at_its_own_scale():
@@ -409,6 +427,129 @@ def test_sur_fit_makes_no_eigh_larger_than_a_period_block(monkeypatch):
     check_theil_condition(layout, blocks)
     assert eighs and max(shape[-1] for shape in eighs) == n
     assert model.spectrum.rank == (n - 1) * m
+
+
+def _adding_up_system(rng, order, m=50, period_blocks=None):
+    """A system like the fit-sur benchmark's, n = 4 equations of 3
+    coefficients over m periods, with two explicit restrictions.
+
+    Period-major, each Sigma_t is P D_t P, P the projector orthogonal to
+    the common null vector (1, 1, 1, 1)/2, unless ``period_blocks`` gives
+    diagonal Sigma_t; equation-major, each equation's m x m block has rank
+    m - 2.  The errors lie in the column space of the dispersion.
+    """
+    n, width = 4, 3
+    layout = SURLayout.build([rng.normal(size=(m, width)) for _ in range(n)])
+    if order == PERIOD_MAJOR:
+        a = np.full((n, 1), 0.5)
+        roots = [(np.eye(n) - a @ a.T) * np.sqrt(rng.uniform(0.5, 1.5, size=n))
+                 for _ in range(m)] if period_blocks is None \
+            else [np.sqrt(b) for b in period_blocks]
+        blocks = [r @ r.T for r in roots]
+        errors = np.stack([r @ rng.normal(size=n) for r in roots])
+    else:
+        roots = [rng.normal(size=(m, m - 2)) for _ in range(n)]
+        blocks = [r @ r.T for r in roots]
+        errors = np.stack([r @ rng.normal(size=m - 2) for r in roots], axis=1)
+    beta = rng.normal(size=(n * width, 1))
+    responses = [x @ beta[i * width:(i + 1) * width, 0] + errors[:, i]
+                 for i, x in enumerate(layout.block_design)]
+    r_mat = np.zeros((2, n * width))
+    r_mat[0, 0], r_mat[0, width], r_mat[1, 1], r_mat[1, 2 * width + 1] = 1.0, 1.0, 1.0, -1.0
+    return layout, responses, blocks, LinearRestrictions.build(r_mat, r_mat @ beta)
+
+
+def _fitted(model, explicit):
+    implicit = extract_implicit_restrictions(model)
+    combined = combine_restrictions(explicit, implicit)
+    return (implicit.G, implicit.g, constrained_singular_gls(model, combined).beta_hat,
+            mls(model).beta_hat)
+
+
+def _assert_close_relative(actual, expected, rtol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(expected), initial=0.0)))
+    assert float(np.max(np.abs(actual - expected), initial=0.0)) <= rtol * scale
+
+
+@pytest.mark.parametrize("order", [PERIOD_MAJOR, EQUATION_MAJOR])
+def test_stack_sur_hands_over_the_stacked_dispersions_spectrum(order):
+    """stack_sur's batched block decomposition is bit for bit the one
+    build_model makes of the assembled dispersion; the fits, whose
+    products are taken block by block, agree to rounding."""
+    layout, responses, blocks, explicit = _adding_up_system(np.random.default_rng(21), order)
+    model = stack_sur(layout, responses, blocks, order=order)
+    dense = build_model(model.y, model.X, _block_diag(*blocks))
+    np.testing.assert_array_equal(model.dispersion, _block_diag(*blocks))
+    assert model.spectrum.rank == dense.spectrum.rank
+    assert model.spectrum.tolerance_used == dense.spectrum.tolerance_used
+    for view in ("eigenvalues_pos", "eigenvectors_pos", "eigenvectors_null"):
+        np.testing.assert_array_equal(getattr(model.spectrum, view),
+                                      getattr(dense.spectrum, view))
+    for actual, expected in zip(_fitted(model, explicit), _fitted(dense, explicit)):
+        _assert_close_relative(actual, expected)
+
+
+@pytest.mark.parametrize("kind", ["identity", "diagonal"])
+def test_stack_sur_agrees_with_the_stacked_path_on_reducible_blocks(kind):
+    """A diagonal Sigma_t splits into 1 x 1 blocks when the stacked
+    dispersion is decomposed, but stays one n x n block in stack_sur."""
+    rng = np.random.default_rng(22)
+    m = 50
+    if kind == "identity":
+        period_blocks = [np.eye(4)] * m
+    else:
+        period_blocks = [np.diag(np.where(np.arange(4) == t % 4, 0.0,
+                                          rng.uniform(0.5, 1.5, size=4)))
+                         for t in range(m)]
+    layout, responses, blocks, explicit = _adding_up_system(
+        rng, PERIOD_MAJOR, m=m, period_blocks=period_blocks)
+    model = stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
+    dense = build_model(model.y, model.X, _block_diag(*blocks))
+    np.testing.assert_array_equal(model.dispersion, _block_diag(*blocks))
+    assert model.spectrum.rank == dense.spectrum.rank
+    _assert_close_relative(model.spectrum.eigenvalues_pos, dense.spectrum.eigenvalues_pos)
+    for actual, expected in zip(_fitted(model, explicit), _fitted(dense, explicit)):
+        assert actual.shape == expected.shape
+        _assert_close_relative(actual, expected)
+
+
+def test_period_major_stack_sur_never_assembles_the_dispersion(monkeypatch):
+    from gmls import model as model_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stacked dispersion was assembled or decomposed")
+    layout, responses, blocks, _ = _adding_up_system(np.random.default_rng(23), PERIOD_MAJOR)
+    monkeypatch.setattr(model_module, "_block_diag", refuse)
+    monkeypatch.setattr(model_module, "spectral_decompose", refuse)
+    eighs = _counting(monkeypatch, "eigh", lambda shape: True)
+    stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
+    assert eighs == [(50, 4, 4)]
+
+
+def test_stack_sur_keeps_its_own_copy_of_an_array_of_blocks():
+    layout, responses, blocks, _ = _adding_up_system(np.random.default_rng(25), PERIOD_MAJOR)
+    stack = np.array(blocks)
+    model = stack_sur(layout, responses, stack, order=PERIOD_MAJOR)
+    stack *= 2.0
+    np.testing.assert_array_equal(model.dispersion, _block_diag(*blocks))
+
+
+def test_sur_fit_stays_below_the_size_of_the_stacked_dispersion():
+    """At n = 4 and m = 500 the stacked dispersion alone is 2000^2 * 8 B =
+    32 MB; stack_sur, the implicit restrictions and both fits peak under
+    half of that."""
+    import tracemalloc
+
+    layout, responses, blocks, explicit = _adding_up_system(
+        np.random.default_rng(24), PERIOD_MAJOR, m=500)
+    tracemalloc.start()
+    try:
+        model = stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
+        _fitted(model, explicit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_extract_sur_blocks_roundtrip():
