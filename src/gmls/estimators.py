@@ -77,21 +77,6 @@ from .spectral import (
     spectral_decompose,
 )
 
-__all__ = [
-    "RidgeSpec",
-    "StochasticRestrictions",
-    "ols",
-    "gls",
-    "rols",
-    "rgls",
-    "ridge",
-    "stochastic_restricted_gls",
-    "mls",
-    "tkn",
-    "constrained_singular_gls",
-    "linear_representation",
-]
-
 
 # ---------------------------------------------------------------------------
 # the whitened least-squares core
@@ -607,7 +592,8 @@ def linear_representation(model: GaussMarkoffModel,
         offset = (I - N R^{-1} Q' W X) beta* - G_free g
 
     Different choices of G_free give different coefficient matrices L
-    but the same estimate on admissible data.  The map and offset are
+    but the same estimate on admissible data; A is the null basis
+    ``model.spectrum.eigenvectors_null``.  The map and offset are
     reported in the diagnostics under "linear_map" and "offset".
     """
     spec = model.spectrum
@@ -618,11 +604,12 @@ def linear_representation(model: GaussMarkoffModel,
             f"free coefficients must be {model.num_params} x {null_dim}, "
             f"got {g_free.shape}")
     base, gain, beta_star, wx = _constrained(model, combined, particular, tol)
-    beta = base.beta_hat + (g_free @ (implicit.A.T @ model.y) - g_free @ implicit.g)
+    a_mat = spec.eigenvectors_null
+    beta = base.beta_hat + (g_free @ (a_mat.T @ model.y) - g_free @ implicit.g)
     diagnostics = dict(base.diagnostics)
     # N R^{-1} Q' W with W = Lambda^{-1/2} F', never materializing W
     diagnostics["linear_map"] = (gain / np.sqrt(spec.eigenvalues_pos)) \
-        @ spec.eigenvectors_pos.T + g_free @ implicit.A.T
+        @ spec.eigenvectors_pos.T + g_free @ a_mat.T
     diagnostics["offset"] = (beta_star - gain @ (wx @ beta_star)) - g_free @ implicit.g
     return EstimateResult(beta_hat=beta, covariance_factor=base.covariance_factor,
                           residuals=model.y - model.X @ beta,

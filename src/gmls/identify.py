@@ -32,6 +32,7 @@ from .spectral import (
     SpectralDecomposition,
     _as_matrices,
     _decompose_blocks,
+    _fix_signs,
     as_matrix,
     default_tolerance,
     null_space_basis,
@@ -43,13 +44,13 @@ from .spectral import (
 class ImplicitRestrictions:
     """Restrictions implied by the null space of the dispersion matrix.
 
-    G = A'X and g = A'y; the model data satisfy G beta = g exactly for
-    the true beta (with probability one).
+    G = A'X and g = A'y, A the model's ``spectrum.eigenvectors_null``; the
+    model data satisfy G beta = g exactly for the true beta (with
+    probability one).
     """
 
     G: np.ndarray
     g: np.ndarray
-    A: np.ndarray
 
     @property
     def count(self) -> int:
@@ -113,12 +114,12 @@ def check_joint_identification(X, res: LinearRestrictions,
 def extract_implicit_restrictions(model: GaussMarkoffModel) -> ImplicitRestrictions:
     """Implicit restrictions G = A'X, g = A'y from a singular dispersion.
 
-    A is the null basis of the model's own spectrum.  A positive
-    definite dispersion yields an empty restriction set.
+    A is the null basis of the model's own spectrum, never built here.  A
+    positive definite dispersion yields an empty restriction set.
     """
     spec = model.spectrum
     return ImplicitRestrictions(G=spec.project(model.X, null=True),
-                                g=spec.project(model.y, null=True), A=spec.eigenvectors_null)
+                                g=spec.project(model.y, null=True))
 
 
 def combine_restrictions(explicit: LinearRestrictions,
@@ -196,10 +197,7 @@ def _column_space_projector(block: np.ndarray) -> np.ndarray:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    nrm = float(np.linalg.norm(v))
-    out = v / nrm
-    j = int(np.argmax(np.abs(out)))
-    return -out if out[j, 0] < 0 else out
+    return _fix_signs(v / np.linalg.norm(v))
 
 
 def check_theil_condition(layout: SURLayout, dispersion_blocks,
@@ -219,6 +217,11 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
         Rank cutoff of every block.  Defaults to the cutoff stack_sur
         applies to the stacked dispersion: T eps max |lambda|, T = n m.
 
+    Block ranks come from eigenvalues alone; block 0 alone gives vectors:
+    a, and F_0 spanning a-perp, the range of every block sharing a, so
+    F_0' X_t has the rank and null vectors of F_t' X_t (a block whose null
+    vector is within the check's 1e-8 of a is whitened by F_0).
+
     Returns
     -------
     TheilWitness
@@ -234,31 +237,28 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
     """
     n, m, k_total = layout.n, layout.m, layout.num_params
     if isinstance(dispersion_blocks, np.ndarray) and dispersion_blocks.ndim == 2:
-        blocks = [dispersion_blocks] * m
+        blocks = [dispersion_blocks]
     else:
         blocks = list(dispersion_blocks)
-        if len(blocks) == 1:
-            blocks = blocks * m
-    if len(blocks) != m:
+    if len(blocks) not in (1, m):
         raise DimensionMismatchError(f"expected {m} dispersion blocks, got {len(blocks)}")
     stack = _as_matrices(blocks, "s", (n, n), lambda t, shape: DimensionMismatchError(
         f"expected a square matrix, got {shape}" if shape[0] != shape[1]
         else f"dispersion block {t} is not {n} x {n}"))
     # each block is refused as spectral_decompose would refuse it alone
-    vals, vecs, cutoffs, refusal = _decompose_blocks(stack, tol=tol)
+    vals, _, _, refusal = _decompose_blocks(stack, tol, vectors=False)
     if refusal is not None:
         raise refusal[1]
-    if tol is None:
-        cutoffs = np.full(m, default_tolerance(n * m, n * m, np.max(np.abs(vals))))
-    ranks = np.count_nonzero(vals > cutoffs[:, None], axis=1)
+    cutoff = default_tolerance(n * m, n * m, np.max(np.abs(vals))) if tol is None else tol
+    ranks = np.count_nonzero(vals > cutoff, axis=1)
     wrong = np.flatnonzero(ranks != n - 1)
     if wrong.size:
         t = int(wrong[0])
         raise NullVectorMismatchError(
             f"dispersion block {t} has {n - int(ranks[t])} zero eigenvalues, expected 1")
-    # rank n - 1: eigenvalue 0 is the null one, the rest positive, listed descending
-    a = vecs[0, :, :1].copy()
-    f = np.ascontiguousarray(vecs[:, :, :0:-1])
+    # eigenvalues ascend: a is block 0's first eigenvector, F_0 the rest
+    vecs = _decompose_blocks(stack[:1])[1][0]
+    a = vecs[:, :1].copy()
     null_tol = 1e-8 * (1.0 + float(np.max(np.abs(stack))))
     stray = np.flatnonzero(np.max(np.abs(stack @ a), axis=(1, 2)) > null_tol)
     if stray.size:
@@ -266,7 +266,7 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
             f"dispersion block {int(stray[0])} does not annihilate the common null vector")
 
     rows = _period_rows(layout)
-    whitened = np.matmul(f.transpose(0, 2, 1), rows).reshape(-1, k_total)
+    whitened = np.matmul(vecs[:, :0:-1].T, rows).reshape(-1, k_total)
     report = numeric_rank(whitened, tol=tol)
     if report.numeric_rank == k_total:
         return TheilWitness(kind=WitnessKind.NONE, d=np.zeros((k_total, 1)),
@@ -275,11 +275,9 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
     slices = layout.column_slices()
     # source one: some equation's own design is collinear
     for i, block in enumerate(layout.block_design):
-        rep = numeric_rank(block, tol=tol)
-        if rep.deficient:
-            f = null_space_basis(block, tol=tol)[:, :1]
+        if numeric_rank(block, tol=tol).deficient:
             d = np.zeros((k_total, 1))
-            d[slices[i]] = f
+            d[slices[i]] = null_space_basis(block, tol=tol)[:, :1]
             return TheilWitness(kind=WitnessKind.WITHIN_EQUATION_COLLINEARITY,
                                 d=_unit(d), s=np.zeros((m, 1)), a=a,
                                 violating_equation=i)

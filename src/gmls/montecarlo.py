@@ -35,6 +35,7 @@ from .model import (
     GaussMarkoffModel,
     LinearRestrictions,
     SURLayout,
+    _block_diag,
     _period_rows,
     build_model,
 )
@@ -224,9 +225,7 @@ def _build_structure(config: SimulationConfig) -> _Structure:
         blocks = [proj @ np.diag(rng.uniform(0.5, 1.5, size=n)) @ proj
                   for _ in range(m)]
         design = _period_rows(layout).reshape(t_dim, -1)
-        omega = np.zeros((t_dim, t_dim))
-        for t, b in enumerate(blocks):
-            omega[t * n:(t + 1) * n, t * n:(t + 1) * n] = b
+        omega = _block_diag(*blocks)
         ordering = PERIOD_MAJOR
     else:
         if t_dim <= k_total:

@@ -169,14 +169,17 @@ def _swept_whiteners(model: FEPanelModel) -> np.ndarray:
     return w - u @ (u.transpose(0, 2, 1) @ w)
 
 
+def _sandwiched(model: FEPanelModel, rows: np.ndarray) -> np.ndarray:
+    """rows Sigma_i rows' symmetrized: the computed product's asymmetry is
+    rounding, which grows with Sigma_i's variance along e."""
+    blocks = rows @ model.sigmas @ rows.T
+    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
+
+
 def _top_whiteners(model: FEPanelModel, rows: np.ndarray, what: str) -> np.ndarray:
     """Lambda_i^{-1/2} F_i' rows from the top m - 1 eigenpairs of
     rows Sigma_i rows' = F_i Lambda_i F_i', refusing any other rank."""
-    blocks = rows @ model.sigmas @ rows.T
-    # symmetric by construction: the computed product's asymmetry is
-    # rounding, which grows with Sigma_i's variance along e
-    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-    vals, vecs, cutoffs, refusal = _decompose_blocks(blocks)
+    vals, vecs, cutoffs, refusal = _decompose_blocks(_sandwiched(model, rows))
     if refusal is not None:
         raise refusal[1]
     ranks = np.count_nonzero(vals > cutoffs[:, None], axis=1)
@@ -188,11 +191,6 @@ def _top_whiteners(model: FEPanelModel, rows: np.ndarray, what: str) -> np.ndarr
     top = slice(-1, -model.m, -1)
     f = vecs[:, :, top] / np.sqrt(vals[:, None, top])
     return f.transpose(0, 2, 1) @ rows
-
-
-def _within_whiteners(model: FEPanelModel) -> np.ndarray:
-    """Lambda_i^{-1/2} F_i' M from M Sigma_i M = F_i Lambda_i F_i' of rank m - 1."""
-    return _top_whiteners(model, centering_matrix(model.m), "within dispersion")
 
 
 def _fit(model: FEPanelModel, whiteners: np.ndarray, refuse, tag: EstimatorTag,
@@ -256,15 +254,21 @@ def within_transform(model: FEPanelModel) -> GaussMarkoffModel:
     shape = (model.n, model.m, -1)
     return build_model((cm @ model.y.reshape(shape)).reshape(model.num_obs, -1),
                        (cm @ model.X.reshape(shape)).reshape(model.num_obs, -1),
-                       _per_equation(model, cm @ model.sigmas @ cm))
+                       _per_equation(model, _sandwiched(model, cm)))
 
 
 def fe_mls(model: FEPanelModel) -> EstimateResult:
     """Pseudo-inverse least squares on the within-transformed model,
     whitening equation i with Lambda_i^{-1/2} F_i' M from the within
     dispersion M Sigma_i M = F_i Lambda_i F_i'.  Equals fe_gls."""
-    return _fit(model, _within_whiteners(model), TheilRankConditionError,
-                EstimatorTag.PANEL_MLS, "whitened_within_rank")
+    return _fe_mls(model)[0]
+
+
+def _fe_mls(model: FEPanelModel):
+    """fe_mls and the within whiteners it fits with."""
+    within = _top_whiteners(model, centering_matrix(model.m), "within dispersion")
+    return _fit(model, within, TheilRankConditionError, EstimatorTag.PANEL_MLS,
+                "whitened_within_rank"), within
 
 
 def fe_drop_period(model: FEPanelModel, drop: int) -> EstimateResult:
@@ -324,9 +328,8 @@ def verify_theorem5(model: FEPanelModel, projectors: ProjectorSet | None = None,
     default the projectors are built from the model.
     """
     res_gls = fe_gls(model)
-    res_mls = fe_mls(model)
+    res_mls, within = _fe_mls(model)
     proj = projectors if projectors is not None else build_projectors(model)
-    within = _within_whiteners(model)
     # W_i'W_i = M F_i Lambda_i^{-1} F_i' M = M (M Sigma_i M)^+ M
     rebuilt = _per_equation(model, within.transpose(0, 2, 1) @ within)
     gap = float(np.max(np.abs(proj.P - rebuilt)))

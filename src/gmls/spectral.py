@@ -128,7 +128,7 @@ def _block_ends(sym: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.maximum.accumulate(last) == rows) + 1
 
 
-def _decompose_blocks(blocks: np.ndarray, tol: float | None = None):
+def _decompose_blocks(blocks: np.ndarray, tol: float | None = None, vectors: bool = True):
     """spectral_decompose's checks and cutoff on each of a stack of blocks.
 
     ``blocks`` is count x s x s.  One batched ``eigh`` decomposes every
@@ -137,7 +137,8 @@ def _decompose_blocks(blocks: np.ndarray, tol: float | None = None):
     on that block alone.  Returns ``(vals, vecs, cutoffs, refusal)``:
     ascending eigenvalues (count x s), sign-fixed eigenvectors as columns
     (count x s x s), the cutoffs (count,), and ``(t, error)`` for the
-    first block spectral_decompose would refuse, None when all pass.
+    first block spectral_decompose would refuse, None when all pass;
+    without ``vectors``, vecs is None and a batched ``eigvalsh`` runs.
     """
     size = blocks.shape[-1]
     flat = blocks.reshape(blocks.shape[0], -1)
@@ -147,7 +148,8 @@ def _decompose_blocks(blocks: np.ndarray, tol: float | None = None):
     # block 0 alone would have raised this once past its symmetry check
     if tol is not None and tol < 0 and not asym[0]:
         raise ValueError("tolerance must be nonnegative")
-    vals, vecs = np.linalg.eigh(0.5 * (blocks + blocks.transpose(0, 2, 1)))
+    sym = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    vals, vecs = np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
     lam_max = np.max(np.abs(vals), axis=1, initial=0.0)
     cutoffs = default_tolerance(size, size, 1.0) * lam_max if tol is None \
         else np.full(blocks.shape[0], float(tol))
@@ -158,7 +160,7 @@ def _decompose_blocks(blocks: np.ndarray, tol: float | None = None):
         t = int(failing[0])
         refusal = (t, NonSymmetricError(_ASYMMETRY_MESSAGE) if asym[t]
                    else _indefinite(vals[t, 0], floors[t]))
-    return vals, _fix_signs(vecs), cutoffs, refusal
+    return vals, vecs if vecs is None else _fix_signs(vecs), cutoffs, refusal
 
 
 def _indefinite(value: float, cutoff: float) -> IndefiniteInputError:

@@ -400,61 +400,74 @@ def test_refusals_keep_their_order_codes_and_labels(monkeypatch, inputs):
 # ---------------------------------------------------------------------------
 # kernel counts: each decision made once per command
 
-_KERNELS = ("svd", "qr", "eigh", "cholesky", "solve")
+_KERNELS = ("svd", "qr", "eigh", "eigvalsh", "cholesky", "solve")
 
-# Per command: numpy.linalg calls (svd, qr, eigh, cholesky, solve) and
-# (fe_gls, fe_mls) fits.  On the golden model (8 x 3 design, positive
-# definite 8 x 8 dispersion, one restriction row) build_model makes one
-# eigh and no admissibility SVD.  A restriction consistency decision takes
-# two SVDs: the rank of R (of full row rank, so no per-column SVD) and the
-# reported rank of (R, r).  The whitened least-squares core takes one SVD
-# of H when there are rows, one QR and one solve.
+# Per command: numpy.linalg calls (svd, qr, eigh, eigvalsh, cholesky,
+# solve) and (fe_gls, fe_mls) fits, counted where the panel fits happen.
+# On the golden model (8 x 3 design, positive definite 8 x 8 dispersion,
+# one restriction row) build_model makes one eigh and no admissibility
+# SVD.  A restriction consistency decision takes two SVDs: the rank of R
+# (of full row rank, so no per-column SVD) and the reported rank of
+# (R, r).  The whitened least-squares core takes one SVD of H when there
+# are rows, one QR and one solve.  Only the Theil check takes eigenvalues
+# alone.
 KERNEL_COUNTS = {
     # consistency 2 + identification (R; X) 1 + design rank 1, which the
     # CLI reads off the fit, + core 1
     "estimate rgls": ((*_GOLDEN_MODEL, "--restrictions", "restrictions.csv",
-                       "--method", "rgls"), (5, 1, 1, 0, 1), (0, 0)),
+                       "--method", "rgls"), (5, 1, 1, 0, 0, 1), (0, 0)),
     # consistency 2 + whitened rank 1 + core 1, whose SVD of H = R also
     # decides R's row rank, + the CLI's design rank 1
     "estimate tkn": ((*_GOLDEN_MODEL, "--restrictions", "restrictions.csv",
-                      "--method", "tkn"), (5, 1, 1, 0, 1), (0, 0)),
+                      "--method", "tkn"), (5, 1, 1, 0, 0, 1), (0, 0)),
     # whitened rank 1 + the CLI's design rank 1; the core has no rows
-    "estimate mls": ((*_GOLDEN_MODEL, "--method", "mls"), (2, 1, 1, 0, 1), (0, 0)),
+    "estimate mls": ((*_GOLDEN_MODEL, "--method", "mls"), (2, 1, 1, 0, 0, 1), (0, 0)),
     # consistency 2 + identification 1 + whitened rank 1 + the rank of
     # H = R in combine_restrictions 1; nothing is fitted
     "diagnose": ((*_GOLDEN_MODEL, "--restrictions", "restrictions.csv"),
-                 (5, 0, 1, 0, 0), (0, 0)),
+                 (5, 0, 1, 0, 0, 0), (0, 0)),
+    # SUR, n = 3, m = 5, K = 6, one common sigma block.  stack_sur's one
+    # batched eigh of the 5 period blocks: 1 eigh.  SVDs: admissibility
+    # 1 + identification on (no explicit rows; X) 1 + whitened rank F'X 1
+    # + the rank of H = A'X (5 x 6, full row rank) in
+    # combine_restrictions 1 + the Theil check's rank of F_0'X_t 1.  The
+    # Theil check decides the one broadcast block's rank from 1 eigvalsh
+    # and takes block 0's eigenvectors from 1 eigh.
+    "diagnose sur": ((*_SUR_OK,), (4 + 1, 0, 1 + 1, 1, 0, 0), (0, 0)),
     # stack_sur's one batched eigh of the period blocks, whose
     # decomposition the model keeps: 1 eigh; admissibility 1 + rank of
     # H = A'X (5 x 6, full row rank) 1 + identification on (no explicit
     # rows; X) 1, which the CLI reads as the design rank, + core 1
     "estimate constrained": ((*_SUR_OK, "--method", "constrained"),
-                             (4, 1, 1, 0, 1), (0, 0)),
+                             (4, 1, 1, 0, 0, 1), (0, 0)),
     # regular-gls, 12 x 3: the design draw's random SPD dispersion takes a
     # QR, build_model an eigh; gls takes the design rank 1 and the core
     # (no rows) a QR and a solve, once for all 120 replications
     "simulate": (("--scenario", "regular-gls", "--reps", "120", "--seed", "7"),
-                 (1, 2, 1, 0, 1), (0, 0)),
+                 (1, 2, 1, 0, 0, 1), (0, 0)),
     # Kronecker panel, n = 3, m = 4, K = 2.  build_fe_model decomposes the
-    # one sigma block: 1 eigh.  verify_theorem5 fits fe_gls (swept
-    # whitener read off that spectrum; _fit: rank 1 SVD, core 1 QR,
-    # 1 solve) and fe_mls (within whitener 1 eigh; _fit: 1 SVD, 1 QR,
-    # 1 solve) once each, then builds the projectors from the swept
-    # whitener (no kernel) and the within whitener again (1 eigh).  Each
-    # of the 4 dropped periods: reduced within whitener 1 eigh; _fit
-    # 1 SVD, 1 QR, 1 solve.
+    # one sigma block: 1 eigh.  verify_theorem5 builds the within whitener
+    # once (1 eigh), for the fe_mls fit and for the projector identity,
+    # and fits fe_gls (swept whitener read off the carried spectrum; _fit:
+    # rank 1 SVD, core 1 QR, 1 solve) and fe_mls (_fit: 1 SVD, 1 QR,
+    # 1 solve) once each; the projectors take the swept whitener (no
+    # kernel).  Each of the 4 dropped periods: reduced within whitener
+    # 1 eigh; _fit 1 SVD, 1 QR, 1 solve.
     "panel": (("--panel", "panel.csv", "--sigma", "panel_sigma.csv"),
-              (2 + 4, 2 + 4, 1 + 2 + 4, 0, 2 + 4), (1, 1)),
+              (2 + 4, 2 + 4, 1 + 1 + 4, 0, 0, 2 + 4), (1, 1)),
     # n = 3, m = 4, K = 3.  The design draw's 3 random SPD blocks take a
     # QR each; the template panel's build_fe_model decomposes them in
     # 1 batched eigh; fe_gls whitens off those spectra and runs _fit
     # once for all 100 replications: rank 1 SVD, core 1 QR, 1 solve
     "simulate fe-blockdiag": (("--scenario", "fe-blockdiag", "--reps", "100",
-                               "--seed", "7"), (1, 3 + 1, 1, 0, 1), (1, 0)),
+                               "--seed", "7"), (1, 3 + 1, 1, 0, 0, 1), (1, 0)),
     # as fe-blockdiag with the one common block: 1 QR for its draw
     "simulate fe-kronecker": (("--scenario", "fe-kronecker", "--reps", "100",
-                               "--seed", "7"), (1, 1 + 1, 1, 0, 1), (1, 0)),
+                               "--seed", "7"), (1, 1 + 1, 1, 0, 0, 1), (1, 0)),
 }
+
+# the whitened-rank diagnostic key names the estimator each panel._fit serves
+_PANEL_FITS = {"swept_rank": "fe_gls", "whitened_within_rank": "fe_mls"}
 
 
 @pytest.mark.parametrize("command", sorted(KERNEL_COUNTS))
@@ -474,8 +487,13 @@ def test_commands_make_each_factorization_once(monkeypatch, command):
         monkeypatch.setattr(owner, name, counted)
     for name in _KERNELS:
         count(np.linalg, name)
-    for name in ("fe_gls", "fe_mls"):
-        count(panel, name)
+    real_fit = panel._fit
+
+    def counted_fit(model, whiteners, refuse, tag, rank_key, **diagnostics):
+        if rank_key in _PANEL_FITS:
+            calls[_PANEL_FITS[rank_key]] += 1
+        return real_fit(model, whiteners, refuse, tag, rank_key, **diagnostics)
+    monkeypatch.setattr(panel, "_fit", counted_fit)
     subcommand = command.split()[0]
     args = [_fixture(arg) if arg.endswith(".csv") else arg for arg in argv]
     code, _, err = _main(subcommand, *args, "--output", "machine")

@@ -94,8 +94,12 @@ def test_implicit_restrictions_hold_for_true_beta(seed):
     implicit = extract_implicit_restrictions(model)
     assert implicit.count == model.num_obs - 4
     np.testing.assert_allclose(implicit.G @ beta, implicit.g, atol=1e-8)
-    # the extractor's A block annihilates the dispersion
-    np.testing.assert_allclose(model.dispersion @ implicit.A, 0.0, atol=1e-8)
+    # the rows are A'X and A'y for the model's null basis A, which
+    # annihilates the dispersion
+    a_mat = model.spectrum.eigenvectors_null
+    np.testing.assert_allclose(model.dispersion @ a_mat, 0.0, atol=1e-8)
+    np.testing.assert_allclose(implicit.G, a_mat.T @ model.X, atol=1e-12)
+    np.testing.assert_allclose(implicit.g, a_mat.T @ model.y, atol=1e-12)
 
 
 def test_implicit_restrictions_empty_for_pd_dispersion():
@@ -196,7 +200,7 @@ def _random_systems(rng, full_row_rank):
 
 def _combined(h_mat, h_vec, tol):
     """combine_restrictions on H beta = h posed as implicit rows."""
-    implicit = ImplicitRestrictions(G=h_mat, g=h_vec, A=np.zeros((0, h_mat.shape[0])))
+    implicit = ImplicitRestrictions(G=h_mat, g=h_vec)
     return combine_restrictions(LinearRestrictions.empty(h_mat.shape[1]), implicit,
                                 tol=tol)
 
@@ -325,6 +329,35 @@ def test_cross_equation_witness(seed):
     involved = [i for i, cols in enumerate(layout.column_slices())
                 if float(np.max(np.abs(witness.d[cols]))) > 1e-10]
     assert len(involved) >= 2
+
+
+@pytest.mark.parametrize("kind", [WitnessKind.CROSS_EQUATION_COMBINATION,
+                                  WitnessKind.WITHIN_EQUATION_COLLINEARITY])
+def test_theil_witness_holds_in_every_blocks_own_eigenbasis(kind):
+    """Heteroskedastic period blocks share one null vector a but no other
+    eigenvector.  The certificate d is found from block 0's basis alone and
+    must still give F_t' X_t d = 0 with each block's own eigenvectors."""
+    rng = np.random.default_rng(52)
+    n, m = 3, 6
+    designs = [rng.normal(size=(m, 2)) for _ in range(n)]
+    if kind is WitnessKind.CROSS_EQUATION_COMBINATION:
+        shared = rng.normal(size=(m, 1))
+        designs = [np.hstack([shared, x[:, 1:]]) for x in designs]
+    else:
+        designs[1] = np.hstack([designs[1][:, :1], -3.0 * designs[1][:, :1]])
+    layout = SURLayout.build(designs)
+    a = rng.normal(size=(n, 1))
+    a /= np.linalg.norm(a)
+    roots = [(np.eye(n) - a @ a.T) @ rng.normal(size=(n, n)) for _ in range(m)]
+    blocks = [r @ r.T for r in roots]
+    witness = check_theil_condition(layout, blocks)
+    assert witness.kind is kind
+    np.testing.assert_allclose(np.abs(witness.a), np.abs(a), atol=1e-12)
+    for t, block in enumerate(blocks):
+        # eigenvalues ascend: column 0 is the null vector, the rest span F_t
+        f_t = np.linalg.eigh(block)[1][:, 1:]
+        resid = f_t.T @ layout.period_row(t) @ witness.d
+        assert float(np.max(np.abs(resid))) < 1e-8, t
 
 
 def test_homoskedastic_identical_designs_always_fail():

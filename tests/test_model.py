@@ -552,6 +552,26 @@ def test_sur_fit_stays_below_the_size_of_the_stacked_dispersion():
     assert peak < 16 * 2 ** 20
 
 
+def test_sur_fit_and_theil_check_stay_at_the_size_of_the_blocks():
+    """At n = 4 and m = 500 the dense null basis A alone is 2000 * 500 * 8 B
+    = 7.6 MiB; stack_sur, the implicit restrictions, both fits and the
+    Theil check build no T x (T - rank) array and peak under 2 MiB."""
+    import tracemalloc
+
+    layout, responses, blocks, explicit = _adding_up_system(
+        np.random.default_rng(24), PERIOD_MAJOR, m=500)
+    tracemalloc.start()
+    try:
+        model = stack_sur(layout, responses, blocks, order=PERIOD_MAJOR)
+        _fitted(model, explicit)
+        witness = check_theil_condition(layout, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness.kind is WitnessKind.NONE
+    assert peak < 2 * 2 ** 20
+
+
 def test_extract_sur_blocks_roundtrip():
     rng = np.random.default_rng(13)
     layout, responses = _sur_parts(rng)

@@ -15,6 +15,7 @@ from gmls import (
     fe_drop_period,
     fe_gls,
     fe_mls,
+    mls,
     verify_theorem5,
     within_transform,
 )
@@ -210,24 +211,40 @@ def test_drop_period_invariance(kron):
         assert dropped.diagnostics["dropped_period"] == t0
 
 
+def _panel_with_large_variance_along_e(rng, n=3, eigenvalues=(1e6, 1.0, 1.5, 0.7)):
+    """A Kronecker panel whose positive definite Sigma has the first of
+    ``eigenvalues`` along e and the others across it."""
+    m = len(eigenvalues)
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(m), rng.normal(size=(m, m - 1))]))
+    sigma = (basis * eigenvalues) @ basis.T
+    sigma = 0.5 * (sigma + sigma.T)
+    model = build_fe_model([rng.normal(size=(m, 2)) for _ in range(n)],
+                           [rng.normal(size=(m, 1)) for _ in range(n)], sigma=sigma)
+    return model, sigma
+
+
 def test_within_fits_accept_a_sigma_with_large_variance_along_e():
     """M Sigma M and D M Sigma M D' are symmetric; with variance 1e6 along
     e their computed products are asymmetric beyond 1e-12 relative, which
     is rounding in the products and no fault of the input."""
-    rng = np.random.default_rng(113)
-    n, m = 3, 4
-    basis, _ = np.linalg.qr(np.column_stack([np.ones(m), rng.normal(size=(m, m - 1))]))
-    sigma = (basis * [1e6, 1.0, 1.5, 0.7]) @ basis.T
-    sigma = 0.5 * (sigma + sigma.T)
+    m = 4
+    model, sigma = _panel_with_large_variance_along_e(np.random.default_rng(113))
     within = centering_matrix(m) @ sigma[None] @ centering_matrix(m)
     assert np.max(np.abs(within - within.transpose(0, 2, 1))) \
         > 1e-12 * (1.0 + np.max(np.abs(within)))
-    model = build_fe_model([rng.normal(size=(m, 2)) for _ in range(n)],
-                           [rng.normal(size=(m, 1)) for _ in range(n)], sigma=sigma)
     reference = fe_gls(model).beta_hat
     for fit in [fe_mls] + [lambda p, t=t: fe_drop_period(p, t) for t in range(1, m + 1)]:
         np.testing.assert_allclose(fit(model).beta_hat, reference, rtol=0, atol=1e-8)
     assert verify_theorem5(model).passed
+
+
+def test_within_transform_accepts_a_sigma_with_large_variance_along_e():
+    """The within model carries I kron M Sigma M symmetrized, as the within
+    whiteners do, so pseudo-inverse least squares on it is fe_gls."""
+    model, _ = _panel_with_large_variance_along_e(np.random.default_rng(114))
+    reference = fe_gls(model).beta_hat
+    got = mls(within_transform(model)).beta_hat
+    assert float(np.linalg.norm(got - reference)) <= 1e-8 * float(np.linalg.norm(reference))
 
 
 def test_drop_period_range_check():
