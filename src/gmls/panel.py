@@ -13,9 +13,9 @@ identity P = M (I_n kron M_m Sigma M_m)^+ M is what verify_theorem5
 checks numerically.  Each estimator is the least-squares core of
 gmls.estimators on the rows W_i X_i, one whitener W_i per equation (one
 for all in the Kronecker case), run once for B >= 1 response columns.
-Every W_i is read off an eigendecomposition: of Sigma_i, made once when
-the panel is built (fe_gls), or of M Sigma_i M and D M Sigma_i M D'
-(fe_mls, fe_drop_period).
+Every W_i comes from Sigma_i = F_i Lambda_i F_i', decomposed once when
+the panel is built (fe_gls), or from the SVD of the factor
+rows F_i Lambda_i^{1/2} with rows = M or D M (fe_mls, fe_drop_period).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DispersionNotPDError,
-    DispersionSingularError,
     IdentificationError,
     TheilRankConditionError,
 )
@@ -169,33 +168,28 @@ def _swept_whiteners(model: FEPanelModel) -> np.ndarray:
     return w - u @ (u.transpose(0, 2, 1) @ w)
 
 
-def _sandwiched(model: FEPanelModel, rows: np.ndarray) -> np.ndarray:
-    """rows Sigma_i rows' symmetrized: the computed product's asymmetry is
-    rounding, which grows with Sigma_i's variance along e."""
-    blocks = rows @ model.sigmas @ rows.T
-    return 0.5 * (blocks + blocks.transpose(0, 2, 1))
+def _within_factors(model: FEPanelModel, rows: np.ndarray) -> np.ndarray:
+    """B_i = rows F_i Lambda_i^{1/2}, so rows Sigma_i rows' = B_i B_i' without
+    forming that product, which cancels when Sigma_i has large variance along e."""
+    return rows @ np.stack([spec.eigenvectors_pos * np.sqrt(spec.eigenvalues_pos)
+                            for spec in model.spectra])
 
 
-def _top_whiteners(model: FEPanelModel, rows: np.ndarray, what: str) -> np.ndarray:
-    """Lambda_i^{-1/2} F_i' rows from the top m - 1 eigenpairs of
-    rows Sigma_i rows' = F_i Lambda_i F_i', refusing any other rank."""
-    vals, vecs, cutoffs, refusal = _decompose_blocks(_sandwiched(model, rows))
-    if refusal is not None:
-        raise refusal[1]
-    ranks = np.count_nonzero(vals > cutoffs[:, None], axis=1)
-    wrong = np.flatnonzero(ranks != model.m - 1)
-    if wrong.size:
-        raise DispersionSingularError(f"{what} of equation {wrong[0]} has "
-                                      f"rank {ranks[wrong[0]]}, expected {model.m - 1}")
-    # eigenvalues ascend: the top m - 1, largest first
-    top = slice(-1, -model.m, -1)
-    f = vecs[:, :, top] / np.sqrt(vals[:, None, top])
-    return f.transpose(0, 2, 1) @ rows
+def _top_whiteners(model: FEPanelModel, rows: np.ndarray) -> np.ndarray:
+    """S_i^{-1} U_i' rows from the top m - 1 singular pairs of B_i = U_i S_i V_i',
+    so W_i'W_i = rows' (rows Sigma_i rows')^+ rows.  No rank is decided:
+    rows = M or D M has rank m - 1 and rows Sigma_i rows' >= lambda_min
+    rows rows', whose nonzero eigenvalues are >= 1/m, so sigma_{m-1}(B_i) >=
+    sqrt(lambda_min / m) > sqrt(eps lambda_max) under build_fe_model's cut
+    lambda_min > m eps lambda_max: 1 / (m sqrt(eps)), over 1e7 at m = 4, times
+    the rounding residue m eps sqrt(lambda_max) left along the removed direction."""
+    u, s, _ = np.linalg.svd(_within_factors(model, rows), full_matrices=False)
+    return (u[:, :, :model.m - 1] / s[:, None, :model.m - 1]).transpose(0, 2, 1) @ rows
 
 
 def _fit(model: FEPanelModel, whiteners: np.ndarray, refuse, tag: EstimatorTag,
          rank_key: str, **diagnostics) -> EstimateResult:
-    """Slopes minimizing sum_i ||W_i (y_i - X_i beta)||^2.
+    """Slopes minimizing sum_i ||W_i (y_i - X_i beta)||^2, W_i of m or m - 1 rows.
 
     The core factors the stacked rows W_i X_i once; its gain splits into
     blocks G_i, and the K x T operator hstack(G_i W_i) maps all responses.
@@ -246,27 +240,29 @@ def fe_gls(model: FEPanelModel) -> EstimateResult:
 def within_transform(model: FEPanelModel) -> GaussMarkoffModel:
     """Center the panel over time and carry the induced dispersion.
 
-    Returns the general Gauss-Markoff model {My, MX, I kron M Sigma M}.
+    Returns the general Gauss-Markoff model {My, MX, I kron M Sigma M}, its
+    blocks formed as B_i B_i' from the factor B_i = M F_i Lambda_i^{1/2}.
     The transformed dispersion is singular by construction: its rank is
     n(m-1), one direction per equation having been removed.
     """
     cm = centering_matrix(model.m)
+    factors = _within_factors(model, cm)
     shape = (model.n, model.m, -1)
     return build_model((cm @ model.y.reshape(shape)).reshape(model.num_obs, -1),
                        (cm @ model.X.reshape(shape)).reshape(model.num_obs, -1),
-                       _per_equation(model, _sandwiched(model, cm)))
+                       _per_equation(model, factors @ factors.transpose(0, 2, 1)))
 
 
 def fe_mls(model: FEPanelModel) -> EstimateResult:
     """Pseudo-inverse least squares on the within-transformed model,
-    whitening equation i with Lambda_i^{-1/2} F_i' M from the within
-    dispersion M Sigma_i M = F_i Lambda_i F_i'.  Equals fe_gls."""
+    whitening equation i with S_i^{-1} U_i' M from the top m - 1 singular
+    pairs of B_i = M F_i Lambda_i^{1/2} = U_i S_i V_i'.  Equals fe_gls."""
     return _fe_mls(model)[0]
 
 
 def _fe_mls(model: FEPanelModel):
     """fe_mls and the within whiteners it fits with."""
-    within = _top_whiteners(model, centering_matrix(model.m), "within dispersion")
+    within = _top_whiteners(model, centering_matrix(model.m))
     return _fit(model, within, TheilRankConditionError, EstimatorTag.PANEL_MLS,
                 "whitened_within_rank"), within
 
@@ -277,13 +273,13 @@ def fe_drop_period(model: FEPanelModel, drop: int) -> EstimateResult:
     ``drop`` is the 1-based period index.  Deleting any single period
     from the centered data removes the rank deficiency, and the reduced
     GLS estimate equals fe_mls exactly.  Equation i is whitened with
-    Lambda_i^{-1/2} F_i' D M, D deleting the period and
-    D M Sigma_i M D' = F_i Lambda_i F_i' of full rank m - 1.
+    S_i^{-1} U_i' D M, D deleting the period, from the SVD of the factor
+    B_i = D M F_i Lambda_i^{1/2} of D M Sigma_i M D', of full rank m - 1.
     """
     if not 1 <= drop <= model.m:
         raise ValueError(f"drop period must be in 1..{model.m}, got {drop}")
     rows = centering_matrix(model.m)[np.arange(model.m) != drop - 1]
-    whiteners = _top_whiteners(model, rows, "reduced within dispersion")
+    whiteners = _top_whiteners(model, rows)
     return _fit(model, whiteners, IdentificationError, EstimatorTag.PANEL_GLS,
                 "reduced_rank", dropped_period=drop)
 
@@ -330,7 +326,7 @@ def verify_theorem5(model: FEPanelModel, projectors: ProjectorSet | None = None,
     res_gls = fe_gls(model)
     res_mls, within = _fe_mls(model)
     proj = projectors if projectors is not None else build_projectors(model)
-    # W_i'W_i = M F_i Lambda_i^{-1} F_i' M = M (M Sigma_i M)^+ M
+    # W_i'W_i = M U_i S_i^{-2} U_i' M = M (M Sigma_i M)^+ M
     rebuilt = _per_equation(model, within.transpose(0, 2, 1) @ within)
     gap = float(np.max(np.abs(proj.P - rebuilt)))
     beta_gap = float(np.max(np.abs(res_gls.beta_hat - res_mls.beta_hat)))

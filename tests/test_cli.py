@@ -122,6 +122,22 @@ def test_drop_period_out_of_range():
     assert "1..4" in res.stderr
 
 
+def test_panel_fits_a_sigma_with_large_variance_along_e(tmp_path):
+    # variance 1e10 along e, the direction centering removes; the within
+    # fits must still be fe_gls to rounding
+    rng = np.random.default_rng(7)
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(4), rng.normal(size=(4, 3))]))
+    sigma = (basis * [1e10, 1.0, 1.5, 0.7]) @ basis.T
+    path = tmp_path / "sigma_along_e.csv"
+    np.savetxt(path, 0.5 * (sigma + sigma.T), delimiter=",", fmt="%.17g")
+    res = run_cli("panel", "--panel", "panel.csv", "--sigma", str(path),
+                  "--output", "machine")
+    assert res.returncode == 0, res.stderr
+    results = json.loads(res.stdout)["results"]
+    scale = 1.0 + max(abs(b) for b in results["fe_mls"]["coefficients"])
+    assert results["max_drop_gap"] <= 1e-12 * scale
+
+
 def test_simulate_rejects_tiny_replication_count():
     res = run_cli("simulate", "--scenario", "regular-gls", "--reps", "50")
     assert res.returncode == 1
@@ -446,15 +462,17 @@ KERNEL_COUNTS = {
     "simulate": (("--scenario", "regular-gls", "--reps", "120", "--seed", "7"),
                  (1, 2, 1, 0, 0, 1), (0, 0)),
     # Kronecker panel, n = 3, m = 4, K = 2.  build_fe_model decomposes the
-    # one sigma block: 1 eigh.  verify_theorem5 builds the within whitener
-    # once (1 eigh), for the fe_mls fit and for the projector identity,
-    # and fits fe_gls (swept whitener read off the carried spectrum; _fit:
-    # rank 1 SVD, core 1 QR, 1 solve) and fe_mls (_fit: 1 SVD, 1 QR,
-    # 1 solve) once each; the projectors take the swept whitener (no
-    # kernel).  Each of the 4 dropped periods: reduced within whitener
-    # 1 eigh; _fit 1 SVD, 1 QR, 1 solve.
+    # one sigma block: 1 eigh, the only one.  verify_theorem5 builds the
+    # within whitener once, for the fe_mls fit and for the projector
+    # identity, from 1 SVD of the within factor M F Lambda^{1/2}, and fits
+    # fe_gls (swept whitener read off the carried spectrum; _fit: rank
+    # 1 SVD, core 1 QR, 1 solve) and fe_mls (_fit: 1 SVD, 1 QR, 1 solve)
+    # once each; the projectors take the swept whitener (no kernel).  Each
+    # of the 4 dropped periods: 1 SVD of the reduced factor
+    # D M F Lambda^{1/2}; _fit 1 SVD, 1 QR, 1 solve.  SVDs: _fit ranks 6
+    # + within factor 1 + reduced factors 4.
     "panel": (("--panel", "panel.csv", "--sigma", "panel_sigma.csv"),
-              (2 + 4, 2 + 4, 1 + 1 + 4, 0, 0, 2 + 4), (1, 1)),
+              (6 + 1 + 4, 2 + 4, 1, 0, 0, 2 + 4), (1, 1)),
     # n = 3, m = 4, K = 3.  The design draw's 3 random SPD blocks take a
     # QR each; the template panel's build_fe_model decomposes them in
     # 1 batched eigh; fe_gls whitens off those spectra and runs _fit

@@ -8,6 +8,7 @@ from gmls import (
     DispersionNotPDError,
     IdentificationError,
     ProjectorSet,
+    ResponseOutsideRangeError,
     build_fe_model,
     build_projectors,
     centering_matrix,
@@ -224,9 +225,11 @@ def _panel_with_large_variance_along_e(rng, n=3, eigenvalues=(1e6, 1.0, 1.5, 0.7
 
 
 def test_within_fits_accept_a_sigma_with_large_variance_along_e():
-    """M Sigma M and D M Sigma M D' are symmetric; with variance 1e6 along
-    e their computed products are asymmetric beyond 1e-12 relative, which
-    is rounding in the products and no fault of the input."""
+    """With variance 1e6 along e the computed product M Sigma M is
+    asymmetric beyond 1e-12 relative, which is rounding in the product and
+    no fault of the input.  The within whiteners never form it: they come
+    from the SVD of the factor M F Lambda^{1/2} (D M F Lambda^{1/2} for a
+    dropped period) of the carried Sigma = F Lambda F'."""
     m = 4
     model, sigma = _panel_with_large_variance_along_e(np.random.default_rng(113))
     within = centering_matrix(m) @ sigma[None] @ centering_matrix(m)
@@ -239,12 +242,50 @@ def test_within_fits_accept_a_sigma_with_large_variance_along_e():
 
 
 def test_within_transform_accepts_a_sigma_with_large_variance_along_e():
-    """The within model carries I kron M Sigma M symmetrized, as the within
-    whiteners do, so pseudo-inverse least squares on it is fe_gls."""
+    """The within model carries I kron B B' with the factor
+    B = M F Lambda^{1/2} of the carried Sigma = F Lambda F', symmetric by
+    construction, so pseudo-inverse least squares on it is fe_gls."""
     model, _ = _panel_with_large_variance_along_e(np.random.default_rng(114))
     reference = fe_gls(model).beta_hat
     got = mls(within_transform(model)).beta_hat
     assert float(np.linalg.norm(got - reference)) <= 1e-8 * float(np.linalg.norm(reference))
+
+
+# build_fe_model's cut m eps lambda_max at m = 4 and lambda_max = 1
+_CUT = 4 * np.finfo(float).eps
+# fe_mls and every fe_drop_period are asserted first, so only this refusal
+# can make such a case fail as expected
+_DENSE_NULL_VECTOR = pytest.mark.xfail(
+    raises=ResponseOutsideRangeError, strict=True,
+    reason="build_model's dense eigh of the within dispersion places each null "
+           "vector e with error about eps lambda_max / lambda_min, beyond the 1e-8 "
+           "membership tolerance once lambda_min / lambda_max < 1e-8")
+
+
+@pytest.mark.parametrize("eigenvalues", [
+    *(pytest.param((10.0 ** p, 1.0, 1.5, 0.7), id=f"along-e-1e{p}") for p in range(8, 17, 2)),
+    pytest.param((1.0, 2 * _CUT, 0.5, 0.8), id="min-at-2x-cut", marks=_DENSE_NULL_VECTOR),
+    pytest.param((1.0, 100 * _CUT, 0.5, 0.8), id="min-at-100x-cut", marks=_DENSE_NULL_VECTOR),
+])
+def test_within_estimates_are_fe_gls_to_rounding(eigenvalues):
+    """For every Sigma that build_fe_model admits, fe_mls, every
+    fe_drop_period and mls on the within model are fe_gls to rounding,
+    whatever Sigma's variance along e.  The edge cases put lambda_min across
+    e, where the within factor's singular value sigma_{m-1} is smallest."""
+    lam = np.asarray(eigenvalues)
+    rng = np.random.default_rng(115)
+    if lam.min() <= _CUT * lam.max():
+        with pytest.raises(DispersionNotPDError):
+            _panel_with_large_variance_along_e(rng, eigenvalues=eigenvalues)
+        return
+    model, _ = _panel_with_large_variance_along_e(rng, eigenvalues=eigenvalues)
+    reference = fe_gls(model).beta_hat
+    fits = [fe_mls, *(lambda p, t=t: fe_drop_period(p, t) for t in range(1, model.m + 1)),
+            lambda p: mls(within_transform(p))]
+    for fit in fits:
+        got = fit(model).beta_hat
+        assert float(np.linalg.norm(got - reference)) \
+            <= 1e-12 * float(np.linalg.norm(reference))
 
 
 def test_drop_period_range_check():
