@@ -16,13 +16,15 @@ with the whitener W = Lambda^{-1/2} F' taken from ``model.spectrum``
 (W'W = Omega^+; W = I for OLS and restricted OLS) and H the estimator's
 restriction rows; ridge and mixed estimation append rows to W X and
 W y.  One core solves it in null-space coordinates beta = beta* + N c,
-with an SVD of H and a QR factorization of W X N, so no path forms the
+with an SVD of H and a thin SVD W X N = U S V', so no path forms the
 normal matrix X' W'W X and squares the condition number of the design.
-The covariance factor N R^{-1} R^{-T} N' comes off the same R factor;
-OLS, restricted OLS and ridge wrap it in their sandwich G Omega G',
-read off the spectrum.  Each estimator states its (W, H) and its own
-pre-checks, and records each catalogue decision among them (README) in
-its diagnostics under the key its refusal names as ``decision``.
+S decides the rank of W X N once; OLS, ridge and the panel estimators
+record that report as their rank decision.  The gain G = N V S^{-1} U'
+and the covariance factor G G' come off the same SVD; OLS, restricted
+OLS and ridge wrap G in their sandwich G Omega G', read off the
+spectrum.  Each estimator states its (W, H) and its own pre-checks,
+and records each catalogue decision among them (README) in its
+diagnostics under the key its refusal names as ``decision``.
 Restricted estimates satisfy H beta_hat = H beta*, so the restrictions
 hold to rounding.
 
@@ -71,8 +73,8 @@ from .model import (
 from .spectral import (
     RankReport,
     SpectralDecomposition,
+    _svd_rank,
     as_matrix,
-    default_tolerance,
     numeric_rank,
     spectral_decompose,
 )
@@ -88,21 +90,23 @@ def _whiten(spec: SpectralDecomposition, *mats):
     return [spec.project(mat) / scale for mat in mats]
 
 
-def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None):
+def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None,
+                  message="reduced whitened design has rank {} < {}"):
     """Minimize ||wy - wx beta|| subject to H beta = h, rows = (H, h).
 
     wy and h may hold B columns, one problem each on the same wx and H.
     One SVD of H gives its rank report, an orthonormal null basis N and,
-    unless ``particular`` supplies one, the minimum-norm beta*.  One QR
-    factorization wx N = Q R gives the gain G = N R^{-1} Q', the
-    estimate beta* + G (wy - wx beta*) and the covariance factor
-    G G' = N R^{-1} R^{-T} N'.  When R is not square or a diagonal
-    entry falls to the rank cutoff, the error class ``refuse`` is raised
-    with a report describing |diag R|.  The SVD of H is thin unless H
-    has fewer rows than columns, the one case that needs the full V'.
+    unless ``particular`` supplies one, the minimum-norm beta*.  One thin
+    SVD wx N = U S V' gives its rank report under numeric_rank's rule,
+    the gain G = N V S^{-1} U', the estimate beta* + G (wy - wx beta*)
+    and the covariance factor G G'.  A rank below the columns of wx N
+    raises ``refuse`` with ``message`` formatted by (rank, columns) and
+    the report.  The SVD of H is thin unless H has fewer rows than
+    columns, the one case that needs the full V'.
 
-    Returns (beta_hat, gain, beta*, rank report of H); beta_hat is None
-    when wy is, for callers that apply the gain themselves.
+    Returns (beta_hat, gain, beta*, rank reports of H and of wx N);
+    beta_hat is None when wy is, for callers that apply the gain
+    themselves.
     """
     k_dim = wx.shape[1]
     h_report = RankReport(0, np.zeros(0), 0.0, deficient=False)
@@ -110,27 +114,20 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None):
     if rows is not None and rows[0].shape[0]:
         h_mat, h_vec = rows
         u, s, vt = np.linalg.svd(h_mat, full_matrices=h_mat.shape[0] < k_dim)
-        cutoff = default_tolerance(*h_mat.shape, s[0]) if tol is None else float(tol)
-        rank = int(np.count_nonzero(s > cutoff))
-        h_report = RankReport(rank, s, cutoff, deficient=rank < min(h_mat.shape))
+        h_report = _svd_rank(s, *h_mat.shape, tol)
+        rank = h_report.numeric_rank
         basis = vt[rank:].T
         beta_star = vt[:rank].T @ ((u[:, :rank].T @ h_vec) / s[:rank, None])
     if particular is not None:
         beta_star = particular
     reduced = wx @ basis
-    q, r_factor = np.linalg.qr(reduced)
-    # a missing row of R counts as a zero on its diagonal
-    diag = np.zeros(reduced.shape[1])
-    diag[:r_factor.shape[0]] = np.abs(np.diagonal(r_factor))
-    diag = np.sort(diag)[::-1]
-    cutoff = default_tolerance(*reduced.shape, diag[0] if diag.size else 0.0)
-    rank = int(np.count_nonzero(diag > cutoff))
-    if rank < diag.size:
-        raise refuse(f"R factor of the whitened design has rank {rank} < {diag.size}",
-                     report=RankReport(rank, diag, cutoff, deficient=True))
-    gain = basis @ np.linalg.solve(r_factor, q.T)
+    u, s, vt = np.linalg.svd(reduced, full_matrices=False)
+    report = _svd_rank(s, *reduced.shape, tol)
+    if report.numeric_rank < reduced.shape[1]:
+        raise refuse(message.format(report.numeric_rank, reduced.shape[1]), report=report)
+    gain = (basis @ (vt.T / s)) @ u.T
     beta = None if wy is None else beta_star + gain @ (wy - wx @ beta_star)
-    return beta, gain, beta_star, h_report
+    return beta, gain, beta_star, h_report, report
 
 
 def _sandwich(gain: np.ndarray, spec: SpectralDecomposition) -> np.ndarray:
@@ -141,14 +138,6 @@ def _sandwich(gain: np.ndarray, spec: SpectralDecomposition) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # pre-checks
-
-def _design_full_rank(model: GaussMarkoffModel, tol):
-    report = numeric_rank(model.X, tol=tol)
-    if report.numeric_rank < model.num_params:
-        raise DesignRankDeficientError(
-            f"design has numeric rank {report.numeric_rank} < K={model.num_params}")
-    return report
-
 
 def _pd_dispersion(model: GaussMarkoffModel) -> SpectralDecomposition:
     spec = model.spectrum
@@ -193,11 +182,13 @@ def _whitened_rank_or_raise(model: GaussMarkoffModel, tol):
 def ols(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     """Ordinary least squares, beta_hat = (X'X)^{-1} X'y.
 
-    The covariance factor is the sandwich (X'X)^{-1} X' Omega X (X'X)^{-1},
-    correct under the model dispersion sigma^2 * Omega.
+    The core's SVD of X decides the design rank.  The covariance factor
+    is the sandwich (X'X)^{-1} X' Omega X (X'X)^{-1}, correct under the
+    model dispersion sigma^2 * Omega.
     """
-    report = _design_full_rank(model, tol)
-    beta, gain, _, _ = _whitened_lsq(model.X, model.y, DesignRankDeficientError, tol)
+    beta, gain, _, _, report = _whitened_lsq(
+        model.X, model.y, DesignRankDeficientError, tol,
+        message="design has numeric rank {} < K={}")
     return EstimateResult(beta_hat=beta,
                           covariance_factor=_sandwich(gain, model.spectrum),
                           residuals=model.y - model.X @ beta,
@@ -211,9 +202,12 @@ def gls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     beta_hat = (X' Omega^{-1} X)^{-1} X' Omega^{-1} y
     """
     spec = _pd_dispersion(model)
-    report = _design_full_rank(model, tol)
+    report = numeric_rank(model.X, tol=tol)
+    if report.numeric_rank < model.num_params:
+        raise DesignRankDeficientError(
+            f"design has numeric rank {report.numeric_rank} < K={model.num_params}")
     wx, wy = _whiten(spec, model.X, model.y)
-    beta, gain, _, _ = _whitened_lsq(wx, wy, DesignRankDeficientError, tol)
+    beta, gain, _, _, _ = _whitened_lsq(wx, wy, DesignRankDeficientError, tol)
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.GLS,
@@ -236,8 +230,8 @@ def rols(model: GaussMarkoffModel, res: LinearRestrictions,
     cons = _consistency_or_raise(res, tol)
     ident = _joint_identification_or_raise(model.X, res.R, tol)
     design = numeric_rank(model.X, tol=tol)
-    beta, gain, _, _ = _whitened_lsq(model.X, model.y, IdentificationError, tol,
-                                     rows=(res.R, res.r))
+    beta, gain, _, _, _ = _whitened_lsq(model.X, model.y, IdentificationError, tol,
+                                        rows=(res.R, res.r))
     return EstimateResult(beta_hat=beta,
                           covariance_factor=_sandwich(gain, model.spectrum),
                           residuals=model.y - model.X @ beta,
@@ -259,8 +253,8 @@ def rgls(model: GaussMarkoffModel, res: LinearRestrictions,
     spec = _pd_dispersion(model)
     design = numeric_rank(model.X, tol=tol)
     wx, wy = _whiten(spec, model.X, model.y)
-    beta, gain, _, _ = _whitened_lsq(wx, wy, IdentificationError, tol,
-                                     rows=(res.R, res.r))
+    beta, gain, _, _, _ = _whitened_lsq(wx, wy, IdentificationError, tol,
+                                        rows=(res.R, res.r))
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.RGLS,
@@ -343,15 +337,14 @@ def ridge(model: GaussMarkoffModel, shift: RidgeSpec,
     Least squares on the rows [X; S] and [y; 0] with S'S = Psi, so
     X'X + Psi is never formed.  Deliberately biased unless Psi = 0;
     useful when X is ill conditioned.  Raises ShiftInsufficientError
-    when [X; S] is numerically rank deficient.  The covariance factor
-    is the sandwich G Omega G' of the gain G = (X'X + Psi)^{-1} X'.
+    when the core's SVD finds [X; S] numerically rank deficient.  The
+    covariance factor is the sandwich G Omega G' of the gain
+    G = (X'X + Psi)^{-1} X'.
     """
     augmented = np.vstack([model.X, shift._expand(model.num_params)[1]])
-    report = numeric_rank(augmented, tol=tol)
-    if report.numeric_rank < model.num_params:
-        raise ShiftInsufficientError(
-            f"shifted design [X; Psi^(1/2)] has rank {report.numeric_rank} < K")
-    _, gain, _, _ = _whitened_lsq(augmented, None, ShiftInsufficientError, tol)
+    _, gain, _, _, report = _whitened_lsq(
+        augmented, None, ShiftInsufficientError, tol,
+        message="shifted design [X; Psi^(1/2)] has rank {} < K")
     # the appended rows have zero response, so only the gain on y acts
     gain = gain[:, :model.num_obs]
     beta = gain @ model.y
@@ -443,9 +436,9 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
     w_eff, w_r = _whiten(theta_spec, eff, sres.r)
     scale = np.sqrt(s2)
     w_r = np.broadcast_to(w_r, (sres.count, wy.shape[1]))
-    beta, gain, _, _ = _whitened_lsq(np.vstack([wx / scale, w_eff]),
-                                     np.vstack([wy / scale, w_r]),
-                                     IdentificationError, tol)
+    beta, gain, _, _, _ = _whitened_lsq(np.vstack([wx / scale, w_eff]),
+                                        np.vstack([wy / scale, w_r]),
+                                        IdentificationError, tol)
     # the whitened system has unit noise, so G G' = D(beta_hat) = s^2 V
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T / s2,
                           residuals=model.y - model.X @ beta,
@@ -467,7 +460,7 @@ def mls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     """
     report = _whitened_rank_or_raise(model, tol)
     wx, wy = _whiten(model.spectrum, model.X, model.y)
-    beta, gain, _, _ = _whitened_lsq(wx, wy, TheilRankConditionError, tol)
+    beta, gain, _, _, _ = _whitened_lsq(wx, wy, TheilRankConditionError, tol)
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.MLS,
@@ -487,8 +480,8 @@ def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
     cons = _consistency_or_raise(res, tol)
     report = _whitened_rank_or_raise(model, tol)
     wx, wy = _whiten(model.spectrum, model.X, model.y)
-    beta, gain, _, r_report = _whitened_lsq(wx, wy, TheilRankConditionError, tol,
-                                            rows=(res.R, res.r))
+    beta, gain, _, r_report, _ = _whitened_lsq(wx, wy, TheilRankConditionError, tol,
+                                               rows=(res.R, res.r))
     if r_report.numeric_rank < res.count:
         raise RestrictionGramSingularError(
             f"R has rank {r_report.numeric_rank} < {res.count} rows, "
@@ -546,7 +539,7 @@ def _constrained(model: GaussMarkoffModel, combined: CombinedRestrictions,
     ident = _combined_checks(model, combined, tol)
     part = _checked_particular(combined, particular)
     wx, wy = _whiten(model.spectrum, model.X, model.y)
-    beta, gain, beta_star, h_report = _whitened_lsq(
+    beta, gain, beta_star, h_report, _ = _whitened_lsq(
         wx, wy, ReducedGramSingularError, tol, rows=(combined.H, combined.h),
         particular=part)
     result = EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
@@ -566,13 +559,13 @@ def constrained_singular_gls(model: GaussMarkoffModel,
     """Best linear unbiased estimation under H beta = h with singular dispersion.
 
     With N an orthonormal null-space basis of H, beta* any solution of
-    H beta = h, and W X N = Q R:
+    H beta = h, and the thin SVD W X N = U S V':
 
-        beta_hat = beta* + N R^{-1} Q' W (y - X beta*)
+        beta_hat = beta* + N V S^{-1} U' W (y - X beta*)
 
-    which equals N S^{-1} N' X' Omega^+ y + (I - N S^{-1} N' C+) beta*
-    with S = N' C+ N.  The estimate does not depend on the choice of
-    beta*; the covariance factor is N R^{-1} R^{-T} N' = N S^{-1} N'.
+    which equals N C_N^{-1} N' X' Omega^+ y + (I - N C_N^{-1} N' C+) beta*
+    with C_N = N' C+ N.  The estimate does not depend on the choice of
+    beta*; the covariance factor is N V S^{-2} V' N' = N C_N^{-1} N'.
     """
     return _constrained(model, combined, particular, tol)[0]
 
@@ -588,8 +581,10 @@ def linear_representation(model: GaussMarkoffModel,
     Adds the identically-zero term G_free (A'y - g) to the constrained
     estimate, yielding beta_hat = L y + offset with
 
-        L = N R^{-1} Q' W + G_free A'
-        offset = (I - N R^{-1} Q' W X) beta* - G_free g
+        L = G W + G_free A'
+        offset = (I - G W X) beta* - G_free g
+
+    where G = N V S^{-1} U' is the constrained estimator's gain.
 
     Different choices of G_free give different coefficient matrices L
     but the same estimate on admissible data; A is the null basis
@@ -607,7 +602,7 @@ def linear_representation(model: GaussMarkoffModel,
     a_mat = spec.eigenvectors_null
     beta = base.beta_hat + (g_free @ (a_mat.T @ model.y) - g_free @ implicit.g)
     diagnostics = dict(base.diagnostics)
-    # N R^{-1} Q' W with W = Lambda^{-1/2} F', never materializing W
+    # G W with W = Lambda^{-1/2} F', never materializing W
     diagnostics["linear_map"] = (gain / np.sqrt(spec.eigenvalues_pos)) \
         @ spec.eigenvectors_pos.T + g_free @ a_mat.T
     diagnostics["offset"] = (beta_star - gain @ (wx @ beta_star)) - g_free @ implicit.g

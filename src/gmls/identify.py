@@ -33,6 +33,7 @@ from .spectral import (
     _as_matrices,
     _decompose_blocks,
     _fix_signs,
+    _svd_rank,
     as_matrix,
     default_tolerance,
     null_space_basis,
@@ -191,8 +192,7 @@ def check_mls_invertibility(X, spec: SpectralDecomposition,
 
 def _column_space_projector(block: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(block, full_matrices=False)
-    cutoff = default_tolerance(*block.shape, s[0] if s.size else 0.0)
-    basis = u[:, : int(np.count_nonzero(s > cutoff))]
+    basis = u[:, :_svd_rank(s, *block.shape).numeric_rank]
     return basis @ basis.T
 
 

@@ -12,7 +12,8 @@ dispersion I_n kron (M_m Sigma M_m) is singular of rank n(m-1).  The
 identity P = M (I_n kron M_m Sigma M_m)^+ M is what verify_theorem5
 checks numerically.  Each estimator is the least-squares core of
 gmls.estimators on the rows W_i X_i, one whitener W_i per equation (one
-for all in the Kronecker case), run once for B >= 1 response columns.
+for all in the Kronecker case), run once for B >= 1 response columns;
+the core's one SVD of the stacked rows decides their rank and solves.
 Every W_i comes from Sigma_i = F_i Lambda_i F_i', decomposed once when
 the panel is built (fe_gls), or from the SVD of the factor
 rows F_i Lambda_i^{1/2} with rows = M or D M (fe_mls, fe_drop_period).
@@ -33,7 +34,7 @@ from .errors import (
 from .estimators import _whitened_lsq
 from .model import (EstimateResult, EstimatorTag, GaussMarkoffModel, _block_diag,
                     build_model)
-from .spectral import SpectralDecomposition, _decompose_blocks, as_matrix, numeric_rank
+from .spectral import SpectralDecomposition, _decompose_blocks, as_matrix
 
 # Projector matrices are materialized densely only up to this many rows.
 DENSE_PROJECTOR_CAP = 2000
@@ -191,16 +192,15 @@ def _fit(model: FEPanelModel, whiteners: np.ndarray, refuse, tag: EstimatorTag,
          rank_key: str, **diagnostics) -> EstimateResult:
     """Slopes minimizing sum_i ||W_i (y_i - X_i beta)||^2, W_i of m or m - 1 rows.
 
-    The core factors the stacked rows W_i X_i once; its gain splits into
+    The core's one SVD of the stacked rows W_i X_i decides their rank,
+    recorded under ``rank_key``, and gives the gain; that splits into
     blocks G_i, and the K x T operator hstack(G_i W_i) maps all responses.
     """
     k_dim = model.num_params
     wx = (whiteners @ model.X.reshape(model.n, model.m, k_dim)).reshape(-1, k_dim)
-    report = numeric_rank(wx)
-    if report.numeric_rank < k_dim:
-        raise refuse(f"whitened design has rank {report.numeric_rank} < K={k_dim}; "
-                     "time-invariant regressors are not identified", report=report)
-    _, gain, _, _ = _whitened_lsq(wx, None, refuse, None)
+    _, gain, _, _, report = _whitened_lsq(
+        wx, None, refuse, None, message="whitened design has rank {} < K={}; "
+        "time-invariant regressors are not identified")
     blocks = gain.reshape(k_dim, model.n, -1).transpose(1, 0, 2) @ whiteners
     beta = blocks.transpose(1, 0, 2).reshape(k_dim, -1) @ model.y
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,

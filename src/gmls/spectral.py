@@ -338,16 +338,21 @@ def _assemble(t_dim: int, groups, tol: float | None,
     )
 
 
+def _svd_rank(values, rows: int, cols: int, tol: float | None = None) -> RankReport:
+    """The rank of a rows x cols matrix from its descending singular
+    values under the module rule, or at ``tol`` when given."""
+    cutoff = default_tolerance(rows, cols, values[0] if values.size else 0.0) \
+        if tol is None else float(tol)
+    rank = int(np.count_nonzero(values > cutoff))
+    return RankReport(rank, values, cutoff, deficient=rank < min(rows, cols))
+
+
 def numeric_rank(b, tol: float | None = None) -> RankReport:
     """Numeric rank of a general matrix via its singular values."""
     mat = as_matrix(b, "b")
-    rows, cols = mat.shape
     if mat.size == 0:
         return RankReport(0, np.zeros(0), 0.0, deficient=False)
-    values = np.linalg.svd(mat, compute_uv=False)
-    cutoff = default_tolerance(rows, cols, values[0]) if tol is None else float(tol)
-    rank = int(np.count_nonzero(values > cutoff))
-    return RankReport(rank, values, cutoff, deficient=rank < min(rows, cols))
+    return _svd_rank(np.linalg.svd(mat, compute_uv=False), *mat.shape, tol)
 
 
 def null_space_basis(b, tol: float | None = None) -> np.ndarray:
@@ -363,7 +368,5 @@ def null_space_basis(b, tol: float | None = None) -> np.ndarray:
     if rows == 0:
         return np.eye(cols)
     _, values, vt = np.linalg.svd(mat, full_matrices=True)
-    cutoff = default_tolerance(rows, cols, values[0] if values.size else 0.0) \
-        if tol is None else float(tol)
-    rank = int(np.count_nonzero(values > cutoff))
+    rank = _svd_rank(values, rows, cols, tol).numeric_rank
     return _fix_signs(vt[rank:, :].T)

@@ -457,7 +457,7 @@ def relative_error(fitted, exact):
 @pytest.mark.parametrize("cond", [1e6, 1e7])
 def test_solves_stay_accurate_on_ill_conditioned_designs(cond):
     # noise-free y, so a solve that forms X' Omega^+ X loses about
-    # cond(X)^2 * eps where a QR of the whitened design loses cond(X) * eps
+    # cond(X)^2 * eps where an SVD of the whitened design loses cond(X) * eps
     rng = np.random.default_rng(1111 + int(np.log10(cond)))
     start = time.perf_counter()
     t_dim, k = 40, 6

@@ -425,19 +425,28 @@ _KERNELS = ("svd", "qr", "eigh", "eigvalsh", "cholesky", "solve")
 # SVD.  A restriction consistency decision takes two SVDs: the rank of R
 # (of full row rank, so no per-column SVD) and the reported rank of
 # (R, r).  The whitened least-squares core takes one SVD of H when there
-# are rows, one QR and one solve.  Only the Theil check takes eigenvalues
-# alone.
+# are rows and one SVD of W X N, which both ranks and solves; no fit
+# path makes a QR or a solve, so those columns pin their absence.  Only
+# the Theil check takes eigenvalues alone.
 KERNEL_COUNTS = {
+    # the core's SVD of W X = X decides the design rank, which the CLI
+    # reads off the fit: 1
+    "estimate ols": ((*_GOLDEN_MODEL, "--method", "ols"), (1, 0, 1, 0, 0, 0), (0, 0)),
+    # the core's SVD of [X; Psi^(1/2)] decides the shifted rank 1 + the
+    # CLI's design rank 1; a scalar shift is diagonal, so no eigh
+    "estimate ridge": ((*_GOLDEN_MODEL, "--method", "ridge", "--ridge-psi", "0.5"),
+                       (2, 0, 1, 0, 0, 0), (0, 0)),
     # consistency 2 + identification (R; X) 1 + design rank 1, which the
-    # CLI reads off the fit, + core 1
+    # CLI reads off the fit, + core: SVD of H = R 1 and of W X N 1
     "estimate rgls": ((*_GOLDEN_MODEL, "--restrictions", "restrictions.csv",
-                       "--method", "rgls"), (5, 1, 1, 0, 0, 1), (0, 0)),
-    # consistency 2 + whitened rank 1 + core 1, whose SVD of H = R also
-    # decides R's row rank, + the CLI's design rank 1
+                       "--method", "rgls"), (6, 0, 1, 0, 0, 0), (0, 0)),
+    # consistency 2 + whitened rank F'X 1 + core: SVD of H = R 1, which
+    # also decides R's row rank, and of W X N 1 + the CLI's design rank 1
     "estimate tkn": ((*_GOLDEN_MODEL, "--restrictions", "restrictions.csv",
-                      "--method", "tkn"), (5, 1, 1, 0, 0, 1), (0, 0)),
-    # whitened rank 1 + the CLI's design rank 1; the core has no rows
-    "estimate mls": ((*_GOLDEN_MODEL, "--method", "mls"), (2, 1, 1, 0, 0, 1), (0, 0)),
+                      "--method", "tkn"), (6, 0, 1, 0, 0, 0), (0, 0)),
+    # whitened rank F'X 1 + the CLI's design rank 1 + core: no rows, SVD
+    # of W X 1
+    "estimate mls": ((*_GOLDEN_MODEL, "--method", "mls"), (3, 0, 1, 0, 0, 0), (0, 0)),
     # consistency 2 + identification 1 + whitened rank 1 + the rank of
     # H = R in combine_restrictions 1; nothing is fitted
     "diagnose": ((*_GOLDEN_MODEL, "--restrictions", "restrictions.csv"),
@@ -453,35 +462,36 @@ KERNEL_COUNTS = {
     # stack_sur's one batched eigh of the period blocks, whose
     # decomposition the model keeps: 1 eigh; admissibility 1 + rank of
     # H = A'X (5 x 6, full row rank) 1 + identification on (no explicit
-    # rows; X) 1, which the CLI reads as the design rank, + core 1
+    # rows; X) 1, which the CLI reads as the design rank, + core: SVD of
+    # H 1 and of W X N 1
     "estimate constrained": ((*_SUR_OK, "--method", "constrained"),
-                             (4, 1, 1, 0, 0, 1), (0, 0)),
+                             (5, 0, 1, 0, 0, 0), (0, 0)),
     # regular-gls, 12 x 3: the design draw's random SPD dispersion takes a
     # QR, build_model an eigh; gls takes the design rank 1 and the core
-    # (no rows) a QR and a solve, once for all 120 replications
+    # (no rows) the SVD of W X 1, once for all 120 replications
     "simulate": (("--scenario", "regular-gls", "--reps", "120", "--seed", "7"),
-                 (1, 2, 1, 0, 0, 1), (0, 0)),
+                 (2, 1, 1, 0, 0, 0), (0, 0)),
     # Kronecker panel, n = 3, m = 4, K = 2.  build_fe_model decomposes the
     # one sigma block: 1 eigh, the only one.  verify_theorem5 builds the
     # within whitener once, for the fe_mls fit and for the projector
     # identity, from 1 SVD of the within factor M F Lambda^{1/2}, and fits
-    # fe_gls (swept whitener read off the carried spectrum; _fit: rank
-    # 1 SVD, core 1 QR, 1 solve) and fe_mls (_fit: 1 SVD, 1 QR, 1 solve)
-    # once each; the projectors take the swept whitener (no kernel).  Each
-    # of the 4 dropped periods: 1 SVD of the reduced factor
-    # D M F Lambda^{1/2}; _fit 1 SVD, 1 QR, 1 solve.  SVDs: _fit ranks 6
-    # + within factor 1 + reduced factors 4.
+    # fe_gls (swept whitener read off the carried spectrum) and fe_mls
+    # once each, _fit's core taking 1 SVD of the stacked rows each; the
+    # projectors take the swept whitener (no kernel).  Each of the 4
+    # dropped periods: 1 SVD of the reduced factor D M F Lambda^{1/2} and
+    # _fit's 1 core SVD.  SVDs: _fit cores 6 + within factor 1 + reduced
+    # factors 4.
     "panel": (("--panel", "panel.csv", "--sigma", "panel_sigma.csv"),
-              (6 + 1 + 4, 2 + 4, 1, 0, 0, 2 + 4), (1, 1)),
+              (6 + 1 + 4, 0, 1, 0, 0, 0), (1, 1)),
     # n = 3, m = 4, K = 3.  The design draw's 3 random SPD blocks take a
     # QR each; the template panel's build_fe_model decomposes them in
     # 1 batched eigh; fe_gls whitens off those spectra and runs _fit
-    # once for all 100 replications: rank 1 SVD, core 1 QR, 1 solve
+    # once for all 100 replications: 1 core SVD
     "simulate fe-blockdiag": (("--scenario", "fe-blockdiag", "--reps", "100",
-                               "--seed", "7"), (1, 3 + 1, 1, 0, 0, 1), (1, 0)),
+                               "--seed", "7"), (1, 3, 1, 0, 0, 0), (1, 0)),
     # as fe-blockdiag with the one common block: 1 QR for its draw
     "simulate fe-kronecker": (("--scenario", "fe-kronecker", "--reps", "100",
-                               "--seed", "7"), (1, 1 + 1, 1, 0, 0, 1), (1, 0)),
+                               "--seed", "7"), (1, 1, 1, 0, 0, 0), (1, 0)),
 }
 
 # the whitened-rank diagnostic key names the estimator each panel._fit serves

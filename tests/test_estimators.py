@@ -25,6 +25,7 @@ from gmls import (
     build_model,
     combine_restrictions,
     constrained_singular_gls,
+    default_tolerance,
     extract_implicit_restrictions,
     gls,
     linear_representation,
@@ -37,7 +38,9 @@ from gmls import (
     tkn,
 )
 
-from conftest import random_nnd, random_spd
+from gmls.estimators import _whitened_lsq
+
+from conftest import assert_same_rank_decision, random_nnd, random_spd
 from oracles import (
     bordered_normal_system,
     constrained_wls,
@@ -281,6 +284,53 @@ def test_ridge_shrinks_towards_ols():
     base = ols(model).beta_hat
     tiny = ridge(model, RidgeSpec.scalar(1e-12)).beta_hat
     np.testing.assert_allclose(tiny, base, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the least-squares core's rank decision
+
+
+def _kahan(n, theta):
+    """Kahan's upper triangular K_n(theta) = diag(s^i) (I - c * strict upper ones)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
+def test_core_rank_is_revealed_by_singular_values():
+    # K_100(1.2) padded with 5 zero rows: sigma_100 = 8.9e-17 sits under
+    # the cutoff 105 eps sigma_1 = 2.2e-13, while every |diag R| of an
+    # unpivoted QR stays at or above s^99 = 9.4e-4
+    kahan = np.vstack([_kahan(100, 1.2), np.zeros((5, 100))])
+    with pytest.raises(ReducedGramSingularError) as refused:
+        _whitened_lsq(kahan, None, ReducedGramSingularError, None)
+    report = refused.value.report
+    assert report.deficient and report.numeric_rank == 99
+    assert report.tolerance == default_tolerance(105, 100, report.values[0])
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9])
+@pytest.mark.parametrize("method", ["ols", "ridge"])
+def test_ols_and_ridge_record_the_cores_rank_decision(method, tol):
+    """The report under design_rank / shifted_rank is numeric_rank's
+    decision on the matrix the core factors, and a deficient one is
+    refused with the class and message of the pre-check it replaces."""
+    fits = {
+        "ols": (lambda model, psi: ols(model, tol=tol), "design_rank",
+                DesignRankDeficientError, "design has numeric rank 2 < K=3"),
+        "ridge": (lambda model, psi: ridge(model, RidgeSpec.scalar(psi), tol=tol),
+                  "shifted_rank", ShiftInsufficientError,
+                  "shifted design [X; Psi^(1/2)] has rank 2 < K"),
+    }
+    fit, key, error, message = fits[method]
+    rng = np.random.default_rng(66)
+    model = _regular(rng)
+    factored = model.X if method == "ols" else np.vstack([model.X, np.sqrt(0.3) * np.eye(3)])
+    assert_same_rank_decision(fit(model, 0.3).diagnostics[key], factored, tol)
+    x = rng.normal(size=(9, 3))
+    x[:, 2] = x[:, 1]
+    with pytest.raises(error) as refused:
+        fit(build_model(x @ np.ones((3, 1)), x, np.eye(9)), 0.0)
+    assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from gmls import (
     IdentificationError,
     ProjectorSet,
     ResponseOutsideRangeError,
+    TheilRankConditionError,
     build_fe_model,
     build_projectors,
     centering_matrix,
@@ -21,7 +22,9 @@ from gmls import (
     within_transform,
 )
 
-from conftest import random_spd
+from gmls.panel import _swept_whiteners, _top_whiteners
+
+from conftest import assert_same_rank_decision, random_spd
 from oracles import fe_joint_gls, matrix_rank_svd
 
 
@@ -170,6 +173,33 @@ def test_fe_gls_rejects_time_invariant_regressor():
     model = build_fe_model(designs, responses, sigma=random_spd(rng, m))
     with pytest.raises(IdentificationError):
         fe_gls(model)
+
+
+@pytest.mark.parametrize("fit,key,error", [
+    pytest.param(fe_gls, "swept_rank", IdentificationError, id="fe_gls"),
+    pytest.param(fe_mls, "whitened_within_rank", TheilRankConditionError, id="fe_mls"),
+    pytest.param(lambda model: fe_drop_period(model, 2), "reduced_rank",
+                 IdentificationError, id="fe_drop_period")])
+def test_panel_fits_record_the_cores_rank_decision(fit, key, error):
+    """The report under each rank key is numeric_rank's decision on the
+    stacked rows W_i X_i the core factors, and a time-invariant
+    regressor is refused with the class and message it always had."""
+    rng = np.random.default_rng(107)
+    model, _ = _panel(rng, kron=False)
+    cm = centering_matrix(model.m)
+    whiteners = {"swept_rank": lambda: _swept_whiteners(model),
+                 "whitened_within_rank": lambda: _top_whiteners(model, cm),
+                 "reduced_rank": lambda: _top_whiteners(model, np.delete(cm, 1, axis=0))}[key]()
+    k_dim = model.num_params
+    wx = (whiteners @ model.X.reshape(model.n, model.m, k_dim)).reshape(-1, k_dim)
+    assert_same_rank_decision(fit(model).diagnostics[key], wx, None)
+    designs = [np.hstack([np.ones((5, 1)), rng.normal(size=(5, 1))]) for _ in range(3)]
+    deficient = build_fe_model(designs, [rng.normal(size=(5, 1)) for _ in range(3)],
+                               sigma=random_spd(rng, 5))
+    with pytest.raises(error) as refused:
+        fit(deficient)
+    assert str(refused.value) == ("whitened design has rank 1 < K=2; "
+                                  "time-invariant regressors are not identified")
 
 
 def test_within_transform_model_rank():
