@@ -47,9 +47,7 @@ from .model import (
     LinearRestrictions,
     SURLayout,
     build_model,
-    extract_sur_blocks,
     stack_sur,
-    stacking_permutation,
 )
 from .identify import (
     ImplicitRestrictions,
@@ -83,7 +81,6 @@ from .panel import (
     build_fe_model,
     build_projectors,
     centering_matrix,
-    dummy_matrix,
     fe_drop_period,
     fe_gls,
     fe_mls,
@@ -113,8 +110,7 @@ __all__ = [
     "null_space_basis", "numeric_rank", "spectral_decompose",
     "CombinedRestrictions", "EstimateResult", "EstimatorTag",
     "GaussMarkoffModel", "LinearRestrictions", "SURLayout", "build_model",
-    "extract_sur_blocks", "stack_sur",
-    "stacking_permutation",
+    "stack_sur",
     "ImplicitRestrictions", "TheilWitness", "WitnessKind",
     "check_joint_identification", "check_mls_invertibility",
     "check_restriction_consistency", "check_theil_condition",
@@ -123,7 +119,7 @@ __all__ = [
     "constrained_singular_gls", "gls", "linear_representation", "mls",
     "ols", "rgls", "ridge", "rols", "stochastic_restricted_gls", "tkn",
     "FEPanelModel", "ProjectorSet", "Theorem5Report", "build_fe_model",
-    "build_projectors", "centering_matrix", "dummy_matrix",
+    "build_projectors", "centering_matrix",
     "fe_drop_period", "fe_gls", "fe_mls", "verify_theorem5",
     "within_transform",
     "MCReport", "SimulationConfig", "generate_instance", "run_study",

@@ -91,7 +91,7 @@ def _whiten(spec: SpectralDecomposition, *mats):
 
 
 def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None,
-                  message="reduced whitened design has rank {} < {}"):
+                  message="reduced whitened design has rank {} < {}", decision=None):
     """Minimize ||wy - wx beta|| subject to H beta = h, rows = (H, h).
 
     wy and h may hold B columns, one problem each on the same wx and H.
@@ -100,9 +100,9 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None,
     SVD wx N = U S V' gives its rank report under numeric_rank's rule,
     the gain G = N V S^{-1} U', the estimate beta* + G (wy - wx beta*)
     and the covariance factor G G'.  A rank below the columns of wx N
-    raises ``refuse`` with ``message`` formatted by (rank, columns) and
-    the report.  The SVD of H is thin unless H has fewer rows than
-    columns, the one case that needs the full V'.
+    raises ``refuse`` with ``message`` formatted by (rank, columns), the
+    report and the caller's catalogue ``decision``.  The SVD of H is thin
+    unless H has fewer rows than columns, the one case that needs the full V'.
 
     Returns (beta_hat, gain, beta*, rank reports of H and of wx N);
     beta_hat is None when wy is, for callers that apply the gain
@@ -124,7 +124,8 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None,
     u, s, vt = np.linalg.svd(reduced, full_matrices=False)
     report = _svd_rank(s, *reduced.shape, tol)
     if report.numeric_rank < reduced.shape[1]:
-        raise refuse(message.format(report.numeric_rank, reduced.shape[1]), report=report)
+        raise refuse(message.format(report.numeric_rank, reduced.shape[1]), report=report,
+                     decision=decision)
     gain = (basis @ (vt.T / s)) @ u.T
     beta = None if wy is None else beta_star + gain @ (wy - wx @ beta_star)
     return beta, gain, beta_star, h_report, report
@@ -166,14 +167,18 @@ def _joint_identification_or_raise(x_mat: np.ndarray, restr: np.ndarray, tol):
     return report
 
 
-def _whitened_rank_or_raise(model: GaussMarkoffModel, tol):
+def _pseudo_inverse_lsq(model: GaussMarkoffModel, tol, rows=None):
+    """The Eq. (14) report of F'X and the core's fit to W X and W y, for mls
+    and tkn; a refusal by the pre-check or by the core names that decision."""
     ok, report = check_mls_invertibility(model.X, model.spectrum, tol=tol)
     if not ok:
         raise TheilRankConditionError(
             f"F'X has rank {report.numeric_rank} < K={model.num_params}; "
             "the pseudo-inverse normal matrix is not invertible", report=report,
             decision="whitened_design_rank")
-    return report
+    wx, wy = _whiten(model.spectrum, model.X, model.y)
+    return report, _whitened_lsq(wx, wy, TheilRankConditionError, tol, rows=rows,
+                                 decision="whitened_design_rank")
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +463,7 @@ def mls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     F'X has full column rank; coincides with GLS whenever the dispersion
     is positive definite.
     """
-    report = _whitened_rank_or_raise(model, tol)
-    wx, wy = _whiten(model.spectrum, model.X, model.y)
-    beta, gain, _, _, _ = _whitened_lsq(wx, wy, TheilRankConditionError, tol)
+    report, (beta, gain, _, _, _) = _pseudo_inverse_lsq(model, tol)
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.MLS,
@@ -478,10 +481,7 @@ def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
     GLS for positive definite dispersion.
     """
     cons = _consistency_or_raise(res, tol)
-    report = _whitened_rank_or_raise(model, tol)
-    wx, wy = _whiten(model.spectrum, model.X, model.y)
-    beta, gain, _, r_report, _ = _whitened_lsq(wx, wy, TheilRankConditionError, tol,
-                                               rows=(res.R, res.r))
+    report, (beta, gain, _, r_report, _) = _pseudo_inverse_lsq(model, tol, (res.R, res.r))
     if r_report.numeric_rank < res.count:
         raise RestrictionGramSingularError(
             f"R has rank {r_report.numeric_rank} < {res.count} rows, "

@@ -217,16 +217,10 @@ class SURLayout:
             start += w
         return out
 
-    def period_row(self, t: int) -> np.ndarray:
-        """The n x K design block of period t in period-major stacking."""
-        row = np.zeros((self.n, self.num_params))
-        for i, (block, cols) in enumerate(zip(self.block_design, self.column_slices())):
-            row[i, cols] = block[t, :]
-        return row
-
 
 def _period_rows(layout: SURLayout) -> np.ndarray:
-    """The m x n x K stack whose entry t is ``layout.period_row(t)``."""
+    """The m x n x K stack of period-major design blocks: entry t holds
+    row t of equation i's design in row i, under that equation's columns."""
     rows = np.zeros((layout.m, layout.n, layout.num_params))
     for i, (block, cols) in enumerate(zip(layout.block_design, layout.column_slices())):
         rows[:, i, cols] = block
@@ -317,23 +311,6 @@ def _block_diag(*blocks) -> np.ndarray:
     return out
 
 
-def stacking_permutation(n: int, m: int, src: str, dst: str) -> np.ndarray:
-    """Row permutation taking src-major stacked arrays to dst-major order.
-
-    Returns an index array p with A_dst = A_src[p].  Equation-major rows
-    are ordered (i, t) -> i*m + t, period-major rows (i, t) -> t*n + i.
-    """
-    for name in (src, dst):
-        if name not in (PERIOD_MAJOR, EQUATION_MAJOR):
-            raise ValueError(f"unknown ordering {name!r}")
-    if src == dst:
-        return np.arange(n * m)
-    if dst == PERIOD_MAJOR:  # src is equation-major: position t*n + i holds i*m + t
-        return (np.arange(m)[:, None] + m * np.arange(n)).ravel()
-    # dst equation-major, src period-major: position i*m + t holds t*n + i
-    return (np.arange(n)[:, None] + n * np.arange(m)).ravel()
-
-
 def stack_sur(layout: SURLayout, responses, dispersion_blocks,
               order: str = PERIOD_MAJOR, sigma2: float | None = None,
               tol: float | None = None) -> GaussMarkoffModel:
@@ -384,24 +361,3 @@ def stack_sur(layout: SURLayout, responses, dispersion_blocks,
     _require_more_rows(design)
     spec = _assemble(n * m, [(np.arange(n * m).reshape(count, size), vals, vecs)], tol)
     return _admit(y, design, stack, spec, sigma2, order)
-
-
-def extract_sur_blocks(model: GaussMarkoffModel, layout: SURLayout):
-    """Recover the per-equation (design, response) pairs from a stacked model.
-
-    Inverse of stack_sur up to exact equality; the model must carry the
-    ordering tag stack_sur recorded.
-    """
-    if model.ordering not in (PERIOD_MAJOR, EQUATION_MAJOR):
-        raise ValueError("model does not record a SUR stacking order")
-    n, m = layout.n, layout.m
-    if model.num_obs != n * m:
-        raise DimensionMismatchError("model size does not match layout")
-    perm = stacking_permutation(n, m, src=model.ordering, dst=EQUATION_MAJOR)
-    design_eq = model.X[perm]
-    y_eq = model.y[perm]
-    out = []
-    for i, cols in enumerate(layout.column_slices()):
-        rows = slice(i * m, (i + 1) * m)
-        out.append((design_eq[rows, cols], y_eq[rows]))
-    return out

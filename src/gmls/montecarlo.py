@@ -245,23 +245,19 @@ def _build_structure(config: SimulationConfig) -> _Structure:
                       template=template, restrictions=restrictions, layout=layout)
 
 
-def _draw_errors(specs, sigma2: float, seed: int, first: int, count: int) -> list:
-    """Errors F sqrt(Lambda) z of replications first, ..., first + count - 1.
-
-    Returns one T_i x count block per decomposition in ``specs``;
-    replication j's row of z holds the z of every block in turn.
+def _draw_errors(vectors, values, blocks: int, sigma2: float, seed: int, first: int,
+                 count: int) -> np.ndarray:
+    """Errors F_i sqrt(Lambda_i) z_i of replications first, ..., first + count - 1,
+    ``blocks`` T_i x count blocks stacked in turn; ``vectors`` (T_i x r) and
+    ``values`` (r), or stacks of one or ``blocks`` of each, hold F_i and Lambda_i.
+    Replication j's row of z holds the z of every block in turn.
     """
-    ranks = [spec.rank for spec in specs]
+    rank = values.shape[-1]
     chunks = range(first // STREAM_CHUNK, -(-(first + count) // STREAM_CHUNK))
-    z = np.vstack([_rng(seed, 1 + c).standard_normal((STREAM_CHUNK, sum(ranks)))
+    z = np.vstack([_rng(seed, 1 + c).standard_normal((STREAM_CHUNK, blocks * rank))
                    for c in chunks])[first % STREAM_CHUNK:][:count]
-    out, start = [], 0
-    for spec, rank in zip(specs, ranks):
-        block = z[:, start:start + rank].T
-        start += rank
-        out.append(np.sqrt(sigma2) * (spec.eigenvectors_pos @
-                                      (np.sqrt(spec.eigenvalues_pos)[:, None] * block)))
-    return out
+    scaled = np.sqrt(values)[..., None] * z.T.reshape(blocks, rank, count)
+    return (np.sqrt(sigma2) * (vectors @ scaled)).reshape(-1, count)
 
 
 def _draw(structure: _Structure, config: SimulationConfig, first: int, count: int):
@@ -269,12 +265,12 @@ def _draw(structure: _Structure, config: SimulationConfig, first: int, count: in
     with one response column per replication."""
     template = structure.template
     if isinstance(template, FEPanelModel):
-        # a Kronecker panel's one spectrum serves every equation
-        specs = template.spectra * (template.n if template.kronecker else 1)
+        # a Kronecker panel's one block of eigenpairs serves every equation
+        factors = template.eigenvectors, template.eigenvalues, template.n
     else:
-        specs = (template.spectrum,)
-    errors = _draw_errors(specs, structure.sigma2, config.seed, first, count)
-    return dataclasses.replace(template, y=template.y + np.vstack(errors))
+        factors = template.spectrum.eigenvectors_pos, template.spectrum.eigenvalues_pos, 1
+    errors = _draw_errors(*factors, structure.sigma2, config.seed, first, count)
+    return dataclasses.replace(template, y=template.y + errors)
 
 
 def generate_instance(config: SimulationConfig, replication: int) -> Instance:

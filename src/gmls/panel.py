@@ -17,6 +17,7 @@ the core's one SVD of the stacked rows decides their rank and solves.
 Every W_i comes from Sigma_i = F_i Lambda_i F_i', decomposed once when
 the panel is built (fe_gls), or from the SVD of the factor
 rows F_i Lambda_i^{1/2} with rows = M or D M (fe_mls, fe_drop_period).
+The within model takes its spectrum from the same SVD at rows = M.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .errors import (
     TheilRankConditionError,
 )
 from .estimators import _whitened_lsq
-from .model import (EstimateResult, EstimatorTag, GaussMarkoffModel, _block_diag,
-                    build_model)
-from .spectral import SpectralDecomposition, _decompose_blocks, as_matrix
+from .model import (EstimateResult, EstimatorTag, GaussMarkoffModel, _admit, _block_diag,
+                    _require_more_rows)
+from .spectral import _assemble, _decompose_blocks, _fix_signs, as_matrix
 
 # Projector matrices are materialized densely only up to this many rows.
 DENSE_PROJECTOR_CAP = 2000
@@ -46,8 +47,9 @@ class FEPanelModel:
 
     ``sigmas`` stacks the distinct m x m dispersion blocks: the common
     block alone in the Kronecker case (1 x m x m), one per equation
-    otherwise (n x m x m).  ``spectra`` holds the SpectralDecomposition
-    of each, made once by build_fe_model and read by every estimator.
+    otherwise (n x m x m).  ``eigenvalues`` (count x m, descending) and
+    ``eigenvectors`` (count x m x m) hold their eigenpairs, F_i and Lambda_i,
+    from build_fe_model's one batched eigh; every estimator reads them.
     """
 
     n: int
@@ -55,7 +57,8 @@ class FEPanelModel:
     X: np.ndarray
     y: np.ndarray
     sigmas: np.ndarray
-    spectra: tuple
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     @property
     def num_obs(self) -> int:
@@ -91,11 +94,6 @@ class ProjectorSet:
 def centering_matrix(m: int) -> np.ndarray:
     """M_m = I_m - e e'/m, the within (time-demeaning) operator."""
     return np.eye(m) - np.full((m, m), 1.0 / m)
-
-
-def dummy_matrix(n: int, m: int) -> np.ndarray:
-    """The fixed-effects design Z = I_n kron e_m."""
-    return np.kron(np.eye(n), np.ones((m, 1)))
 
 
 def build_fe_model(designs, responses, sigma=None, sigma_blocks=None) -> FEPanelModel:
@@ -143,14 +141,9 @@ def build_fe_model(designs, responses, sigma=None, sigma_blocks=None) -> FEPanel
         raise DispersionNotPDError(f"sigma block {i} is singular (rank {ranks[i]} < {m})")
     if refusal is not None:
         raise DispersionNotPDError(f"sigma block {refusal[0]}: {refusal[1]}")
-    # descending and C-ordered, as spectral_decompose lists a full-rank block
-    spectra = tuple(SpectralDecomposition(
-        source_dim=m, blocks=((np.arange(m)[None], vals[i:i + 1], vecs[i:i + 1]),),
-        order_pos=np.arange(m)[::-1], order_null=np.zeros(0, dtype=int),
-        eigenvalues_pos=vals[i, ::-1].copy(), rank=m, tolerance_used=float(cutoffs[i]))
-        for i in range(len(blocks)))
     return FEPanelModel(n=n, m=m, X=np.vstack(xs), y=np.vstack(ys), sigmas=sigmas,
-                        spectra=spectra)
+                        eigenvalues=vals[:, ::-1].copy(),
+                        eigenvectors=np.ascontiguousarray(vecs[:, :, ::-1]))
 
 
 def _per_equation(model: FEPanelModel, blocks: np.ndarray) -> np.ndarray:
@@ -162,18 +155,17 @@ def _swept_whiteners(model: FEPanelModel) -> np.ndarray:
     """S_i = (I - u u') W_i with W_i = Lambda_i^{-1/2} F_i' from the carried
     Sigma_i = F_i Lambda_i F_i' and u the unit vector along W_i e, so
     S_i'S_i = P_i, the swept GLS weight."""
-    w = np.stack([(spec.eigenvectors_pos / np.sqrt(spec.eigenvalues_pos)).T
-                  for spec in model.spectra])
+    w = (model.eigenvectors / np.sqrt(model.eigenvalues)[:, None]).transpose(0, 2, 1)
     u = w.sum(axis=2, keepdims=True)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return w - u @ (u.transpose(0, 2, 1) @ w)
 
 
-def _within_factors(model: FEPanelModel, rows: np.ndarray) -> np.ndarray:
-    """B_i = rows F_i Lambda_i^{1/2}, so rows Sigma_i rows' = B_i B_i' without
-    forming that product, which cancels when Sigma_i has large variance along e."""
-    return rows @ np.stack([spec.eigenvectors_pos * np.sqrt(spec.eigenvalues_pos)
-                            for spec in model.spectra])
+def _within_svd(model: FEPanelModel, rows: np.ndarray):
+    """U_i, S_i of B_i = rows F_i Lambda_i^{1/2} = U_i S_i V_i', the factor of
+    rows Sigma_i rows', a product that cancels under large variance along e."""
+    factors = rows @ (model.eigenvectors * np.sqrt(model.eigenvalues)[:, None])
+    return np.linalg.svd(factors, full_matrices=False)[:2]
 
 
 def _top_whiteners(model: FEPanelModel, rows: np.ndarray) -> np.ndarray:
@@ -184,7 +176,7 @@ def _top_whiteners(model: FEPanelModel, rows: np.ndarray) -> np.ndarray:
     sqrt(lambda_min / m) > sqrt(eps lambda_max) under build_fe_model's cut
     lambda_min > m eps lambda_max: 1 / (m sqrt(eps)), over 1e7 at m = 4, times
     the rounding residue m eps sqrt(lambda_max) left along the removed direction."""
-    u, s, _ = np.linalg.svd(_within_factors(model, rows), full_matrices=False)
+    u, s = _within_svd(model, rows)
     return (u[:, :, :model.m - 1] / s[:, None, :model.m - 1]).transpose(0, 2, 1) @ rows
 
 
@@ -240,17 +232,22 @@ def fe_gls(model: FEPanelModel) -> EstimateResult:
 def within_transform(model: FEPanelModel) -> GaussMarkoffModel:
     """Center the panel over time and carry the induced dispersion.
 
-    Returns the general Gauss-Markoff model {My, MX, I kron M Sigma M}, its
-    blocks formed as B_i B_i' from the factor B_i = M F_i Lambda_i^{1/2}.
-    The transformed dispersion is singular by construction: its rank is
-    n(m-1), one direction per equation having been removed.
+    Returns the general Gauss-Markoff model {My, MX, I kron M Sigma M}.  Its
+    spectrum is the SVD U_i S_i V_i' of the factor B_i = M F_i Lambda_i^{1/2}:
+    eigenvectors U_i, eigenvalues S_i^2 with the smallest set to 0 (M e = 0),
+    so the rank is n(m-1) with no cut deciding it (see _top_whiteners), and
+    M Sigma M is neither formed nor decomposed.
     """
     cm = centering_matrix(model.m)
-    factors = _within_factors(model, cm)
-    shape = (model.n, model.m, -1)
-    return build_model((cm @ model.y.reshape(shape)).reshape(model.num_obs, -1),
-                       (cm @ model.X.reshape(shape)).reshape(model.num_obs, -1),
-                       _per_equation(model, factors @ factors.transpose(0, 2, 1)))
+    u, s = _within_svd(model, cm)
+    vals, vecs = s[:, ::-1] ** 2, _fix_signs(u[:, :, ::-1])
+    vals[:, 0] = 0.0
+    vals, vecs = (np.broadcast_to(a, (model.n, *a.shape[1:])) for a in (vals, vecs))
+    rows = np.arange(model.num_obs).reshape(model.n, model.m)
+    X, y = ((cm @ a[rows]).reshape(model.num_obs, -1) for a in (model.X, model.y))
+    _require_more_rows(X)
+    return _admit(y, X, (vecs * vals[:, None]) @ vecs.transpose(0, 2, 1),
+                  _assemble(model.num_obs, [(rows, vals, vecs)], 0.0), None, None)
 
 
 def fe_mls(model: FEPanelModel) -> EstimateResult:

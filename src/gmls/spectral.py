@@ -11,12 +11,13 @@ below -max(tol, 4 s eps lambda_max), the error bound of the eigensolver
 on an s x s matrix.  All outputs are deterministic for identical inputs
 within a single build of the underlying LAPACK.
 
-A block-diagonal input (a period-major SUR dispersion, a within-transformed
-panel) is decomposed block by block: its spectrum is the union of the
-blocks' spectra, cut under the same rule at the largest eigenvalue of the
-whole matrix.  spectral_decompose reads the blocks off the zero pattern,
-so no caller declares them; a caller that already holds the blocks'
-eigenpairs (stack_sur) hands them to the same assembly.  The
+A block-diagonal input (a period-major SUR dispersion) is decomposed
+block by block: its spectrum is the union of the blocks' spectra, cut
+under the same rule at the largest eigenvalue of the whole matrix.
+spectral_decompose reads the blocks off the zero pattern, so no caller
+declares them; a caller that already holds the blocks' eigenpairs
+(stack_sur, or panel.within_transform with its cut at 0) hands them to
+the same assembly.  The
 decomposition keeps its block form, and its dense eigenvector matrices
 are built only on request.  The products F'M and A'M of a decomposition
 handed over as blocks are taken block by block; those of a dense matrix
@@ -230,11 +231,6 @@ class SpectralDecomposition:
             out[rows[block], cols[block, j][:, None]] = vecs[block, :, j]
             first += vals.size
         return out
-
-    def reconstruct(self) -> np.ndarray:
-        """Reassemble the original matrix from the positive part."""
-        f = self.eigenvectors_pos
-        return (f * self.eigenvalues_pos) @ f.T
 
 
 @dataclass(frozen=True)

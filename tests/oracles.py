@@ -15,6 +15,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import cholesky, null_space
 
+from gmls import DimensionMismatchError
+from gmls.model import EQUATION_MAJOR, PERIOD_MAJOR
+
 
 def _to_fractions(matrix):
     # Fraction(float) is exact, so this loses nothing
@@ -98,6 +101,13 @@ def spectral_pinv(spec) -> np.ndarray:
     decomposed matrix is exactly the null space of the result."""
     f = spec.eigenvectors_pos
     return (f / spec.eigenvalues_pos) @ f.T
+
+
+def reconstruct(spec) -> np.ndarray:
+    """The decomposed matrix F diag(lambda) F' reassembled from the
+    positive part of a spectral decomposition."""
+    f = spec.eigenvectors_pos
+    return (f * spec.eigenvalues_pos) @ f.T
 
 
 def whitened_gls(y_vec, x_mat, omega) -> np.ndarray:
@@ -313,3 +323,54 @@ def jackknife_covariance_se_direct(estimates) -> np.ndarray:
         / (reps - 2)
     center = cov_wo.mean(axis=0)
     return np.sqrt((reps - 1) / reps * ((cov_wo - center) ** 2).sum(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# fixed-effects and SUR layouts, built entry by entry
+
+def dummy_matrix(n: int, m: int) -> np.ndarray:
+    """The fixed-effects design Z = I_n kron e_m."""
+    return np.kron(np.eye(n), np.ones((m, 1)))
+
+
+def period_row(layout, t: int) -> np.ndarray:
+    """The n x K design block of period t in period-major stacking."""
+    row = np.zeros((layout.n, layout.num_params))
+    for i, (block, cols) in enumerate(zip(layout.block_design, layout.column_slices())):
+        row[i, cols] = block[t, :]
+    return row
+
+
+def stacking_permutation(n: int, m: int, src: str, dst: str) -> np.ndarray:
+    """Row permutation taking src-major stacked arrays to dst-major order.
+
+    Returns an index array p with A_dst = A_src[p].  Equation-major rows
+    are ordered (i, t) -> i*m + t, period-major rows (i, t) -> t*n + i.
+    """
+    for name in (src, dst):
+        if name not in (PERIOD_MAJOR, EQUATION_MAJOR):
+            raise ValueError(f"unknown ordering {name!r}")
+    if src == dst:
+        return np.arange(n * m)
+    if dst == PERIOD_MAJOR:  # src is equation-major: position t*n + i holds i*m + t
+        return (np.arange(m)[:, None] + m * np.arange(n)).ravel()
+    # dst equation-major, src period-major: position i*m + t holds t*n + i
+    return (np.arange(n)[:, None] + n * np.arange(m)).ravel()
+
+
+def extract_sur_blocks(model, layout):
+    """Recover the per-equation (design, response) pairs from a stacked model.
+
+    Inverse of stack_sur up to exact equality; the model must carry the
+    ordering tag stack_sur recorded.
+    """
+    if model.ordering not in (PERIOD_MAJOR, EQUATION_MAJOR):
+        raise ValueError("model does not record a SUR stacking order")
+    n, m = layout.n, layout.m
+    if model.num_obs != n * m:
+        raise DimensionMismatchError("model size does not match layout")
+    perm = stacking_permutation(n, m, src=model.ordering, dst=EQUATION_MAJOR)
+    design_eq = model.X[perm]
+    y_eq = model.y[perm]
+    return [(design_eq[i * m:(i + 1) * m, cols], y_eq[i * m:(i + 1) * m])
+            for i, cols in enumerate(layout.column_slices())]

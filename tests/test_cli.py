@@ -138,6 +138,21 @@ def test_panel_fits_a_sigma_with_large_variance_along_e(tmp_path):
     assert results["max_drop_gap"] <= 1e-12 * scale
 
 
+def test_core_refusal_at_an_explicit_tol_prints_the_eq14_label(tmp_path):
+    # Omega = 1e20 I scales W X to about 3e-10, below tol = 1e-9, while F'X
+    # passes mls's pre-check at the same tol
+    rng = np.random.default_rng(96)
+    x = rng.normal(size=(10, 3))
+    for name, mat in (("x", x), ("y", x @ np.ones((3, 1))), ("omega", 1e20 * np.eye(10))):
+        np.savetxt(tmp_path / f"{name}.csv", mat, delimiter=",", fmt="%.17g")
+    res = run_cli("estimate", "--design", str(tmp_path / "x.csv"),
+                  "--response", str(tmp_path / "y.csv"),
+                  "--dispersion", str(tmp_path / "omega.csv"),
+                  "--method", "mls", "--tol", "1e-9")
+    assert res.returncode == 2
+    assert "Eq. (14) whitened-design rank failed" in res.stderr
+
+
 def test_simulate_rejects_tiny_replication_count():
     res = run_cli("simulate", "--scenario", "regular-gls", "--reps", "50")
     assert res.returncode == 1
@@ -475,7 +490,7 @@ KERNEL_COUNTS = {
     # one sigma block: 1 eigh, the only one.  verify_theorem5 builds the
     # within whitener once, for the fe_mls fit and for the projector
     # identity, from 1 SVD of the within factor M F Lambda^{1/2}, and fits
-    # fe_gls (swept whitener read off the carried spectrum) and fe_mls
+    # fe_gls (swept whitener read off the carried eigenpairs) and fe_mls
     # once each, _fit's core taking 1 SVD of the stacked rows each; the
     # projectors take the swept whitener (no kernel).  Each of the 4
     # dropped periods: 1 SVD of the reduced factor D M F Lambda^{1/2} and
@@ -485,7 +500,7 @@ KERNEL_COUNTS = {
               (6 + 1 + 4, 0, 1, 0, 0, 0), (1, 1)),
     # n = 3, m = 4, K = 3.  The design draw's 3 random SPD blocks take a
     # QR each; the template panel's build_fe_model decomposes them in
-    # 1 batched eigh; fe_gls whitens off those spectra and runs _fit
+    # 1 batched eigh; fe_gls whitens off those eigenpairs and runs _fit
     # once for all 100 replications: 1 core SVD
     "simulate fe-blockdiag": (("--scenario", "fe-blockdiag", "--reps", "100",
                                "--seed", "7"), (1, 3, 1, 0, 0, 0), (1, 0)),

@@ -687,6 +687,22 @@ def test_restricted_refusals_come_in_catalogue_order():
     assert refused.value.decision == "joint_identification"
 
 
+def test_core_refusal_of_the_whitened_design_keeps_the_eq14_label():
+    """At an explicit tol, F'X can pass mls's and tkn's pre-check while the
+    core refuses the whitened design W X = Lambda^{-1/2} F'X, here scaled
+    by 1e-10 under Omega = 1e20 I; the refusal names the same decision."""
+    rng = np.random.default_rng(96)
+    x = rng.normal(size=(10, 3))
+    model = build_model(x @ np.ones((3, 1)), x, 1e20 * np.eye(10))
+    one_row = LinearRestrictions.build(np.array([[1.0, 0.0, 0.0]]), np.array([[1.0]]))
+    for fit, columns in ((lambda: mls(model, tol=1e-9), 3),
+                         (lambda: tkn(model, one_row, tol=1e-9), 2)):
+        with pytest.raises(TheilRankConditionError) as refused:
+            fit()
+        assert str(refused.value) == f"reduced whitened design has rank 0 < {columns}"
+        assert refused.value.decision == "whitened_design_rank"
+
+
 # ---------------------------------------------------------------------------
 # bordered system and representation class
 

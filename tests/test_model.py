@@ -18,12 +18,10 @@ from gmls import (
     combine_restrictions,
     constrained_singular_gls,
     extract_implicit_restrictions,
-    extract_sur_blocks,
     mls,
     run_study,
     stack_sur,
     spectral_decompose,
-    stacking_permutation,
     tkn,
 )
 from gmls import montecarlo
@@ -35,7 +33,7 @@ from gmls.model import (
 )
 
 from conftest import random_nnd, random_spd
-from oracles import stacked_membership
+from oracles import extract_sur_blocks, period_row, stacked_membership, stacking_permutation
 
 
 def _simple_model(rng, t_dim=8, k_dim=3):
@@ -268,9 +266,9 @@ def test_period_row_layout():
     d2 = np.array([[5.0], [6.0]])
     layout = SURLayout.build([d1, d2])
     assert layout.block_widths == (2, 1)
-    row0 = layout.period_row(0)
+    row0 = period_row(layout, 0)
     np.testing.assert_allclose(row0, [[1.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
-    row1 = layout.period_row(1)
+    row1 = period_row(layout, 1)
     np.testing.assert_allclose(row1, [[3.0, 4.0, 0.0], [0.0, 0.0, 6.0]])
 
 
@@ -320,7 +318,7 @@ def test_period_major_stack_is_the_period_rows():
     n = layout.n
     model = stack_sur(layout, responses, [np.eye(n)] * layout.m, order=PERIOD_MAJOR)
     for t in range(layout.m):
-        np.testing.assert_array_equal(model.X[t * n:(t + 1) * n], layout.period_row(t))
+        np.testing.assert_array_equal(model.X[t * n:(t + 1) * n], period_row(layout, t))
         np.testing.assert_array_equal(model.y[t * n:(t + 1) * n, 0],
                                       [responses[i][t, 0] for i in range(n)])
 

@@ -8,12 +8,10 @@ from gmls import (
     DispersionNotPDError,
     IdentificationError,
     ProjectorSet,
-    ResponseOutsideRangeError,
     TheilRankConditionError,
     build_fe_model,
     build_projectors,
     centering_matrix,
-    dummy_matrix,
     fe_drop_period,
     fe_gls,
     fe_mls,
@@ -25,7 +23,7 @@ from gmls import (
 from gmls.panel import _swept_whiteners, _top_whiteners
 
 from conftest import assert_same_rank_decision, random_spd
-from oracles import fe_joint_gls, matrix_rank_svd
+from oracles import dummy_matrix, fe_joint_gls, matrix_rank_svd
 
 
 def _panel(rng, n=3, m=5, k=2, kron=True):
@@ -283,19 +281,15 @@ def test_within_transform_accepts_a_sigma_with_large_variance_along_e():
 
 # build_fe_model's cut m eps lambda_max at m = 4 and lambda_max = 1
 _CUT = 4 * np.finfo(float).eps
-# fe_mls and every fe_drop_period are asserted first, so only this refusal
-# can make such a case fail as expected
-_DENSE_NULL_VECTOR = pytest.mark.xfail(
-    raises=ResponseOutsideRangeError, strict=True,
-    reason="build_model's dense eigh of the within dispersion places each null "
-           "vector e with error about eps lambda_max / lambda_min, beyond the 1e-8 "
-           "membership tolerance once lambda_min / lambda_max < 1e-8")
 
 
 @pytest.mark.parametrize("eigenvalues", [
     *(pytest.param((10.0 ** p, 1.0, 1.5, 0.7), id=f"along-e-1e{p}") for p in range(8, 17, 2)),
-    pytest.param((1.0, 2 * _CUT, 0.5, 0.8), id="min-at-2x-cut", marks=_DENSE_NULL_VECTOR),
-    pytest.param((1.0, 100 * _CUT, 0.5, 0.8), id="min-at-100x-cut", marks=_DENSE_NULL_VECTOR),
+    pytest.param((1.0, 2 * _CUT, 0.5, 0.8), id="min-at-2x-cut"),
+    pytest.param((1.0, 100 * _CUT, 0.5, 0.8), id="min-at-100x-cut"),
+    # lambda_min / lambda_max across e from 2 m eps to 1e-2
+    *(pytest.param((1.0, ratio, 0.5, 0.8), id=f"min-at-{ratio:.1e}")
+      for ratio in np.geomspace(2 * _CUT, 1e-2, 9)[1:]),
 ])
 def test_within_estimates_are_fe_gls_to_rounding(eigenvalues):
     """For every Sigma that build_fe_model admits, fe_mls, every
@@ -316,6 +310,26 @@ def test_within_estimates_are_fe_gls_to_rounding(eigenvalues):
         got = fit(model).beta_hat
         assert float(np.linalg.norm(got - reference)) \
             <= 1e-12 * float(np.linalg.norm(reference))
+
+
+def test_within_transform_neither_assembles_nor_decomposes_the_dispersion(monkeypatch):
+    """The within model's spectrum is the SVD of the carried factor
+    M F_i Lambda_i^{1/2}, of rank n(m - 1) with no cut deciding it."""
+    from gmls import model as model_module
+    from gmls import panel as panel_module
+    from gmls import spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the within dispersion was assembled or decomposed")
+    model, _ = _panel(np.random.default_rng(116), kron=False)
+    for module, name in ((model_module, "_block_diag"), (panel_module, "_block_diag"),
+                         (model_module, "spectral_decompose"),
+                         (spectral, "spectral_decompose"), (np.linalg, "eigh")):
+        monkeypatch.setattr(module, name, refuse)
+    within = within_transform(model)
+    assert within.spectrum.rank == model.n * (model.m - 1)
+    assert within.spectrum.tolerance_used == 0.0
+    assert np.all(within.spectrum.eigenvalues_pos > 0.0)
 
 
 def test_drop_period_range_check():
