@@ -312,8 +312,6 @@ def _result_entry(result) -> dict:
 
 def _load_model(args, tol):
     """Build the working model from either matrix files or a SUR file."""
-    layout = None
-    sigma_block = None
     if getattr(args, "sur", None):
         if not getattr(args, "sigma", None):
             raise CommandFailure(EXIT_INPUT, "--sur requires --sigma")
@@ -335,10 +333,7 @@ def _load_model(args, tol):
     response = read_matrix(args.response)
     if response.shape[1] != 1:
         response = response.reshape(-1, 1)
-    if args.dispersion:
-        omega = read_matrix(args.dispersion)
-    else:
-        omega = np.eye(design.shape[0])
+    omega = read_matrix(args.dispersion) if args.dispersion else np.eye(design.shape[0])
     model = build_model(response, design, omega, tol=tol)
     return model, None, None
 
@@ -442,7 +437,7 @@ def cmd_diagnose(args) -> int:
     checks["identification"] = _check_entry(
         "joint_identification", *check_joint_identification(model.X, explicit, tol=tol))
     checks["whitened_rank"] = _check_entry(
-        "whitened_design_rank", *check_mls_invertibility(model.X, model.spectrum, tol=tol))
+        "whitened_design_rank", *check_mls_invertibility(model, tol=tol))
     implicit = extract_implicit_restrictions(model)
     combined = combine_restrictions(explicit, implicit, tol=tol)
     checks["combined_consistency"] = {**_check_entry("combined_consistency",
@@ -523,11 +518,8 @@ def cmd_simulate(args) -> int:
     if args.reps < 100:
         raise CommandFailure(EXIT_INPUT,
                              f"--reps must be at least 100, got {args.reps}")
-    if args.scenario == "singular-adding-up":
-        # per-equation count; total must exceed the m implicit rows
-        default_k = 2
-    else:
-        default_k = 3
+    # singular-adding-up counts per equation; the total must exceed its m implicit rows
+    default_k = 2 if args.scenario == "singular-adding-up" else 3
     config = SimulationConfig(
         scenario=args.scenario,
         replications=args.reps,

@@ -12,21 +12,22 @@ Every estimator solves one problem,
 
     minimize || W (y - X beta) ||  subject to  H beta = h,
 
-with the whitener W = Lambda^{-1/2} F' taken from ``model.spectrum``
+with the whitener W = Lambda^{-1/2} F' of ``model.spectrum``
 (W'W = Omega^+; W = I for OLS and restricted OLS) and H the estimator's
 restriction rows; ridge and mixed estimation append rows to W X and
-W y.  One core solves it in null-space coordinates beta = beta* + N c,
-with an SVD of H and a thin SVD W X N = U S V', so no path forms the
-normal matrix X' W'W X and squares the condition number of the design.
-S decides the rank of W X N once; OLS, ridge and the panel estimators
-record that report as their rank decision.  The gain G = N V S^{-1} U'
-and the covariance factor G G' come off the same SVD; OLS, restricted
-OLS and ridge wrap G in their sandwich G Omega G', read off the
-spectrum.  Each estimator states its (W, H) and its own pre-checks,
-and records each catalogue decision among them (README) in its
-diagnostics under the key its refusal names as ``decision``.
-Restricted estimates satisfy H beta_hat = H beta*, so the restrictions
-hold to rounding.
+W y.  W X and W y rescale the model's F'X and F'y, formed once per model
+and shared with the Eq. (14) check.  One core solves it in null-space
+coordinates beta = beta* + N c, with an SVD of H and a thin SVD
+W X N = U S V', so no path forms the normal matrix X' W'W X and squares
+the condition number of the design.  S decides the rank of W X N once;
+OLS, ridge and the panel estimators record that report as their rank
+decision.  The gain G = N V S^{-1} U' and the covariance factor G G'
+come off the same SVD; OLS, restricted OLS and ridge wrap G in their
+sandwich G Omega G', read off the spectrum.  Each estimator states its
+(W, H) and its own pre-checks, and records each catalogue decision
+among them (README) in its diagnostics under the key its refusal names
+as ``decision``.  Restricted estimates satisfy H beta_hat = H beta*, so
+the restrictions hold to rounding.
 
 Every estimator takes a T x B response (see ``gmls.model``) and returns
 a K x B ``beta_hat``: the factorizations and rank checks, which do not
@@ -83,11 +84,10 @@ from .spectral import (
 # ---------------------------------------------------------------------------
 # the whitened least-squares core
 
-def _whiten(spec: SpectralDecomposition, *mats):
-    """Lambda^{-1/2} F' M for each M, with F Lambda F' the decomposition
-    and F'M taken block by block."""
-    scale = np.sqrt(spec.eigenvalues_pos)[:, None]
-    return [spec.project(mat) / scale for mat in mats]
+def _whiten(model: GaussMarkoffModel):
+    """W X and W y, W = Lambda^{-1/2} F', from the model's F'X and F'y."""
+    scale = np.sqrt(model.spectrum.eigenvalues_pos)[:, None]
+    return [product / scale for product in model._range_products]
 
 
 def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None,
@@ -170,13 +170,13 @@ def _joint_identification_or_raise(x_mat: np.ndarray, restr: np.ndarray, tol):
 def _pseudo_inverse_lsq(model: GaussMarkoffModel, tol, rows=None):
     """The Eq. (14) report of F'X and the core's fit to W X and W y, for mls
     and tkn; a refusal by the pre-check or by the core names that decision."""
-    ok, report = check_mls_invertibility(model.X, model.spectrum, tol=tol)
+    ok, report = check_mls_invertibility(model, tol=tol)
     if not ok:
         raise TheilRankConditionError(
             f"F'X has rank {report.numeric_rank} < K={model.num_params}; "
             "the pseudo-inverse normal matrix is not invertible", report=report,
             decision="whitened_design_rank")
-    wx, wy = _whiten(model.spectrum, model.X, model.y)
+    wx, wy = _whiten(model)
     return report, _whitened_lsq(wx, wy, TheilRankConditionError, tol, rows=rows,
                                  decision="whitened_design_rank")
 
@@ -211,8 +211,9 @@ def gls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     if report.numeric_rank < model.num_params:
         raise DesignRankDeficientError(
             f"design has numeric rank {report.numeric_rank} < K={model.num_params}")
-    wx, wy = _whiten(spec, model.X, model.y)
-    beta, gain, _, _, _ = _whitened_lsq(wx, wy, DesignRankDeficientError, tol)
+    wx, wy = _whiten(model)
+    beta, gain, _, _, _ = _whitened_lsq(wx, wy, DesignRankDeficientError, tol,
+                                        message="whitened design has rank {} < K={}")
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           residuals=model.y - model.X @ beta,
                           estimator_tag=EstimatorTag.GLS,
@@ -257,7 +258,7 @@ def rgls(model: GaussMarkoffModel, res: LinearRestrictions,
     ident = _joint_identification_or_raise(model.X, res.R, tol)
     spec = _pd_dispersion(model)
     design = numeric_rank(model.X, tol=tol)
-    wx, wy = _whiten(spec, model.X, model.y)
+    wx, wy = _whiten(model)
     beta, gain, _, _, _ = _whitened_lsq(wx, wy, IdentificationError, tol,
                                         rows=(res.R, res.r))
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
@@ -437,8 +438,9 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
     if ident.numeric_rank < model.num_params:
         raise IdentificationError(
             "augmented design lacks full column rank", report=ident)
-    wx, wy = _whiten(spec, model.X, model.y)
-    w_eff, w_r = _whiten(theta_spec, eff, sres.r)
+    wx, wy = _whiten(model)
+    theta_scale = np.sqrt(theta_spec.eigenvalues_pos)[:, None]
+    w_eff, w_r = (theta_spec.project(mat) / theta_scale for mat in (eff, sres.r))
     scale = np.sqrt(s2)
     w_r = np.broadcast_to(w_r, (sres.count, wy.shape[1]))
     beta, gain, _, _, _ = _whitened_lsq(np.vstack([wx / scale, w_eff]),
@@ -538,7 +540,7 @@ def _constrained(model: GaussMarkoffModel, combined: CombinedRestrictions,
     """The constrained estimate with the gain, beta* and W X behind it."""
     ident = _combined_checks(model, combined, tol)
     part = _checked_particular(combined, particular)
-    wx, wy = _whiten(model.spectrum, model.X, model.y)
+    wx, wy = _whiten(model)
     beta, gain, beta_star, h_report, _ = _whitened_lsq(
         wx, wy, ReducedGramSingularError, tol, rows=(combined.H, combined.h),
         particular=part)

@@ -28,8 +28,6 @@ from .model import (
     _period_rows,
 )
 from .spectral import (
-    RankReport,
-    SpectralDecomposition,
     _as_matrices,
     _decompose_blocks,
     _fix_signs,
@@ -115,12 +113,11 @@ def check_joint_identification(X, res: LinearRestrictions,
 def extract_implicit_restrictions(model: GaussMarkoffModel) -> ImplicitRestrictions:
     """Implicit restrictions G = A'X, g = A'y from a singular dispersion.
 
-    A is the null basis of the model's own spectrum, never built here.  A
-    positive definite dispersion yields an empty restriction set.
+    G and g are the model's (A'X, A'y), formed by its admission check; A,
+    the null basis of its spectrum, is never built.  A positive definite
+    dispersion yields an empty restriction set.
     """
-    spec = model.spectrum
-    return ImplicitRestrictions(G=spec.project(model.X, null=True),
-                                g=spec.project(model.y, null=True))
+    return ImplicitRestrictions(*model._null_products)
 
 
 def combine_restrictions(explicit: LinearRestrictions,
@@ -175,19 +172,15 @@ def _augmented_ranks(h_mat: np.ndarray, h_vec: np.ndarray, tol) -> np.ndarray:
     return np.count_nonzero(values > cutoff, axis=1)
 
 
-def check_mls_invertibility(X, spec: SpectralDecomposition,
-                            tol: float | None = None):
-    """Full column rank of F'X, F the positive-eigenvalue eigenvectors.
+def check_mls_invertibility(model: GaussMarkoffModel, tol: float | None = None):
+    """Eq. (14): full column rank of the model's F'X, F the positive-eigenvalue
+    eigenvectors of its dispersion, which the estimators' whitening shares.
 
     This is the exact condition for X' Omega^+ X to be invertible, i.e.
-    for the pseudo-inverse estimator to exist.  ``spec`` is the
-    dispersion's decomposition, normally ``model.spectrum``.
+    for the pseudo-inverse estimator to exist.
     """
-    X = as_matrix(X, "X")
-    if spec.source_dim != X.shape[0]:
-        raise DimensionMismatchError("decomposition does not match the design rows")
-    report = numeric_rank(spec.project(X), tol=tol)
-    return report.numeric_rank == X.shape[1], report
+    report = numeric_rank(model._range_products[0], tol=tol)
+    return report.numeric_rank == model.num_params, report
 
 
 def _column_space_projector(block: np.ndarray) -> np.ndarray:

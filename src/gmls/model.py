@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,11 @@ class GaussMarkoffModel:
     from it.  ``ordering`` records the stacking convention when the model
     was produced from per-equation SUR blocks ("period" or "equation"),
     None otherwise.
+
+    The model owns its rotated data as two pairs, each projected on first
+    use: ``_range_products`` (F'X, F'y) for the Eq. (14) check and every
+    whitening, ``_null_products`` (A'X, A'y) for the admission check and
+    the implicit restrictions; ``dataclasses.replace`` starts both afresh.
     """
 
     y: np.ndarray
@@ -92,6 +98,12 @@ class GaussMarkoffModel:
     @property
     def num_params(self) -> int:
         return self.X.shape[1]
+
+    def _project(self, null: bool) -> tuple:
+        return self.spectrum.project(self.X, null), self.spectrum.project(self.y, null)
+
+    _range_products = cached_property(lambda self: self._project(False))
+    _null_products = cached_property(lambda self: self._project(True))
 
 
 @dataclass(frozen=True)
@@ -268,12 +280,14 @@ def _admit(y, X, blocks, spec, sigma2, ordering) -> GaussMarkoffModel:
     ``blocks`` and decomposition ``spec``, once y passes the membership
     check."""
     t_dim, k_dim = X.shape
+    model = GaussMarkoffModel(y=y, X=X, dispersion_blocks=blocks, spectrum=spec,
+                              sigma2=sigma2, ordering=ordering)
     # y must lie in the column space of (X : dispersion) for the model to
     # be internally consistent with probability one.  col(dispersion) =
     # col(F), so the distance of y from that space is the least-squares
     # residual of A'y on A'X.
     if spec.order_null.size:
-        g, g_y = spec.project(X, null=True), spec.project(y, null=True)
+        g, g_y = model._null_products
         u, s, _ = np.linalg.svd(g, full_matrices=False)
         # the largest singular value of (X : dispersion) is within a
         # factor sqrt(2) of this scale
@@ -289,8 +303,7 @@ def _admit(y, X, blocks, spec, sigma2, ordering) -> GaussMarkoffModel:
                 ResponseOutsideRangeError,
                 "response is outside the column space of (design : dispersion)",
                 int(outside[0]), y.shape[1])
-    return GaussMarkoffModel(y=y, X=X, dispersion_blocks=blocks, spectrum=spec,
-                             sigma2=sigma2, ordering=ordering)
+    return model
 
 
 def _column_refusal(cls, message: str, column: int | None, columns: int, **fields):

@@ -7,7 +7,9 @@ output format; byte-for-byte comparison is intentional.  The refusal
 matrix and the kernel counts call ``cli.main`` in process.
 """
 
+import ast
 import contextlib
+import glob
 import io
 import json
 import os
@@ -313,6 +315,26 @@ def test_import_leaves_scipy_unloaded():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # the rule behind the probe above, read off the source, so an import in
+    # a function that no test reaches counts too
+    allowed = set(sys.stdlib_module_names) | {"numpy", "gmls"}
+    outside = []
+    for path in sorted(glob.glob(os.path.join(SRC, "gmls", "**", "*.py"), recursive=True)):
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [(os.path.basename(path), root) for root in roots
+                        if root not in allowed]
+    assert outside == []
 
 
 # ---------------------------------------------------------------------------

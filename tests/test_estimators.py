@@ -20,7 +20,9 @@ from gmls import (
     RestrictionGramSingularError,
     RidgeSpec,
     ShiftInsufficientError,
+    SpectralDecomposition,
     StochasticRestrictions,
+    SURLayout,
     TheilRankConditionError,
     build_model,
     combine_restrictions,
@@ -34,6 +36,7 @@ from gmls import (
     rgls,
     ridge,
     rols,
+    stack_sur,
     stochastic_restricted_gls,
     tkn,
 )
@@ -690,17 +693,24 @@ def test_restricted_refusals_come_in_catalogue_order():
 def test_core_refusal_of_the_whitened_design_keeps_the_eq14_label():
     """At an explicit tol, F'X can pass mls's and tkn's pre-check while the
     core refuses the whitened design W X = Lambda^{-1/2} F'X, here scaled
-    by 1e-10 under Omega = 1e20 I; the refusal names the same decision."""
+    by 1e-10 under Omega = 1e20 I; the refusal names the same decision.
+    gls's rank(X) pre-check passes there too, and its core refusal names
+    W X and K, not the design it accepted."""
     rng = np.random.default_rng(96)
     x = rng.normal(size=(10, 3))
     model = build_model(x @ np.ones((3, 1)), x, 1e20 * np.eye(10))
     one_row = LinearRestrictions.build(np.array([[1.0, 0.0, 0.0]]), np.array([[1.0]]))
-    for fit, columns in ((lambda: mls(model, tol=1e-9), 3),
-                         (lambda: tkn(model, one_row, tol=1e-9), 2)):
-        with pytest.raises(TheilRankConditionError) as refused:
+    for fit, refusal, message, decision in (
+            (lambda: mls(model, tol=1e-9), TheilRankConditionError,
+             "reduced whitened design has rank 0 < 3", "whitened_design_rank"),
+            (lambda: tkn(model, one_row, tol=1e-9), TheilRankConditionError,
+             "reduced whitened design has rank 0 < 2", "whitened_design_rank"),
+            (lambda: gls(model, tol=1e-9), DesignRankDeficientError,
+             "whitened design has rank 0 < K=3", None)):
+        with pytest.raises(refusal) as refused:
             fit()
-        assert str(refused.value) == f"reduced whitened design has rank 0 < {columns}"
-        assert refused.value.decision == "whitened_design_rank"
+        assert str(refused.value) == message
+        assert refused.value.decision == decision
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +823,16 @@ def test_estimators_fit_each_response_column():
     singular = replace(singular, y=singular.X @ rng.normal(size=(3, columns))
                        + root @ rng.normal(size=(root.shape[1], columns)))
     explicit = LinearRestrictions.build(np.array([[1.0, -1.0, 0.0]]), np.zeros((1, 1)))
-    for fit in (mls, lambda m: constrained_singular_gls(m, _combined_for(m)),
-                lambda m: constrained_singular_gls(m, _combined_for(m, explicit=explicit))):
-        _fits_by_column(fit, singular, columns)
+    # a stack_sur model's admission has formed its A'X and A'y, which the
+    # per-column copies must not reuse; every column keeps its beta, so
+    # that one right-hand side of the explicit rows holds for all
+    sur, sur_explicit = _adding_up_sur(rng, n=3, m=3, width=2)
+    root = sur.spectrum.eigenvectors_pos
+    sur = replace(sur, y=sur.y + root @ rng.normal(size=(root.shape[1], columns)))
+    for model, rows in ((singular, explicit), (sur, sur_explicit)):
+        for fit in (mls, lambda m: constrained_singular_gls(m, _combined_for(m)),
+                    lambda m: constrained_singular_gls(m, _combined_for(m, explicit=rows))):
+            _fits_by_column(fit, model, columns)
 
 
 def test_inconsistent_response_column_is_named():
@@ -847,3 +864,54 @@ def test_build_model_names_the_response_column_outside_the_range():
     with pytest.raises(ResponseOutsideRangeError, match="column 1") as info:
         build_model(y, model.X, model.dispersion)
     assert info.value.column == 1
+
+
+# ---------------------------------------------------------------------------
+# the model's rotated data
+
+
+def _adding_up_sur(rng, n, m, width):
+    """A period-major SUR model whose period blocks P D_t P share the null
+    vector 1/sqrt(n), with errors in their range, and two explicit
+    restrictions on the first two equations' coefficients."""
+    a = np.full((n, 1), 1.0 / np.sqrt(n))
+    proj = np.eye(n) - a @ a.T
+    scales = rng.uniform(0.5, 1.5, size=(m, n))
+    designs = [rng.normal(size=(m, width)) for _ in range(n)]
+    beta = rng.normal(size=(n * width, 1))
+    errors = (proj @ (np.sqrt(scales) * rng.standard_normal(size=(m, n))).T).T
+    responses = [designs[i] @ beta[i * width:(i + 1) * width, 0] + errors[:, i]
+                 for i in range(n)]
+    model = stack_sur(SURLayout.build(designs), responses,
+                      [proj @ np.diag(d) @ proj for d in scales])
+    rows = np.zeros((2, n * width))
+    rows[0, 0] = rows[0, width] = rows[1, 1] = 1.0
+    return model, LinearRestrictions.build(rows, rows @ beta)
+
+
+def test_a_sur_fit_projects_onto_the_spectrum_four_times(monkeypatch):
+    """A fit-sur-shaped fit (n = 4, m = 50, K = 12) projects its data once.
+
+    stack_sur's admission check reads A'X and A'y, since every period block
+    is singular: 2 calls.  extract_implicit_restrictions reads the same
+    pair and combine_restrictions projects nothing: 0.  The constrained
+    fit whitens from F'X and F'y, formed at this first use: 2.  mls's
+    Eq. (14) check and its whitening read that pair: 0.  So 4 in all,
+    where forming each product at each use made 2 + 2 + 2 + (1 + 2) = 9.
+    """
+    calls = []
+    project = SpectralDecomposition.project
+
+    def counting(self, mat, null=False):
+        calls.append(null)
+        return project(self, mat, null)
+
+    monkeypatch.setattr(SpectralDecomposition, "project", counting)
+    model, explicit = _adding_up_sur(np.random.default_rng(98), n=4, m=50, width=3)
+    combined = combine_restrictions(explicit, extract_implicit_restrictions(model))
+    constrained = constrained_singular_gls(model, combined)
+    pseudo = mls(model)
+    assert sorted(calls) == [False, False, True, True]
+    gap = np.max(np.abs(combined.H @ constrained.beta_hat - combined.h))
+    assert gap <= 1e-9 * (1.0 + np.max(np.abs(combined.h)))
+    assert pseudo.beta_hat.shape == (12, 1)

@@ -245,9 +245,9 @@ def test_mls_invertibility_matches_direct_rank():
     t_dim = 8
     x = rng.normal(size=(t_dim, 3))
     omega = random_nnd(rng, t_dim, rank=5)
-    spec = spectral_decompose(omega)
-    ok, report = check_mls_invertibility(x, spec)
-    direct = matrix_rank_svd(spec.eigenvectors_pos.T @ x)
+    model = build_model(x @ np.ones((3, 1)), x, omega)
+    ok, report = check_mls_invertibility(model)
+    direct = matrix_rank_svd(model.spectrum.eigenvectors_pos.T @ x)
     assert report.numeric_rank == direct
     assert ok == (direct == 3)
 
@@ -257,7 +257,7 @@ def test_mls_invertibility_fails_when_rank_drops_below_params():
     t_dim = 8
     x = rng.normal(size=(t_dim, 4))
     omega = random_nnd(rng, t_dim, rank=2)  # only 2 positive directions
-    ok, report = check_mls_invertibility(x, spectral_decompose(omega))
+    ok, report = check_mls_invertibility(build_model(x @ np.ones((4, 1)), x, omega))
     assert not ok
     assert report.numeric_rank <= 2
 
