@@ -121,7 +121,8 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None,
     if particular is not None:
         beta_star = particular
     reduced = wx @ basis
-    u, s, vt = np.linalg.svd(reduced, full_matrices=False)
+    u, s, vt = np.linalg.svd(reduced, full_matrices=False) if basis.shape[1] \
+        else (np.zeros((len(wx), 0)), np.zeros(0), np.zeros((0, 0)))  # no N: G = 0
     report = _svd_rank(s, *reduced.shape, tol)
     if report.numeric_rank < reduced.shape[1]:
         raise refuse(message.format(report.numeric_rank, reduced.shape[1]), report=report,

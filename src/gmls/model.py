@@ -289,10 +289,10 @@ def _admit(y, X, blocks, spec, sigma2, ordering) -> GaussMarkoffModel:
     if spec.order_null.size:
         g, g_y = model._null_products
         u, s, _ = np.linalg.svd(g, full_matrices=False)
-        # the largest singular value of (X : dispersion) is within a
-        # factor sqrt(2) of this scale
+        # the largest singular value of (X : dispersion) is within a factor
+        # sqrt(2) of this scale; sigma_1(X)^2 is the Gram X'X's top eigenvalue
         lam_max = spec.eigenvalues_pos[0] if spec.rank else 0.0
-        scale = np.hypot(np.linalg.norm(X, 2), lam_max)
+        scale = np.hypot(np.sqrt(np.linalg.eigvalsh(X.T @ X)[-1]), lam_max)
         cutoff = default_tolerance(t_dim, t_dim + k_dim, scale)
         basis = u[:, : int(np.count_nonzero(s > cutoff))]
         resid = g_y - basis @ (basis.T @ g_y)

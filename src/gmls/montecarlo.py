@@ -6,8 +6,8 @@ held fixed across replications.  Replication j takes row j mod
 STREAM_CHUNK of the one standard_normal((STREAM_CHUNK, r)) draw, r the
 error rank, from the stream keyed (seed, 1 + j // STREAM_CHUNK).  Any
 split of a study into replication ranges, in any order, therefore draws
-the same data, and a study of B replications keys ceil(B / STREAM_CHUNK)
-generators.
+the same data.  A study keys ceil(B / STREAM_CHUNK) streams on one rekeyed
+Philox and draws a chunk only to the last replication it serves.
 
 A study stacks the responses of all its replications as the columns of
 one T x B block and fits them with one estimator call, since every
@@ -156,8 +156,16 @@ class MCReport:
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    # key=0 spares deriving a key from the seed sequence; _key sets the real one
+    return _key(np.random.Generator(np.random.Philox(key=0)), seed, stream)
+
+
+def _key(rng: np.random.Generator, seed: int, stream: int) -> np.random.Generator:
+    """``rng`` reset to what a fresh Philox(key=(seed, stream)) reports."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0,) * 4, "key": (seed % 2**64, stream)},
+        "buffer": (0,) * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _default_beta(k_total: int) -> np.ndarray:
@@ -250,13 +258,14 @@ def _draw_errors(vectors, values, blocks: int, sigma2: float, seed: int, first: 
     """Errors F_i sqrt(Lambda_i) z_i of replications first, ..., first + count - 1,
     ``blocks`` T_i x count blocks stacked in turn; ``vectors`` (T_i x r) and
     ``values`` (r), or stacks of one or ``blocks`` of each, hold F_i and Lambda_i.
-    Replication j's row of z holds the z of every block in turn.
-    """
-    rank = values.shape[-1]
-    chunks = range(first // STREAM_CHUNK, -(-(first + count) // STREAM_CHUNK))
-    z = np.vstack([_rng(seed, 1 + c).standard_normal((STREAM_CHUNK, blocks * rank))
-                   for c in chunks])[first % STREAM_CHUNK:][:count]
-    scaled = np.sqrt(values)[..., None] * z.T.reshape(blocks, rank, count)
+    Replication j's row of z holds the z of every block in turn.  One Philox,
+    rekeyed per chunk, draws each chunk only to the last replication asked for."""
+    z = np.empty((first % STREAM_CHUNK + count, blocks * values.shape[-1]))
+    for start in range(0, len(z), STREAM_CHUNK):
+        stream = 1 + (first + start) // STREAM_CHUNK
+        rng = _key(rng, seed, stream) if start else _rng(seed, stream)
+        rng.standard_normal(out=z[start:start + STREAM_CHUNK])
+    scaled = np.sqrt(values)[..., None] * z[len(z) - count:].T.reshape(blocks, -1, count)
     return (np.sqrt(sigma2) * (vectors @ scaled)).reshape(-1, count)
 
 

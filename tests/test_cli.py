@@ -463,8 +463,9 @@ _KERNELS = ("svd", "qr", "eigh", "eigvalsh", "cholesky", "solve")
 # (of full row rank, so no per-column SVD) and the reported rank of
 # (R, r).  The whitened least-squares core takes one SVD of H when there
 # are rows and one SVD of W X N, which both ranks and solves; no fit
-# path makes a QR or a solve, so those columns pin their absence.  Only
-# the Theil check takes eigenvalues alone.
+# path makes a QR or a solve, so those columns pin their absence.  A
+# singular dispersion's admission takes the scale of its membership
+# cutoff, sigma_1(X), from 1 eigvalsh of the K x K Gram X'X.
 KERNEL_COUNTS = {
     # the core's SVD of W X = X decides the design rank, which the CLI
     # reads off the fit: 1
@@ -492,17 +493,18 @@ KERNEL_COUNTS = {
     # batched eigh of the 5 period blocks: 1 eigh.  SVDs: admissibility
     # 1 + identification on (no explicit rows; X) 1 + whitened rank F'X 1
     # + the rank of H = A'X (5 x 6, full row rank) in
-    # combine_restrictions 1 + the Theil check's rank of F_0'X_t 1.  The
-    # Theil check decides the one broadcast block's rank from 1 eigvalsh
-    # and takes block 0's eigenvectors from 1 eigh.
-    "diagnose sur": ((*_SUR_OK,), (4 + 1, 0, 1 + 1, 1, 0, 0), (0, 0)),
+    # combine_restrictions 1 + the Theil check's rank of F_0'X_t 1.
+    # eigvalsh: admissibility's sigma_1(X) 1 + the Theil check's rank of
+    # the one broadcast block 1; the check takes block 0's eigenvectors
+    # from 1 eigh.
+    "diagnose sur": ((*_SUR_OK,), (4 + 1, 0, 1 + 1, 1 + 1, 0, 0), (0, 0)),
     # stack_sur's one batched eigh of the period blocks, whose
     # decomposition the model keeps: 1 eigh; admissibility 1 + rank of
     # H = A'X (5 x 6, full row rank) 1 + identification on (no explicit
     # rows; X) 1, which the CLI reads as the design rank, + core: SVD of
-    # H 1 and of W X N 1
+    # H 1 and of W X N 1; admissibility's sigma_1(X): 1 eigvalsh
     "estimate constrained": ((*_SUR_OK, "--method", "constrained"),
-                             (5, 0, 1, 0, 0, 0), (0, 0)),
+                             (5, 0, 1, 1, 0, 0), (0, 0)),
     # regular-gls, 12 x 3: the design draw's random SPD dispersion takes a
     # QR, build_model an eigh; gls takes the design rank 1 and the core
     # (no rows) the SVD of W X 1, once for all 120 replications

@@ -41,7 +41,7 @@ from gmls import (
     tkn,
 )
 
-from gmls.estimators import _whitened_lsq
+from gmls.estimators import _whiten, _whitened_lsq
 
 from conftest import assert_same_rank_decision, random_nnd, random_spd
 from oracles import (
@@ -915,3 +915,25 @@ def test_a_sur_fit_projects_onto_the_spectrum_four_times(monkeypatch):
     gap = np.max(np.abs(combined.H @ constrained.beta_hat - combined.h))
     assert gap <= 1e-9 * (1.0 + np.max(np.abs(combined.h)))
     assert pseudo.beta_hat.shape == (12, 1)
+
+
+def test_a_full_column_rank_h_takes_no_svd_of_an_empty_matrix(monkeypatch):
+    """Fifty implicit and two explicit rows over twelve parameters leave H
+    of full column rank, so N and W X N have no columns: the fit takes no
+    SVD of an empty W X N, its gain is zero and its estimate is beta*."""
+    model, explicit = _adding_up_sur(np.random.default_rng(99), n=4, m=50, width=3)
+    combined = combine_restrictions(explicit, extract_implicit_restrictions(model))
+    shapes = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    result = constrained_singular_gls(model, combined)
+    assert shapes and all(min(shape[-2:]) > 0 for shape in shapes)
+    _, gain, beta_star, _, report = _whitened_lsq(
+        *_whiten(model), ReducedGramSingularError, None, rows=(combined.H, combined.h))
+    np.testing.assert_array_equal(result.beta_hat, beta_star)
+    assert not gain.any() and not result.covariance_factor.any()
+    assert (report.numeric_rank, report.deficient) == (0, False)

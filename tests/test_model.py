@@ -323,6 +323,29 @@ def test_period_major_stack_is_the_period_rows():
                                       [responses[i][t, 0] for i in range(n)])
 
 
+def test_stack_sur_takes_no_norm_of_the_design(monkeypatch):
+    """The membership cutoff's scale sigma_1(X) comes from the K x K Gram
+    X'X, not from an ord-2 norm, an SVD of the whole T x K design that no
+    kernel count sees; a response outside col(X : Omega) is still refused."""
+    rng = np.random.default_rng(17)
+    layout, outside = _sur_parts(rng, m=8)
+    n = layout.n
+    a = np.full((n, 1), 1.0 / np.sqrt(n))
+    blocks = [np.eye(n) - a @ a.T] * layout.m  # singular, so the check runs
+    inside = [design @ np.ones((design.shape[1], 1)) for design in layout.block_design]
+    orders = []
+    real = np.linalg.norm
+
+    def recorded(x, ord=None, *args, **kwargs):
+        orders.append(ord)
+        return real(x, ord, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", recorded)
+    stack_sur(layout, inside, blocks, order=PERIOD_MAJOR)
+    with pytest.raises(ResponseOutsideRangeError):
+        stack_sur(layout, outside, blocks, order=PERIOD_MAJOR)
+    assert orders and 2 not in orders
+
+
 def test_stack_sur_names_the_first_failing_block():
     rng = np.random.default_rng(16)
     layout, responses = _sur_parts(rng)

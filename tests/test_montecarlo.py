@@ -446,14 +446,55 @@ def test_study_factorizations_do_not_grow_with_replications(monkeypatch, scenari
 @pytest.mark.parametrize("scenario", [SINGULAR_ADDING_UP, FE_BLOCKDIAG])
 def test_study_keys_one_generator_per_chunk(monkeypatch, scenario, reps):
     """A study keys its design stream once and ceil(B / STREAM_CHUNK)
-    error streams, one per chunk of replications."""
-    streams = []
-    real = np.random.Philox
+    error streams, one per chunk of replications, on at most two Philox
+    bit generators: the design stream's and one rekeyed for the errors."""
+    streams, constructed = [], []
+    real_key, real_philox = montecarlo._key, np.random.Philox
 
-    def counted(*args, key=None, **kwargs):
-        streams.append(int(key[1]))
-        return real(*args, key=key, **kwargs)
+    def keyed(rng, seed, stream):
+        streams.append(stream)
+        return real_key(rng, seed, stream)
+
+    def counted(*args, **kwargs):
+        constructed.append(args)
+        return real_philox(*args, **kwargs)
+    monkeypatch.setattr(montecarlo, "_key", keyed)
     monkeypatch.setattr(np.random, "Philox", counted)
     run_study(_cfg(scenario, reps=reps))
     chunks = -(-reps // STREAM_CHUNK)
     assert sorted(streams) == list(range(chunks + 1))
+    assert len(constructed) <= 2
+
+
+class _CountingGenerator:
+    """A generator that records the size of each standard_normal draw."""
+
+    def __init__(self, rng, sizes):
+        self._rng, self._sizes = rng, sizes
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        self._sizes.append(out.size if out is not None else int(np.prod(size)))
+        return self._rng.standard_normal(size, dtype, out)
+
+
+@pytest.mark.parametrize("scenario", [SINGULAR_ADDING_UP, FE_BLOCKDIAG])
+def test_a_draw_requests_only_the_rows_it_uses(monkeypatch, scenario):
+    """A chunk is drawn from its row 0 to the last replication asked for:
+    B replications request B r normals, not ceil(B / STREAM_CHUNK)
+    STREAM_CHUNK r, and replication j alone (j mod STREAM_CHUNK + 1) r."""
+    sizes = []
+    real_rng = montecarlo._rng
+    monkeypatch.setattr(montecarlo, "_rng",
+                        lambda seed, stream: _CountingGenerator(real_rng(seed, stream), sizes))
+    cfg = _cfg(scenario, reps=2000)
+    template = _build_structure(cfg).template
+    rank = template.eigenvalues.shape[-1] * template.n if scenario == FE_BLOCKDIAG \
+        else template.spectrum.rank
+    run_study(cfg)
+    assert sum(sizes) == 2000 * rank
+    del sizes[:]
+    generate_instance(cfg, 300)
+    assert sum(sizes) == (300 % STREAM_CHUNK + 1) * rank
