@@ -76,10 +76,8 @@ from .estimators import (
 )
 from .panel import (
     FEPanelModel,
-    ProjectorSet,
     Theorem5Report,
     build_fe_model,
-    build_projectors,
     centering_matrix,
     fe_drop_period,
     fe_gls,
@@ -118,8 +116,7 @@ __all__ = [
     "RidgeSpec", "StochasticRestrictions",
     "constrained_singular_gls", "gls", "linear_representation", "mls",
     "ols", "rgls", "ridge", "rols", "stochastic_restricted_gls", "tkn",
-    "FEPanelModel", "ProjectorSet", "Theorem5Report", "build_fe_model",
-    "build_projectors", "centering_matrix",
+    "FEPanelModel", "Theorem5Report", "build_fe_model", "centering_matrix",
     "fe_drop_period", "fe_gls", "fe_mls", "verify_theorem5",
     "within_transform",
     "MCReport", "SimulationConfig", "generate_instance", "run_study",

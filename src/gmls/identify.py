@@ -183,10 +183,28 @@ def check_mls_invertibility(model: GaussMarkoffModel, tol: float | None = None):
     return report.numeric_rank == model.num_params, report
 
 
-def _column_space_projector(block: np.ndarray) -> np.ndarray:
-    u, s, _ = np.linalg.svd(block, full_matrices=False)
-    basis = u[:, :_svd_rank(s, *block.shape).numeric_rank]
-    return basis @ basis.T
+def _common_combination(layout: SURLayout, relevant, a: np.ndarray):
+    """d with X_i d_i = a_i s for a unit s in col(X_i), every i in relevant,
+    or None.  The ranges meet by principal angles (Bjorck & Golub 1973): of
+    the directions V u_j of the SVD of V'Q_i, Q_i spanning col(X_i), those
+    with sine ||(I - Q_i Q_i') V u_j|| <= r m eps, r = len(relevant), span V."""
+    cutoff = default_tolerance(len(relevant) * layout.m, layout.m, 1.0)
+    bases = []
+    for i in relevant:
+        u, values, _ = np.linalg.svd(layout.block_design[i], full_matrices=False)
+        bases.append(u[:, :_svd_rank(values, *layout.block_design[i].shape).numeric_rank])
+    inter = bases[0]
+    for q in bases[1:]:
+        directions = inter @ np.linalg.svd(inter.T @ q)[0]
+        inter = directions[:, np.linalg.norm(directions - q @ (q.T @ directions), axis=0)
+                           <= cutoff]
+    if inter.shape[1] == 0:
+        return None
+    d = np.zeros((layout.num_params, 1))
+    for i in relevant:
+        d[layout.column_slices()[i]] = a[i, 0] * np.linalg.lstsq(
+            layout.block_design[i], inter[:, :1], rcond=None)[0]
+    return d
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -280,23 +298,12 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
     weight_tol = default_tolerance(n, 1, float(np.max(np.abs(a))))
     relevant = [i for i in range(n) if abs(a[i, 0]) > weight_tol]
     note = "single nonzero null-vector weight" if len(relevant) == 1 else ""
-    d = None
-    if relevant:
-        eye_m = np.eye(m)
-        gaps = np.vstack([eye_m - _column_space_projector(layout.block_design[i])
-                          for i in relevant])
-        inter = null_space_basis(gaps, tol=tol)
-        if inter.shape[1] > 0:
-            s = inter[:, :1]
-            d = np.zeros((k_total, 1))
-            for i in relevant:
-                h_i = np.linalg.lstsq(layout.block_design[i], s, rcond=None)[0]
-                d[slices[i]] = a[i, 0] * h_i
-    if d is None or float(np.linalg.norm(d)) == 0.0 \
-            or float(np.max(np.abs(whitened @ d))) > 1e-8 * (1.0 + float(np.max(np.abs(whitened)))):
+    d = _common_combination(layout, relevant, a)
+    if d is None or float(np.max(np.abs(whitened @ d))) \
+            > 1e-8 * (1.0 + float(np.max(np.abs(whitened)))):
         # boundary case: fall back to a direct null vector of F'X
         d = null_space_basis(whitened, tol=tol)[:, :1]
     d = _unit(d)
-    s_rec = np.vstack([(a.T @ rows[t] @ d) for t in range(m)])
+    s_rec = (a.T @ rows @ d).reshape(m, 1)
     return TheilWitness(kind=WitnessKind.CROSS_EQUATION_COMBINATION, d=d,
                         s=s_rec, a=a, note=note)

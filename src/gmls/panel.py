@@ -10,7 +10,8 @@ GLS after sweeping out the fixed effects with the oblique projector P,
 and pseudo-inverse least squares on the within-transformed model, whose
 dispersion I_n kron (M_m Sigma M_m) is singular of rank n(m-1).  The
 identity P = M (I_n kron M_m Sigma M_m)^+ M is what verify_theorem5
-checks numerically.  Each estimator is the least-squares core of
+checks numerically, over the m x m blocks (one per distinct Sigma_i) of
+its two block-diagonal sides.  Each estimator is the least-squares core of
 gmls.estimators on the rows W_i X_i, one whitener W_i per equation (one
 for all in the Kronecker case), run once for B >= 1 response columns;
 the core's one SVD of the stacked rows decides their rank and solves.
@@ -33,12 +34,8 @@ from .errors import (
     TheilRankConditionError,
 )
 from .estimators import _whitened_lsq
-from .model import (EstimateResult, EstimatorTag, GaussMarkoffModel, _admit, _block_diag,
-                    _require_more_rows)
+from .model import EstimateResult, EstimatorTag, GaussMarkoffModel, _admit, _require_more_rows
 from .spectral import _assemble, _decompose_blocks, _fix_signs, as_matrix
-
-# Projector matrices are materialized densely only up to this many rows.
-DENSE_PROJECTOR_CAP = 2000
 
 
 @dataclass(frozen=True)
@@ -74,21 +71,6 @@ class FEPanelModel:
 
     def equation_rows(self, i: int) -> slice:
         return slice(i * self.m, (i + 1) * self.m)
-
-
-@dataclass(frozen=True)
-class ProjectorSet:
-    """Dense projector matrices of the fixed-effects sweep.
-
-    M centers each equation over time, Q projects onto the dummy columns
-    along the metric I kron Sigma^{-1}, and P = (I kron Sigma^{-1})(I - Q)
-    is the weighting matrix of the swept GLS problem.
-    """
-
-    M: np.ndarray
-    Q: np.ndarray
-    P: np.ndarray
-    centering: np.ndarray
 
 
 def centering_matrix(m: int) -> np.ndarray:
@@ -146,11 +128,6 @@ def build_fe_model(designs, responses, sigma=None, sigma_blocks=None) -> FEPanel
                         eigenvectors=np.ascontiguousarray(vecs[:, :, ::-1]))
 
 
-def _per_equation(model: FEPanelModel, blocks: np.ndarray) -> np.ndarray:
-    """Dense block-diagonal matrix of one block per distinct dispersion block."""
-    return _block_diag(*np.broadcast_to(blocks, (model.n, *blocks.shape[1:])))
-
-
 def _swept_whiteners(model: FEPanelModel) -> np.ndarray:
     """S_i = (I - u u') W_i with W_i = Lambda_i^{-1/2} F_i' from the carried
     Sigma_i = F_i Lambda_i F_i' and u the unit vector along W_i e, so
@@ -200,33 +177,17 @@ def _fit(model: FEPanelModel, whiteners: np.ndarray, refuse, tag: EstimatorTag,
                           diagnostics={rank_key: report, **diagnostics})
 
 
-def build_projectors(model: FEPanelModel,
-                     dense_cap: int = DENSE_PROJECTOR_CAP) -> ProjectorSet:
-    """Materialize M, Q, and P as dense matrices.
-
-    Refuses above ``dense_cap`` rows; the estimators never materialize
-    these and whiten per equation block instead.
-    """
-    if model.num_obs > dense_cap:
-        raise ValueError(
-            f"refusing to materialize {model.num_obs} x {model.num_obs} projectors; "
-            f"raise dense_cap explicitly if that is intended")
-    cm = centering_matrix(model.m)
-    swept = _swept_whiteners(model)
-    p_blocks = swept.transpose(0, 2, 1) @ swept
-    return ProjectorSet(
-        M=np.kron(np.eye(model.n), cm),
-        Q=_per_equation(model, np.eye(model.m) - model.sigmas @ p_blocks),
-        P=_per_equation(model, p_blocks),
-        centering=cm,
-    )
-
-
 def fe_gls(model: FEPanelModel) -> EstimateResult:
     """Slope GLS after sweeping out the fixed effects: GLS on [X Z] under
     I kron Sigma, whitening equation i with S_i, S_i'S_i = P_i."""
-    return _fit(model, _swept_whiteners(model), IdentificationError,
-                EstimatorTag.PANEL_GLS, "swept_rank")
+    return _fe_gls(model)[0]
+
+
+def _fe_gls(model: FEPanelModel):
+    """fe_gls and the swept whiteners it fits with."""
+    swept = _swept_whiteners(model)
+    return _fit(model, swept, IdentificationError, EstimatorTag.PANEL_GLS,
+                "swept_rank"), swept
 
 
 def within_transform(model: FEPanelModel) -> GaussMarkoffModel:
@@ -287,8 +248,9 @@ class Theorem5Report:
 
     ``fe_gls`` and ``fe_mls`` are the two fits compared.
     ``projector_gap`` measures || P - M (I kron MSM)^+ M ||_max, the
-    matrix identity behind the equivalence; ``beta_gap`` is the max-norm
-    distance of the two estimates.
+    matrix identity behind the equivalence, as a max over the m x m
+    blocks S_i'S_i - W_i'W_i; ``beta_gap`` is the max-norm distance of
+    the two estimates.
     """
 
     fe_gls: EstimateResult
@@ -312,20 +274,15 @@ class Theorem5Report:
         return self.beta_equal and self.projector_equal
 
 
-def verify_theorem5(model: FEPanelModel, projectors: ProjectorSet | None = None,
-                    tolerance: float = 1e-8) -> Theorem5Report:
+def verify_theorem5(model: FEPanelModel, tolerance: float = 1e-8) -> Theorem5Report:
     """Fit fe_gls and fe_mls once each, and check that they agree and
-    that the projector identity behind the agreement holds.
-
-    A precomputed (possibly perturbed) ProjectorSet may be supplied; by
-    default the projectors are built from the model.
-    """
-    res_gls = fe_gls(model)
+    that the projector identity behind the agreement holds, block by
+    block on the whiteners the two fits used."""
+    res_gls, swept = _fe_gls(model)
     res_mls, within = _fe_mls(model)
-    proj = projectors if projectors is not None else build_projectors(model)
-    # W_i'W_i = M U_i S_i^{-2} U_i' M = M (M Sigma_i M)^+ M
-    rebuilt = _per_equation(model, within.transpose(0, 2, 1) @ within)
-    gap = float(np.max(np.abs(proj.P - rebuilt)))
+    # S_i'S_i = P_i against W_i'W_i = M U_i S_i^{-2} U_i' M = M (M Sigma_i M)^+ M
+    gap = float(np.max(np.abs(swept.transpose(0, 2, 1) @ swept
+                              - within.transpose(0, 2, 1) @ within)))
     beta_gap = float(np.max(np.abs(res_gls.beta_hat - res_mls.beta_hat)))
     scale = 1.0 + float(np.max(np.abs(res_mls.beta_hat)))
     return Theorem5Report(fe_gls=res_gls, fe_mls=res_mls,

@@ -356,6 +356,7 @@ def null_space_basis(b, tol: float | None = None) -> np.ndarray:
 
     Returns a cols x (cols - rank) matrix N with B N = 0 and N'N = I.
     An empty restriction matrix (zero rows) yields the identity basis.
+    A tall B takes the thin SVD, whose V' is already cols x cols.
     """
     mat = as_matrix(b, "b")
     rows, cols = mat.shape
@@ -363,6 +364,6 @@ def null_space_basis(b, tol: float | None = None) -> np.ndarray:
         return np.zeros((0, 0))
     if rows == 0:
         return np.eye(cols)
-    _, values, vt = np.linalg.svd(mat, full_matrices=True)
+    _, values, vt = np.linalg.svd(mat, full_matrices=rows < cols)
     rank = _svd_rank(values, rows, cols, tol).numeric_rank
     return _fix_signs(vt[rank:, :].T)

@@ -333,6 +333,23 @@ def dummy_matrix(n: int, m: int) -> np.ndarray:
     return np.kron(np.eye(n), np.ones((m, 1)))
 
 
+def dense_fe_projectors(model):
+    """The nm x nm projectors (M, Q, P) of a fixed-effects panel, from their
+    definitions: M = I_n kron M_m centers each equation over time,
+    Q = Z (Z'V^{-1}Z)^{-1} Z'V^{-1} projects onto the dummies Z along the
+    metric V^{-1}, V = blockdiag(Sigma_i), and P = V^{-1}(I - Q) is the
+    weight of the swept GLS problem.  Dense inverses, no whitener."""
+    n, m = model.n, model.m
+    v = np.zeros((n * m, n * m))
+    for i, block in enumerate(np.broadcast_to(model.sigmas, (n, m, m))):
+        v[i * m:(i + 1) * m, i * m:(i + 1) * m] = block
+    v_inv = np.linalg.inv(v)
+    z = dummy_matrix(n, m)
+    q = z @ np.linalg.inv(z.T @ v_inv @ z) @ z.T @ v_inv
+    centering = np.kron(np.eye(n), np.eye(m) - np.full((m, m), 1.0 / m))
+    return centering, q, v_inv @ (np.eye(n * m) - q)
+
+
 def period_row(layout, t: int) -> np.ndarray:
     """The n x K design block of period t in period-major stacking."""
     row = np.zeros((layout.n, layout.num_params))

@@ -22,7 +22,6 @@ from gmls import (
     WitnessKind,
     build_fe_model,
     build_model,
-    build_projectors,
     centering_matrix,
     check_theil_condition,
     combine_restrictions,
@@ -48,8 +47,8 @@ from gmls import (
 from gmls.montecarlo import SINGULAR_ADDING_UP, SimulationConfig
 
 from conftest import FIXTURES, random_spd
-from oracles import (dummy_matrix, exact_bordered_beta, matrix_rank_svd, penrose_defects,
-                     period_row, spectral_pinv)
+from oracles import (dense_fe_projectors, dummy_matrix, exact_bordered_beta, matrix_rank_svd,
+                     penrose_defects, period_row, spectral_pinv)
 from test_cli import GOLDENS, run_cli
 
 
@@ -346,11 +345,10 @@ def test_panel_slope_estimators_coincide(panel_instances):
         assert report.projector_gap <= 1e-8
 
         # independent recomputation of the weighting identity
-        projectors = build_projectors(model)
-        centered_sigma = projectors.M @ np.kron(np.eye(model.n), sigma) \
-            @ projectors.M
-        rebuilt = projectors.M @ np.linalg.pinv(centered_sigma) @ projectors.M
-        assert float(np.max(np.abs(projectors.P - rebuilt))) <= 1e-8
+        cm, _, p = dense_fe_projectors(model)
+        centered_sigma = cm @ np.kron(np.eye(model.n), sigma) @ cm
+        rebuilt = cm @ np.linalg.pinv(centered_sigma) @ cm
+        assert float(np.max(np.abs(p - rebuilt))) <= 1e-8
 
         reference = fe_mls(model).beta_hat
         for drop in range(1, model.m + 1):
@@ -362,15 +360,15 @@ def test_panel_slope_estimators_coincide(panel_instances):
 
 def test_panel_projector_identities(panel_instances):
     for model, sigma in panel_instances:
-        ps = build_projectors(model)
+        cm, q, p = dense_fe_projectors(model)
         z = dummy_matrix(model.n, model.m)
         full_sigma = np.kron(np.eye(model.n), sigma)
         for lhs, rhs in (
-                (ps.Q @ z, z),
-                (ps.P @ z, np.zeros_like(z)),
-                (ps.P @ ps.M, ps.P),
-                (ps.M @ ps.P @ ps.M, ps.P),
-                (ps.P @ full_sigma @ ps.P, ps.P)):
+                (q @ z, z),
+                (p @ z, np.zeros_like(z)),
+                (p @ cm, p),
+                (cm @ p @ cm, p),
+                (p @ full_sigma @ p, p)):
             assert float(np.max(np.abs(lhs - rhs))) <= 1e-10
 
 

@@ -220,6 +220,40 @@ def test_indefinite_panel_sigma_refused():
     assert "eigenvalue" in res.stderr
 
 
+def test_panel_above_two_thousand_rows_is_checked_block_by_block(tmp_path):
+    """A 60 x 40 panel, 2400 rows: gmls panel passes its Theorem 5 check,
+    which compares m x m blocks and peaks far below one nm x nm array."""
+    import tracemalloc
+
+    from gmls import build_fe_model, verify_theorem5
+    from conftest import random_spd
+
+    rng = np.random.default_rng(2400)
+    n, m = 60, 40
+    designs = rng.normal(size=(n, m, 2))
+    sigma = random_spd(rng, m)
+    responses = designs @ np.array([[1.0], [-0.5]]) + rng.uniform(-1.0, 1.0, size=(n, 1, 1)) \
+        + np.linalg.cholesky(sigma) @ rng.normal(size=(n, m, 1))
+    panel, sigma_csv = tmp_path / "panel.csv", tmp_path / "sigma.csv"
+    panel.write_text("equation,period,response,x1,x2\n" + "".join(
+        f"{i + 1},{t + 1},{responses[i, t, 0]:.17g},{designs[i, t, 0]:.17g},"
+        f"{designs[i, t, 1]:.17g}\n" for i in range(n) for t in range(m)))
+    np.savetxt(sigma_csv, sigma, delimiter=",", fmt="%.17g")
+    code, out, err = _main("panel", "--panel", str(panel), "--sigma", str(sigma_csv),
+                           "--output", "machine")
+    assert code == 0, err
+    assert json.loads(out)["results"]["equivalence"]["passed"] is True
+    model = build_fe_model(list(designs), list(responses), sigma=sigma)
+    tracemalloc.start()
+    try:
+        report = verify_theorem5(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < (n * m) ** 2 * 8 / 4
+
+
 # ---------------------------------------------------------------------------
 # diagnose never refuses on parseable inputs
 
@@ -335,6 +369,17 @@ def test_package_imports_only_numpy_and_the_standard_library():
             outside += [(os.path.basename(path), root) for root in roots
                         if root not in allowed]
     assert outside == []
+
+
+def test_every_public_name_imports():
+    import gmls
+
+    assert len(set(gmls.__all__)) == len(gmls.__all__)
+    for name in gmls.__all__:
+        exec(f"from gmls import {name}", {})
+    namespace = {}
+    exec("from gmls import *", namespace)
+    assert set(gmls.__all__) <= set(namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +556,14 @@ KERNEL_COUNTS = {
     "simulate": (("--scenario", "regular-gls", "--reps", "120", "--seed", "7"),
                  (2, 1, 1, 0, 0, 0), (0, 0)),
     # Kronecker panel, n = 3, m = 4, K = 2.  build_fe_model decomposes the
-    # one sigma block: 1 eigh, the only one.  verify_theorem5 builds the
-    # within whitener once, for the fe_mls fit and for the projector
-    # identity, from 1 SVD of the within factor M F Lambda^{1/2}, and fits
-    # fe_gls (swept whitener read off the carried eigenpairs) and fe_mls
-    # once each, _fit's core taking 1 SVD of the stacked rows each; the
-    # projectors take the swept whitener (no kernel).  Each of the 4
-    # dropped periods: 1 SVD of the reduced factor D M F Lambda^{1/2} and
-    # _fit's 1 core SVD.  SVDs: _fit cores 6 + within factor 1 + reduced
-    # factors 4.
+    # one sigma block: 1 eigh, the only one.  verify_theorem5 fits fe_gls
+    # (swept whitener read off the carried eigenpairs, no kernel) and
+    # fe_mls (within whitener from 1 SVD of the within factor
+    # M F Lambda^{1/2}) once each, _fit's core taking 1 SVD of the stacked
+    # rows each, and compares the blocks of the two whiteners it fitted
+    # with; no projector is built.  Each of the 4 dropped periods: 1 SVD of
+    # the reduced factor D M F Lambda^{1/2} and _fit's 1 core SVD.  SVDs:
+    # _fit cores 6 + within factor 1 + reduced factors 4.
     "panel": (("--panel", "panel.csv", "--sigma", "panel_sigma.csv"),
               (6 + 1 + 4, 0, 1, 0, 0, 0), (1, 1)),
     # n = 3, m = 4, K = 3.  The design draw's 3 random SPD blocks take a

@@ -20,6 +20,7 @@ from gmls import (
     check_theil_condition,
     combine_restrictions,
     extract_implicit_restrictions,
+    null_space_basis,
     rols,
     spectral_decompose,
     stack_sur,
@@ -397,6 +398,69 @@ def test_single_nonzero_weight_gets_note():
     assert witness.note == "single nonzero null-vector weight"
     resid = _whitened(layout, blocks) @ witness.d
     assert float(np.max(np.abs(resid))) < 1e-8
+
+
+def test_cross_equation_witness_at_two_thousand_periods_stays_at_the_size_of_the_designs():
+    """n = 4, m = 2000, K = 12 with one column shared by every equation.
+    The column spaces are intersected by principal angles, so no m x m
+    array (32 MB) is built: the check peaks under 8 MB and takes well
+    under a second, and its certificate holds in every period."""
+    import time
+    import tracemalloc
+
+    rng = np.random.default_rng(2000)
+    n, m = 4, 2000
+    shared = rng.normal(size=(m, 1))
+    layout = SURLayout.build([np.hstack([shared, rng.normal(size=(m, 2))])
+                              for _ in range(n)])
+    blocks, _ = _adding_up_blocks(rng, n, m)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        witness = check_theil_condition(layout, blocks)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness.kind is WitnessKind.CROSS_EQUATION_COMBINATION
+    assert peak < 8 * 2 ** 20
+    assert elapsed < 1.0
+    rows = np.stack([period_row(layout, t) for t in range(m)])
+    # eigenvalues ascend: column 0 is the null vector, the rest span F_0
+    whitened = np.linalg.eigh(blocks[0])[1][:, 1:].T @ rows
+    assert float(np.max(np.abs(whitened @ witness.d))) \
+        <= 1e-8 * (1.0 + float(np.max(np.abs(whitened))))
+    np.testing.assert_allclose(witness.s[:, 0], (witness.a.T @ rows @ witness.d)[:, 0, 0],
+                               rtol=0, atol=1e-12)
+
+
+def test_witness_falls_back_to_a_null_vector_of_the_whitened_design(monkeypatch):
+    """A shared column moved by about 1e-10 in each equation.  At tol = 1e-8
+    the whitened design is deficient and no equation is collinear, but the
+    column spaces meet at principal angles near 1e-10, far above the
+    intersection's unit-free cut r m eps, so no common s exists and the
+    certificate is a direct null vector of F'X."""
+    from gmls import identify
+
+    rng = np.random.default_rng(53)
+    n, m = 3, 6
+    shared = rng.normal(size=(m, 1))
+    layout = SURLayout.build([np.hstack([shared + 1e-10 * rng.normal(size=(m, 1)),
+                                         rng.normal(size=(m, 1))]) for _ in range(n)])
+    blocks, _ = _adding_up_blocks(rng, n, m)
+    shapes = []
+
+    def recorded(b, tol=None):
+        shapes.append(np.shape(b))
+        return null_space_basis(b, tol=tol)
+    monkeypatch.setattr(identify, "null_space_basis", recorded)
+    witness = check_theil_condition(layout, blocks, tol=1e-8)
+    assert witness.kind is WitnessKind.CROSS_EQUATION_COMBINATION
+    assert shapes == [((n - 1) * m, layout.num_params)]
+    assert float(np.max(np.abs(_whitened(layout, blocks) @ witness.d))) < 1e-8
+    for t in range(m):
+        assert abs(float((witness.a.T @ period_row(layout, t) @ witness.d)[0, 0])
+                   - float(witness.s[t, 0])) <= 1e-12
 
 
 def test_mismatched_null_vectors_rejected():

@@ -7,10 +7,8 @@ from gmls import (
     DimensionMismatchError,
     DispersionNotPDError,
     IdentificationError,
-    ProjectorSet,
     TheilRankConditionError,
     build_fe_model,
-    build_projectors,
     centering_matrix,
     fe_drop_period,
     fe_gls,
@@ -20,10 +18,11 @@ from gmls import (
     within_transform,
 )
 
+from gmls import panel as panel_module
 from gmls.panel import _swept_whiteners, _top_whiteners
 
 from conftest import assert_same_rank_decision, random_spd
-from oracles import dummy_matrix, fe_joint_gls, matrix_rank_svd
+from oracles import dense_fe_projectors, dummy_matrix, fe_joint_gls, matrix_rank_svd
 
 
 def _panel(rng, n=3, m=5, k=2, kron=True):
@@ -126,25 +125,35 @@ def test_projector_identities(kron):
     dispersion-weighted within projector."""
     rng = np.random.default_rng(101)
     model, blocks = _panel(rng, kron=kron)
-    ps = build_projectors(model)
+    cm, q, p = dense_fe_projectors(model)
     n, m = model.n, model.m
     z = dummy_matrix(n, m)
-    np.testing.assert_allclose(ps.Q @ z, z, atol=1e-10)
-    np.testing.assert_allclose(ps.P @ z, 0.0, atol=1e-10)
-    np.testing.assert_allclose(ps.P @ ps.M, ps.P, atol=1e-10)
-    np.testing.assert_allclose(ps.M @ ps.P @ ps.M, ps.P, atol=1e-10)
+    np.testing.assert_allclose(q @ z, z, atol=1e-10)
+    np.testing.assert_allclose(p @ z, 0.0, atol=1e-10)
+    np.testing.assert_allclose(p @ cm, p, atol=1e-10)
+    np.testing.assert_allclose(cm @ p @ cm, p, atol=1e-10)
     full = np.zeros((n * m, n * m))
     for i in range(n):
         rows = model.equation_rows(i)
         full[rows, rows] = blocks[i]
-    np.testing.assert_allclose(ps.P @ full @ ps.P, ps.P, atol=1e-10)
+    np.testing.assert_allclose(p @ full @ p, p, atol=1e-10)
 
 
-def test_projector_cap_refuses_large_models():
-    rng = np.random.default_rng(102)
-    model, _ = _panel(rng)
-    with pytest.raises(ValueError):
-        build_projectors(model, dense_cap=5)
+@pytest.mark.parametrize("kron", [True, False])
+def test_block_projector_check_matches_the_dense_projectors(kron):
+    """verify_theorem5 compares the m x m blocks S_i'S_i and W_i'W_i; the
+    swept blocks are the diagonal blocks of the dense P built from its
+    definition, and P is zero off them."""
+    model, _ = _panel(np.random.default_rng(102), kron=kron)
+    assert verify_theorem5(model).projector_gap <= 1e-8
+    swept = _swept_whiteners(model)
+    blocks = np.broadcast_to(swept.transpose(0, 2, 1) @ swept, (model.n, model.m, model.m))
+    p = dense_fe_projectors(model)[2]
+    stacked = np.zeros_like(p)
+    for i in range(model.n):
+        rows = model.equation_rows(i)
+        stacked[rows, rows] = blocks[i]
+    np.testing.assert_allclose(p, stacked, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -314,15 +323,15 @@ def test_within_estimates_are_fe_gls_to_rounding(eigenvalues):
 
 def test_within_transform_neither_assembles_nor_decomposes_the_dispersion(monkeypatch):
     """The within model's spectrum is the SVD of the carried factor
-    M F_i Lambda_i^{1/2}, of rank n(m - 1) with no cut deciding it."""
+    M F_i Lambda_i^{1/2}, of rank n(m - 1) with no cut deciding it, and the
+    Theorem 5 check assembles no dense dispersion either."""
     from gmls import model as model_module
-    from gmls import panel as panel_module
     from gmls import spectral
 
     def refuse(*args, **kwargs):
         raise AssertionError("the within dispersion was assembled or decomposed")
     model, _ = _panel(np.random.default_rng(116), kron=False)
-    for module, name in ((model_module, "_block_diag"), (panel_module, "_block_diag"),
+    for module, name in ((model_module, "_block_diag"),
                          (model_module, "spectral_decompose"),
                          (spectral, "spectral_decompose"), (np.linalg, "eigh")):
         monkeypatch.setattr(module, name, refuse)
@@ -330,6 +339,7 @@ def test_within_transform_neither_assembles_nor_decomposes_the_dispersion(monkey
     assert within.spectrum.rank == model.n * (model.m - 1)
     assert within.spectrum.tolerance_used == 0.0
     assert np.all(within.spectrum.eigenvalues_pos > 0.0)
+    assert verify_theorem5(model).passed
 
 
 def test_drop_period_range_check():
@@ -350,13 +360,16 @@ def test_equivalence_report_on_random_instance():
     assert report.projector_gap <= report.tolerance
 
 
-def test_equivalence_check_detects_corrupted_projector():
-    # negative control: a perturbed P must fail the projector comparison
+def test_equivalence_check_detects_corrupted_projector(monkeypatch):
+    """Negative control: swept whiteners scaled by 1 + 1e-3 leave the
+    slopes as they are but perturb every block of P, so only the
+    projector comparison fails."""
     rng = np.random.default_rng(109)
     model, _ = _panel(rng)
-    ps = build_projectors(model)
-    bad = ProjectorSet(M=ps.M, Q=ps.Q, P=ps.P + 1e-3, centering=ps.centering)
-    report = verify_theorem5(model, projectors=bad)
+    monkeypatch.setattr(panel_module, "_swept_whiteners",
+                        lambda model: _swept_whiteners(model) * (1.0 + 1e-3))
+    report = verify_theorem5(model)
+    assert report.beta_equal
     assert not report.projector_equal
     assert not report.passed
 
