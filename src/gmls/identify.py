@@ -31,7 +31,6 @@ from .spectral import (
     _as_matrices,
     _decompose_blocks,
     _fix_signs,
-    _svd_rank,
     as_matrix,
     default_tolerance,
     null_space_basis,
@@ -68,10 +67,9 @@ class TheilWitness:
 
     When ``kind`` is not NONE, ``d`` is a nonzero coefficient direction
     with F_t' X_t d = 0 in every period t.  For a cross-equation
-    combination, ``s`` is the common column vector the relevant
-    equations' designs reproduce, and d is assembled from the
-    per-equation solves X_i h_i = s weighted by the null-vector entries
-    a_i.  For within-equation collinearity, ``violating_equation`` names
+    combination, d is a null vector of F'X and ``s`` the common column
+    vector with X_i d_i = a_i s for every equation i, a_i the null-vector
+    entries.  For within-equation collinearity, ``violating_equation`` names
     the offending block and s is zero.  ``note`` flags degenerate
     configurations (a single nonzero null-vector weight).
     """
@@ -183,30 +181,6 @@ def check_mls_invertibility(model: GaussMarkoffModel, tol: float | None = None):
     return report.numeric_rank == model.num_params, report
 
 
-def _common_combination(layout: SURLayout, relevant, a: np.ndarray):
-    """d with X_i d_i = a_i s for a unit s in col(X_i), every i in relevant,
-    or None.  The ranges meet by principal angles (Bjorck & Golub 1973): of
-    the directions V u_j of the SVD of V'Q_i, Q_i spanning col(X_i), those
-    with sine ||(I - Q_i Q_i') V u_j|| <= r m eps, r = len(relevant), span V."""
-    cutoff = default_tolerance(len(relevant) * layout.m, layout.m, 1.0)
-    bases = []
-    for i in relevant:
-        u, values, _ = np.linalg.svd(layout.block_design[i], full_matrices=False)
-        bases.append(u[:, :_svd_rank(values, *layout.block_design[i].shape).numeric_rank])
-    inter = bases[0]
-    for q in bases[1:]:
-        directions = inter @ np.linalg.svd(inter.T @ q)[0]
-        inter = directions[:, np.linalg.norm(directions - q @ (q.T @ directions), axis=0)
-                           <= cutoff]
-    if inter.shape[1] == 0:
-        return None
-    d = np.zeros((layout.num_params, 1))
-    for i in relevant:
-        d[layout.column_slices()[i]] = a[i, 0] * np.linalg.lstsq(
-            layout.block_design[i], inter[:, :1], rcond=None)[0]
-    return d
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
     return _fix_signs(v / np.linalg.norm(v))
 
@@ -296,14 +270,12 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
     # source two: the designs of the equations with nonzero null-vector
     # weight share a common column-space vector s
     weight_tol = default_tolerance(n, 1, float(np.max(np.abs(a))))
-    relevant = [i for i in range(n) if abs(a[i, 0]) > weight_tol]
-    note = "single nonzero null-vector weight" if len(relevant) == 1 else ""
-    d = _common_combination(layout, relevant, a)
-    if d is None or float(np.max(np.abs(whitened @ d))) \
-            > 1e-8 * (1.0 + float(np.max(np.abs(whitened)))):
-        # boundary case: fall back to a direct null vector of F'X
-        d = null_space_basis(whitened, tol=tol)[:, :1]
-    d = _unit(d)
+    relevant = np.count_nonzero(np.abs(a) > weight_tol)
+    note = "single nonzero null-vector weight" if relevant == 1 else ""
+    # with no equation collinear, F_0'X_t d = 0 forces X_i d_i = a_i s for
+    # every i: d_i = 0 where a_i = 0, and s != 0, so a null vector of F'X
+    # is itself the combination
+    d = _unit(null_space_basis(whitened, tol=tol)[:, :1])
     s_rec = (a.T @ rows @ d).reshape(m, 1)
     return TheilWitness(kind=WitnessKind.CROSS_EQUATION_COMBINATION, d=d,
                         s=s_rec, a=a, note=note)

@@ -180,14 +180,8 @@ def _fit(model: FEPanelModel, whiteners: np.ndarray, refuse, tag: EstimatorTag,
 def fe_gls(model: FEPanelModel) -> EstimateResult:
     """Slope GLS after sweeping out the fixed effects: GLS on [X Z] under
     I kron Sigma, whitening equation i with S_i, S_i'S_i = P_i."""
-    return _fe_gls(model)[0]
-
-
-def _fe_gls(model: FEPanelModel):
-    """fe_gls and the swept whiteners it fits with."""
-    swept = _swept_whiteners(model)
-    return _fit(model, swept, IdentificationError, EstimatorTag.PANEL_GLS,
-                "swept_rank"), swept
+    return _fit(model, _swept_whiteners(model), IdentificationError,
+                EstimatorTag.PANEL_GLS, "swept_rank")
 
 
 def within_transform(model: FEPanelModel) -> GaussMarkoffModel:
@@ -277,9 +271,10 @@ class Theorem5Report:
 def verify_theorem5(model: FEPanelModel, tolerance: float = 1e-8) -> Theorem5Report:
     """Fit fe_gls and fe_mls once each, and check that they agree and
     that the projector identity behind the agreement holds, block by
-    block on the whiteners the two fits used."""
-    res_gls, swept = _fe_gls(model)
+    block on the swept and within whiteners of the two fits."""
+    res_gls = fe_gls(model)
     res_mls, within = _fe_mls(model)
+    swept = _swept_whiteners(model)
     # S_i'S_i = P_i against W_i'W_i = M U_i S_i^{-2} U_i' M = M (M Sigma_i M)^+ M
     gap = float(np.max(np.abs(swept.transpose(0, 2, 1) @ swept
                               - within.transpose(0, 2, 1) @ within)))

@@ -45,6 +45,7 @@ from gmls import (
     verify_theorem5,
 )
 from gmls.montecarlo import SINGULAR_ADDING_UP, SimulationConfig
+from gmls.panel import _swept_whiteners
 
 from conftest import FIXTURES, random_spd
 from oracles import (dense_fe_projectors, dummy_matrix, exact_bordered_beta, matrix_rank_svd,
@@ -349,6 +350,10 @@ def test_panel_slope_estimators_coincide(panel_instances):
         centered_sigma = cm @ np.kron(np.eye(model.n), sigma) @ cm
         rebuilt = cm @ np.linalg.pinv(centered_sigma) @ cm
         assert float(np.max(np.abs(p - rebuilt))) <= 1e-8
+        # the package's S'S is P's diagonal m x m block, and P is zero off them
+        swept = _swept_whiteners(model)
+        package = np.kron(np.eye(model.n), (swept.transpose(0, 2, 1) @ swept)[0])
+        assert float(np.max(np.abs(p - package))) <= 1e-10
 
         reference = fe_mls(model).beta_hat
         for drop in range(1, model.m + 1):

@@ -560,8 +560,9 @@ KERNEL_COUNTS = {
     # (swept whitener read off the carried eigenpairs, no kernel) and
     # fe_mls (within whitener from 1 SVD of the within factor
     # M F Lambda^{1/2}) once each, _fit's core taking 1 SVD of the stacked
-    # rows each, and compares the blocks of the two whiteners it fitted
-    # with; no projector is built.  Each of the 4 dropped periods: 1 SVD of
+    # rows each, and compares the blocks S'S of the swept whitener (read
+    # off the eigenpairs again) and W'W of the within whitener fe_mls
+    # fitted with; no projector is built.  Each of the 4 dropped periods: 1 SVD of
     # the reduced factor D M F Lambda^{1/2} and _fit's 1 core SVD.  SVDs:
     # _fit cores 6 + within factor 1 + reduced factors 4.
     "panel": (("--panel", "panel.csv", "--sigma", "panel_sigma.csv"),

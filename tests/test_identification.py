@@ -402,9 +402,9 @@ def test_single_nonzero_weight_gets_note():
 
 def test_cross_equation_witness_at_two_thousand_periods_stays_at_the_size_of_the_designs():
     """n = 4, m = 2000, K = 12 with one column shared by every equation.
-    The column spaces are intersected by principal angles, so no m x m
-    array (32 MB) is built: the check peaks under 8 MB and takes well
-    under a second, and its certificate holds in every period."""
+    The certificate is a null vector of the (n - 1) m x K whitened design,
+    so no m x m array (32 MB) is built: the check peaks under 8 MB and
+    takes well under a second, and its certificate holds in every period."""
     import time
     import tracemalloc
 
@@ -434,12 +434,11 @@ def test_cross_equation_witness_at_two_thousand_periods_stays_at_the_size_of_the
                                rtol=0, atol=1e-12)
 
 
-def test_witness_falls_back_to_a_null_vector_of_the_whitened_design(monkeypatch):
+def test_witness_at_a_loose_tol_is_a_null_vector_of_the_whitened_design(monkeypatch):
     """A shared column moved by about 1e-10 in each equation.  At tol = 1e-8
-    the whitened design is deficient and no equation is collinear, but the
-    column spaces meet at principal angles near 1e-10, far above the
-    intersection's unit-free cut r m eps, so no common s exists and the
-    certificate is a direct null vector of F'X."""
+    the whitened design is deficient and no equation is collinear, though
+    the column spaces meet only to about 1e-10; the certificate is a null
+    vector of F'X, the one SVD taken after the collinearity checks."""
     from gmls import identify
 
     rng = np.random.default_rng(53)
