@@ -9,88 +9,45 @@ a Monte Carlo harness that checks the estimators against their claimed
 sampling distributions.
 """
 
-from .errors import (
-    DesignRankDeficientError,
-    DimensionMismatchError,
-    DispersionNotNNDError,
-    DispersionNotPDError,
-    DispersionSingularError,
-    GMLSError,
-    IdentificationError,
-    InconsistentRestrictionsError,
-    IndefiniteInputError,
-    InfeasibleParticularError,
-    InvalidConfigError,
-    NonFiniteError,
-    NonSymmetricError,
-    NullVectorMismatchError,
-    ReducedGramSingularError,
-    ResponseOutsideRangeError,
-    RestrictionGramSingularError,
-    ShiftInsufficientError,
-    TheilRankConditionError,
-    TooFewObservationsError,
-)
-from .spectral import (
-    RankReport,
-    SpectralDecomposition,
-    default_tolerance,
-    null_space_basis,
-    numeric_rank,
-    spectral_decompose,
-)
-from .model import (
-    CombinedRestrictions,
-    EstimateResult,
-    EstimatorTag,
-    GaussMarkoffModel,
-    LinearRestrictions,
-    SURLayout,
-    build_model,
-    stack_sur,
-)
-from .identify import (
-    ImplicitRestrictions,
-    TheilWitness,
-    WitnessKind,
-    check_joint_identification,
-    check_mls_invertibility,
-    check_restriction_consistency,
-    check_theil_condition,
-    combine_restrictions,
-    extract_implicit_restrictions,
-)
-from .estimators import (
-    RidgeSpec,
-    StochasticRestrictions,
-    constrained_singular_gls,
-    gls,
-    linear_representation,
-    mls,
-    ols,
-    rgls,
-    ridge,
-    rols,
-    stochastic_restricted_gls,
-    tkn,
-)
-from .panel import (
-    FEPanelModel,
-    Theorem5Report,
-    build_fe_model,
-    centering_matrix,
-    fe_drop_period,
-    fe_gls,
-    fe_mls,
-    verify_theorem5,
-    within_transform,
-)
-from .montecarlo import (
-    MCReport,
-    SimulationConfig,
-    generate_instance,
-    run_study,
-)
+import importlib
+
+# The submodule that defines each public name.  A name is imported on first
+# access (PEP 562), so ``import gmls`` runs no submodule and a command loads
+# only the modules it uses.
+_HOME = {name: module for module, names in {
+    "errors": (
+        "DesignRankDeficientError", "DimensionMismatchError",
+        "DispersionNotNNDError", "DispersionNotPDError",
+        "DispersionSingularError", "GMLSError", "IdentificationError",
+        "InconsistentRestrictionsError", "IndefiniteInputError",
+        "InfeasibleParticularError", "InvalidConfigError", "NonFiniteError",
+        "NonSymmetricError", "NullVectorMismatchError",
+        "ReducedGramSingularError", "ResponseOutsideRangeError",
+        "RestrictionGramSingularError", "ShiftInsufficientError",
+        "TheilRankConditionError", "TooFewObservationsError"),
+    "spectral": (
+        "RankReport", "SpectralDecomposition", "default_tolerance",
+        "null_space_basis", "numeric_rank", "spectral_decompose"),
+    "model": (
+        "CombinedRestrictions", "EstimateResult", "EstimatorTag",
+        "GaussMarkoffModel", "LinearRestrictions", "SURLayout", "build_model",
+        "stack_sur"),
+    "identify": (
+        "ImplicitRestrictions", "TheilWitness", "WitnessKind",
+        "check_joint_identification", "check_mls_invertibility",
+        "check_restriction_consistency", "check_theil_condition",
+        "combine_restrictions", "extract_implicit_restrictions"),
+    "estimators": (
+        "RidgeSpec", "StochasticRestrictions", "constrained_singular_gls",
+        "gls", "linear_representation", "mls", "ols", "rgls", "ridge", "rols",
+        "stochastic_restricted_gls", "tkn"),
+    "panel": (
+        "FEPanelModel", "Theorem5Report", "build_fe_model", "centering_matrix",
+        "fe_drop_period", "fe_gls", "fe_mls", "verify_theorem5",
+        "within_transform"),
+    "montecarlo": (
+        "MCReport", "SimulationConfig", "generate_instance", "run_study"),
+}.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -121,3 +78,16 @@ __all__ = [
     "within_transform",
     "MCReport", "SimulationConfig", "generate_instance", "run_study",
 ]
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(__all__) | set(globals()))

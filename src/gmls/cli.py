@@ -4,7 +4,8 @@ Four commands: estimate, diagnose, panel, simulate.  Matrix inputs are
 headerless CSV; panel data is long-format CSV with the header
 ``equation,period,response,x1,...,xK``; restriction files carry one row
 per restriction with the coefficient columns first and the right-hand
-side last.
+side last.  The panel and simulate commands import gmls.panel and
+gmls.montecarlo when they run, so the model commands start without them.
 
 Exit codes: 0 success, 1 input or usage problems, 2 identification or
 model precondition failures, 3 numerical failures past the rank checks,
@@ -47,10 +48,8 @@ from .identify import (
     combine_restrictions,
     extract_implicit_restrictions,
 )
-from .methods import METHODS, MODEL
+from .methods import METHODS, MODEL, SCENARIOS
 from .model import LinearRestrictions, SURLayout, build_model, stack_sur
-from .montecarlo import SCENARIOS, SimulationConfig, run_study
-from .panel import build_fe_model, fe_drop_period, verify_theorem5
 from .spectral import RankReport, numeric_rank
 
 EXIT_OK = 0
@@ -467,6 +466,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_panel(args) -> int:
+    from .panel import build_fe_model, fe_drop_period, verify_theorem5
+
     designs, responses, _, periods = read_panel(args.panel)
     sigma = read_matrix(args.sigma)
     m = len(periods)
@@ -515,6 +516,8 @@ def cmd_panel(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .montecarlo import SimulationConfig, run_study
+
     if args.reps < 100:
         raise CommandFailure(EXIT_INPUT,
                              f"--reps must be at least 100, got {args.reps}")

@@ -40,7 +40,7 @@ remaining rank decisions (design, restrictions, whitened design).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -274,7 +274,6 @@ def rgls(model: GaussMarkoffModel, res: LinearRestrictions,
 # ---------------------------------------------------------------------------
 # ridge
 
-@dataclass(frozen=True)
 class RidgeSpec:
     """Shift matrix for the ridge estimator (X'X + Psi)^{-1} X'y.
 
@@ -283,9 +282,11 @@ class RidgeSpec:
     which requires the block widths.
     """
 
-    full_matrix: np.ndarray | None = None
-    block_parameters: tuple | None = None
-    block_widths: tuple | None = None
+    def __init__(self, full_matrix: np.ndarray | None = None,
+                 block_parameters: tuple | None = None, block_widths: tuple | None = None):
+        self.full_matrix = full_matrix
+        self.block_parameters = block_parameters
+        self.block_widths = block_widths
 
     @classmethod
     def scalar(cls, psi: float) -> "RidgeSpec":
@@ -364,7 +365,6 @@ def ridge(model: GaussMarkoffModel, shift: RidgeSpec,
 # ---------------------------------------------------------------------------
 # stochastic restrictions
 
-@dataclass(frozen=True)
 class StochasticRestrictions:
     """Noisy prior information r = R X_f beta + v, D(v) = Theta.
 
@@ -374,10 +374,12 @@ class StochasticRestrictions:
     LinearRestrictions instead.
     """
 
-    R: np.ndarray
-    r: np.ndarray
-    theta: np.ndarray
-    forecast_design: np.ndarray | None = None
+    def __init__(self, R: np.ndarray, r: np.ndarray, theta: np.ndarray,
+                 forecast_design: np.ndarray | None = None):
+        self.R = R
+        self.r = r
+        self.theta = theta
+        self.forecast_design = forecast_design
 
     @classmethod
     def build(cls, R, r, theta, forecast_design=None) -> "StochasticRestrictions":

@@ -15,7 +15,6 @@ certificate vector d with F_t' X_t d = 0 for every period.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
 class ImplicitRestrictions:
     """Restrictions implied by the null space of the dispersion matrix.
 
@@ -47,8 +45,9 @@ class ImplicitRestrictions:
     probability one).
     """
 
-    G: np.ndarray
-    g: np.ndarray
+    def __init__(self, G: np.ndarray, g: np.ndarray):
+        self.G = G
+        self.g = g
 
     @property
     def count(self) -> int:
@@ -61,7 +60,6 @@ class WitnessKind(enum.Enum):
     CROSS_EQUATION_COMBINATION = "cross-equation-combination"
 
 
-@dataclass(frozen=True)
 class TheilWitness:
     """Certificate for (or against) rank failure of the whitened design.
 
@@ -74,12 +72,14 @@ class TheilWitness:
     configurations (a single nonzero null-vector weight).
     """
 
-    kind: WitnessKind
-    d: np.ndarray
-    s: np.ndarray
-    a: np.ndarray
-    violating_equation: int | None = None
-    note: str = ""
+    def __init__(self, kind: WitnessKind, d: np.ndarray, s: np.ndarray, a: np.ndarray,
+                 violating_equation: int | None = None, note: str = ""):
+        self.kind = kind
+        self.d = d
+        self.s = s
+        self.a = a
+        self.violating_equation = violating_equation
+        self.note = note
 
 
 def check_restriction_consistency(res: LinearRestrictions,

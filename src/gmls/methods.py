@@ -7,32 +7,45 @@ the data, in the order a caller asks for them.  A fit is called as
 LinearRestrictions or None), "ridge_psi" (a scalar shift) and "theta"
 (the stochastic restrictions' dispersion) to their values.  Fits look
 the estimators up on their modules when called, so a wrapper installed
-there is seen.
+there is seen; the panel module is imported only when a panel fit runs.
+SCENARIOS names the studies run_study draws, here so that the command
+line can offer them without importing gmls.montecarlo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable
 
-from . import estimators, identify, panel
+from . import estimators, identify
 from .model import LinearRestrictions
 
 MODEL = "model"
 PANEL = "panel"
 
+SCENARIOS = ("regular-gls", "singular-adding-up", "collinear-restricted",
+             "fe-kronecker", "fe-blockdiag")
 
-@dataclass(frozen=True)
+
 class Method:
-    fit: Callable
-    kind: str
-    needs: tuple = ()
+    def __init__(self, fit: Callable, kind: str, needs: tuple = ()):
+        self.fit = fit
+        self.kind = kind
+        self.needs = needs
 
 
 def _on_model(name: str, *needs: str) -> Method:
     """The entry estimators.<name>(model, *inputs named by needs, tol=tol)."""
     return Method(lambda model, inputs, tol: getattr(estimators, name)(
         model, *(inputs[need] for need in needs), tol=tol), MODEL, needs)
+
+
+def _on_panel(name: str) -> Method:
+    """The entry panel.<name>(panel data)."""
+    def fit(data, inputs, tol):
+        from . import panel
+        return getattr(panel, name)(data)
+    return Method(fit, PANEL)
 
 
 def _ridge(model, inputs, tol):
@@ -71,6 +84,6 @@ METHODS = {
     "mls": _on_model("mls"),
     "tkn": _on_model("tkn", "restrictions"),
     "constrained": Method(_constrained, MODEL),
-    "fe-gls": Method(lambda data, inputs, tol: panel.fe_gls(data), PANEL),
-    "fe-mls": Method(lambda data, inputs, tol: panel.fe_mls(data), PANEL),
+    "fe-gls": _on_panel("fe_gls"),
+    "fe-mls": _on_panel("fe_mls"),
 }

@@ -62,7 +62,7 @@ class EstimatorTag(enum.Enum):
     PANEL_MLS = "fe-mls"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GaussMarkoffModel:
     """Immutable model triple with optional error-variance scale.
 
@@ -106,12 +106,12 @@ class GaussMarkoffModel:
     _null_products = cached_property(lambda self: self._project(True))
 
 
-@dataclass(frozen=True)
 class LinearRestrictions:
     """Exact linear restrictions R beta = r."""
 
-    R: np.ndarray
-    r: np.ndarray
+    def __init__(self, R: np.ndarray, r: np.ndarray):
+        self.R = R
+        self.r = r
 
     @property
     def count(self) -> int:
@@ -135,7 +135,7 @@ class LinearRestrictions:
         return cls(R=np.zeros((0, num_params)), r=np.zeros((0, 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CombinedRestrictions:
     """Explicit restrictions stacked on top of the implicit ones.
 
@@ -163,7 +163,7 @@ class CombinedRestrictions:
         return self.H.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class EstimateResult:
     """A point estimate with its covariance factor and residuals.
 
@@ -181,7 +181,6 @@ class EstimateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
 class SURLayout:
     """Per-equation designs of a seemingly-unrelated-regressions system.
 
@@ -191,7 +190,8 @@ class SURLayout:
     order.
     """
 
-    block_design: tuple
+    def __init__(self, block_design: tuple):
+        self.block_design = block_design
 
     @classmethod
     def build(cls, designs) -> "SURLayout":

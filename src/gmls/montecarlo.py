@@ -6,8 +6,9 @@ held fixed across replications.  Replication j takes row j mod
 STREAM_CHUNK of the one standard_normal((STREAM_CHUNK, r)) draw, r the
 error rank, from the stream keyed (seed, 1 + j // STREAM_CHUNK).  Any
 split of a study into replication ranges, in any order, therefore draws
-the same data.  A study keys ceil(B / STREAM_CHUNK) streams on one rekeyed
-Philox and draws a chunk only to the last replication it serves.
+the same data.  A study keys its design stream and then ceil(B / STREAM_CHUNK)
+error streams on one rekeyed Philox, and draws a chunk only to the last
+replication it serves.
 
 A study stacks the responses of all its replications as the columns of
 one T x B block and fits them with one estimator call, since every
@@ -24,12 +25,11 @@ machine precision.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GMLSError, InvalidConfigError
-from .methods import METHODS, MODEL, PANEL
+from .methods import METHODS, MODEL, PANEL, SCENARIOS
 from .model import (
     PERIOD_MAJOR,
     GaussMarkoffModel,
@@ -41,14 +41,8 @@ from .model import (
 )
 from .panel import FEPanelModel, build_fe_model
 
-REGULAR_GLS = "regular-gls"
-SINGULAR_ADDING_UP = "singular-adding-up"
-COLLINEAR_RESTRICTED = "collinear-restricted"
-FE_KRONECKER = "fe-kronecker"
-FE_BLOCKDIAG = "fe-blockdiag"
-
-SCENARIOS = (REGULAR_GLS, SINGULAR_ADDING_UP, COLLINEAR_RESTRICTED,
-             FE_KRONECKER, FE_BLOCKDIAG)
+(REGULAR_GLS, SINGULAR_ADDING_UP, COLLINEAR_RESTRICTED,
+ FE_KRONECKER, FE_BLOCKDIAG) = SCENARIOS
 
 # a study can supply restrictions, and no other input a method may need
 MODEL_ESTIMATORS = tuple(name for name, method in METHODS.items()
@@ -72,7 +66,6 @@ SE_MULTIPLE = 4.0
 STREAM_CHUNK = 256
 
 
-@dataclass(frozen=True)
 class SimulationConfig:
     """Scenario description.
 
@@ -83,14 +76,17 @@ class SimulationConfig:
     truth.
     """
 
-    scenario: str
-    replications: int
-    seed: int
-    n: int = 3
-    m: int = 4
-    coeff_count: int = 3
-    sigma2: float = 1.0
-    true_beta: tuple | None = None
+    def __init__(self, scenario: str, replications: int, seed: int, n: int = 3,
+                 m: int = 4, coeff_count: int = 3, sigma2: float = 1.0,
+                 true_beta: tuple | None = None):
+        self.scenario = scenario
+        self.replications = replications
+        self.seed = seed
+        self.n = n
+        self.m = m
+        self.coeff_count = coeff_count
+        self.sigma2 = sigma2
+        self.true_beta = true_beta
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -114,19 +110,22 @@ class SimulationConfig:
                 "coefficient directions remain free")
 
 
-@dataclass(frozen=True)
 class Instance:
     """One replication's data set."""
 
-    replication: int
-    true_beta: np.ndarray
-    model: GaussMarkoffModel | None = None
-    panel: FEPanelModel | None = None
-    restrictions: LinearRestrictions | None = None
-    layout: SURLayout | None = None
+    def __init__(self, replication: int, true_beta: np.ndarray,
+                 model: GaussMarkoffModel | None = None,
+                 panel: FEPanelModel | None = None,
+                 restrictions: LinearRestrictions | None = None,
+                 layout: SURLayout | None = None):
+        self.replication = replication
+        self.true_beta = true_beta
+        self.model = model
+        self.panel = panel
+        self.restrictions = restrictions
+        self.layout = layout
 
 
-@dataclass(frozen=True)
 class MCReport:
     """Aggregated Monte Carlo results for one estimator.
 
@@ -136,19 +135,25 @@ class MCReport:
     estimator's theoretical covariance is not checked.
     """
 
-    scenario: str
-    estimator: str
-    replications: int
-    seed: int
-    true_beta: np.ndarray
-    mean_beta: np.ndarray
-    bias: np.ndarray
-    mc_se: np.ndarray
-    sample_covariance: np.ndarray
-    theoretical_covariance: np.ndarray | None
-    covariance_se: np.ndarray | None
-    unbiased: bool
-    covariance_ok: bool | None
+    def __init__(self, scenario: str, estimator: str, replications: int, seed: int,
+                 true_beta: np.ndarray, mean_beta: np.ndarray, bias: np.ndarray,
+                 mc_se: np.ndarray, sample_covariance: np.ndarray,
+                 theoretical_covariance: np.ndarray | None,
+                 covariance_se: np.ndarray | None, unbiased: bool,
+                 covariance_ok: bool | None):
+        self.scenario = scenario
+        self.estimator = estimator
+        self.replications = replications
+        self.seed = seed
+        self.true_beta = true_beta
+        self.mean_beta = mean_beta
+        self.bias = bias
+        self.mc_se = mc_se
+        self.sample_covariance = sample_covariance
+        self.theoretical_covariance = theoretical_covariance
+        self.covariance_se = covariance_se
+        self.unbiased = unbiased
+        self.covariance_ok = covariance_ok
 
     @property
     def passed(self) -> bool:
@@ -179,22 +184,27 @@ def _random_spd(rng: np.random.Generator, dim: int,
     return (q * lam) @ q.T
 
 
-@dataclass(frozen=True)
 class _Structure:
     """Replication-invariant part of a scenario.
 
     ``template`` is the model or panel with the noise-free response
     (X beta, plus the effects for a panel); the replications swap in
     their block of responses and keep the template's decomposed
-    dispersion.
+    dispersion.  ``rng`` is the generator that drew the design, which
+    the error draws rekey.
     """
 
-    kind: str
-    true_beta: np.ndarray
-    sigma2: float
-    template: GaussMarkoffModel | FEPanelModel
-    restrictions: LinearRestrictions | None = None
-    layout: SURLayout | None = None
+    def __init__(self, kind: str, true_beta: np.ndarray, sigma2: float,
+                 template: GaussMarkoffModel | FEPanelModel,
+                 restrictions: LinearRestrictions | None = None,
+                 layout: SURLayout | None = None, *, rng: np.random.Generator):
+        self.kind = kind
+        self.true_beta = true_beta
+        self.sigma2 = sigma2
+        self.template = template
+        self.restrictions = restrictions
+        self.layout = layout
+        self.rng = rng
 
 
 def _build_structure(config: SimulationConfig) -> _Structure:
@@ -223,7 +233,7 @@ def _build_structure(config: SimulationConfig) -> _Structure:
         else:
             sigma = {"sigma_blocks": [_random_spd(rng, m) for _ in range(n)]}
         return _Structure(kind=config.scenario, true_beta=beta0, sigma2=config.sigma2,
-                          template=build_fe_model(designs, responses, **sigma))
+                          template=build_fe_model(designs, responses, **sigma), rng=rng)
 
     restrictions = layout = ordering = None
     if config.scenario == SINGULAR_ADDING_UP:
@@ -250,20 +260,22 @@ def _build_structure(config: SimulationConfig) -> _Structure:
     template = build_model(design @ beta0.reshape(-1, 1), design, omega,
                            sigma2=config.sigma2, ordering=ordering)
     return _Structure(kind=config.scenario, true_beta=beta0, sigma2=config.sigma2,
-                      template=template, restrictions=restrictions, layout=layout)
+                      template=template, restrictions=restrictions, layout=layout, rng=rng)
 
 
 def _draw_errors(vectors, values, blocks: int, sigma2: float, seed: int, first: int,
-                 count: int) -> np.ndarray:
+                 count: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """Errors F_i sqrt(Lambda_i) z_i of replications first, ..., first + count - 1,
     ``blocks`` T_i x count blocks stacked in turn; ``vectors`` (T_i x r) and
     ``values`` (r), or stacks of one or ``blocks`` of each, hold F_i and Lambda_i.
     Replication j's row of z holds the z of every block in turn.  One Philox,
-    rekeyed per chunk, draws each chunk only to the last replication asked for."""
+    ``rng`` or a new one, rekeyed per chunk, draws each chunk only to the last
+    replication asked for."""
+    if rng is None:
+        rng = _rng(seed, 0)
     z = np.empty((first % STREAM_CHUNK + count, blocks * values.shape[-1]))
     for start in range(0, len(z), STREAM_CHUNK):
-        stream = 1 + (first + start) // STREAM_CHUNK
-        rng = _key(rng, seed, stream) if start else _rng(seed, stream)
+        _key(rng, seed, 1 + (first + start) // STREAM_CHUNK)
         rng.standard_normal(out=z[start:start + STREAM_CHUNK])
     scaled = np.sqrt(values)[..., None] * z[len(z) - count:].T.reshape(blocks, -1, count)
     return (np.sqrt(sigma2) * (vectors @ scaled)).reshape(-1, count)
@@ -278,7 +290,8 @@ def _draw(structure: _Structure, config: SimulationConfig, first: int, count: in
         factors = template.eigenvectors, template.eigenvalues, template.n
     else:
         factors = template.spectrum.eigenvectors_pos, template.spectrum.eigenvalues_pos, 1
-    errors = _draw_errors(*factors, structure.sigma2, config.seed, first, count)
+    errors = _draw_errors(*factors, structure.sigma2, config.seed, first, count,
+                          structure.rng)
     return dataclasses.replace(template, y=template.y + errors)
 
 

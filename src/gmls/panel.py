@@ -38,7 +38,7 @@ from .model import EstimateResult, EstimatorTag, GaussMarkoffModel, _admit, _req
 from .spectral import _assemble, _decompose_blocks, _fix_signs, as_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FEPanelModel:
     """Equation-major fixed-effects panel data.
 
@@ -236,7 +236,6 @@ def fe_drop_period(model: FEPanelModel, drop: int) -> EstimateResult:
                 "reduced_rank", dropped_period=drop)
 
 
-@dataclass(frozen=True)
 class Theorem5Report:
     """Numerical check that the two slope estimators coincide.
 
@@ -247,13 +246,16 @@ class Theorem5Report:
     the two estimates.
     """
 
-    fe_gls: EstimateResult
-    fe_mls: EstimateResult
-    beta_gap: float
-    projector_gap: float
-    tolerance: float
-    beta_equal: bool
-    projector_equal: bool
+    def __init__(self, fe_gls: EstimateResult, fe_mls: EstimateResult, beta_gap: float,
+                 projector_gap: float, tolerance: float, beta_equal: bool,
+                 projector_equal: bool):
+        self.fe_gls = fe_gls
+        self.fe_mls = fe_mls
+        self.beta_gap = beta_gap
+        self.projector_gap = projector_gap
+        self.tolerance = tolerance
+        self.beta_equal = beta_equal
+        self.projector_equal = projector_equal
 
     @property
     def beta_gls(self) -> np.ndarray:

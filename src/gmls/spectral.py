@@ -26,7 +26,6 @@ take the dense eigenvector matrices, as they always have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -169,7 +168,6 @@ def _indefinite(value: float, cutoff: float) -> IndefiniteInputError:
         f"matrix has eigenvalue {value:.6g} below -tol={-cutoff:.6g}")
 
 
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigendecomposition of a symmetric nonnegative definite matrix.
 
@@ -185,14 +183,17 @@ class SpectralDecomposition:
     dense matrix, whose caller has paid for T x T storage already.
     """
 
-    source_dim: int
-    blocks: tuple
-    order_pos: np.ndarray
-    order_null: np.ndarray
-    eigenvalues_pos: np.ndarray
-    rank: int
-    tolerance_used: float
-    dense: bool = False
+    def __init__(self, source_dim: int, blocks: tuple, order_pos: np.ndarray,
+                 order_null: np.ndarray, eigenvalues_pos: np.ndarray, rank: int,
+                 tolerance_used: float, dense: bool = False):
+        self.source_dim = source_dim
+        self.blocks = blocks
+        self.order_pos = order_pos
+        self.order_null = order_null
+        self.eigenvalues_pos = eigenvalues_pos
+        self.rank = rank
+        self.tolerance_used = tolerance_used
+        self.dense = dense
 
     def project(self, mat: np.ndarray, null: bool = False) -> np.ndarray:
         """F'M, or A'M when ``null``: block by block, or, for a dense
@@ -233,7 +234,6 @@ class SpectralDecomposition:
         return out
 
 
-@dataclass(frozen=True)
 class RankReport:
     """Outcome of a numeric rank decision.
 
@@ -242,10 +242,12 @@ class RankReport:
     maximum possible rank min(rows, cols).
     """
 
-    numeric_rank: int
-    values: np.ndarray
-    tolerance: float
-    deficient: bool
+    def __init__(self, numeric_rank: int, values: np.ndarray, tolerance: float,
+                 deficient: bool):
+        self.numeric_rank = numeric_rank
+        self.values = values
+        self.tolerance = tolerance
+        self.deficient = deficient
 
 
 def spectral_decompose(s, tol: float | None = None) -> SpectralDecomposition:

@@ -39,7 +39,7 @@ GOLDENS = {
 }
 
 
-def run_cli(*argv, env_extra=None, text=True):
+def run_python(*args, env_extra=None, text=True):
     env = os.environ.copy()
     env.pop("GMLS_TOL", None)
     if env_extra:
@@ -48,8 +48,12 @@ def run_cli(*argv, env_extra=None, text=True):
     # would no longer resolve
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "gmls", *argv],
-                         cwd=FIXTURES, env=env, capture_output=True, text=text)
+    return subprocess.run([sys.executable, *args],
+                          cwd=FIXTURES, env=env, capture_output=True, text=text)
+
+
+def run_cli(*argv, env_extra=None, text=True):
+    return run_python("-m", "gmls", *argv, env_extra=env_extra, text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +373,107 @@ def test_package_imports_only_numpy_and_the_standard_library():
             outside += [(os.path.basename(path), root) for root in roots
                         if root not in allowed]
     assert outside == []
+
+
+def _gmls_modules(probe, *argv):
+    """Run ``probe`` in a fresh interpreter inside fixtures/; returns the
+    process and the ``gmls.*`` modules loaded by the end of it, which the
+    probe's last line of stdout lists."""
+    probe += "\nprint(sorted(m for m in sys.modules if m.startswith('gmls.')))"
+    out = run_python("-c", probe, *argv)
+    assert out.returncode == 0, out.stderr
+    return out, ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_import_gmls_loads_a_submodule_only_when_a_name_is_used():
+    probe = "\n".join([
+        "import sys, gmls",
+        "print(hasattr(gmls, 'no_such_name'), set(gmls.__all__) <= set(dir(gmls)))",
+        "print(sorted(m for m in sys.modules if m.startswith('gmls.')))",
+        "print(gmls.stack_sur is gmls.model.stack_sur, 'stack_sur' in vars(gmls))",
+    ])
+    out, loaded = _gmls_modules(probe)
+    lines = out.stdout.splitlines()
+    assert lines[0] == "False True"
+    assert lines[1] == "[]"
+    assert lines[2] == "True True"
+    assert loaded == ["gmls.errors", "gmls.model", "gmls.spectral"]
+
+
+# cli.main on the probe's arguments, its exit code on the line before the modules
+_COMMAND_PROBE = "\n".join([
+    "import contextlib, io, sys",
+    "from gmls import cli",
+    "with contextlib.redirect_stdout(io.StringIO()):",
+    "    code = cli.main(sys.argv[1:])",
+    "print(code)",
+])
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (GOLDENS["golden_estimate.json"], {"gmls.montecarlo", "gmls.panel"}),
+    (("estimate", "--sur", "sur_ok.csv", "--sigma", "sigma.csv", "--method", "constrained"),
+     {"gmls.montecarlo", "gmls.panel"}),
+    (GOLDENS["golden_diagnose.json"], {"gmls.montecarlo", "gmls.panel"}),
+    (GOLDENS["golden_panel.json"], {"gmls.montecarlo"}),
+], ids=["estimate", "estimate constrained", "diagnose", "panel"])
+def test_a_command_loads_only_the_modules_it_runs(argv, unused):
+    out, loaded = _gmls_modules(_COMMAND_PROBE, *argv)
+    assert out.stdout.splitlines()[-2] == "0", out.stderr
+    assert unused.isdisjoint(loaded), loaded
+
+
+def test_unknown_scenario_is_refused_naming_every_scenario_without_montecarlo():
+    from gmls import methods, montecarlo
+
+    assert montecarlo.SCENARIOS is methods.SCENARIOS and len(methods.SCENARIOS) == 5
+    out, loaded = _gmls_modules(_COMMAND_PROBE, "simulate", "--scenario", "nope")
+    assert out.stdout.splitlines()[-2] == "1"
+    assert all(name in out.stderr for name in methods.SCENARIOS), out.stderr
+    assert "gmls.montecarlo" not in loaded
+
+
+def _import_time_imports(tree):
+    """The import statements a module runs when it is imported: those
+    outside every function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _package_modules(node):
+    """The gmls submodules an import statement names, by their short names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif node.level:
+        names = [f"gmls.{node.module}"] if node.module else \
+            [f"gmls.{alias.name}" for alias in node.names]
+    elif node.module == "gmls":
+        names = [f"gmls.{alias.name}" for alias in node.names]
+    else:
+        names = [node.module]
+    return {name.split(".")[1] for name in names if name.startswith("gmls.")}
+
+
+def test_no_module_imports_a_command_module_it_may_not_need():
+    # the rule behind the probes above, read off the source, so an eager
+    # import on a path no probe runs counts too
+    found = {}
+    for name in ("__init__", "cli", "methods"):
+        path = os.path.join(SRC, "gmls", f"{name}.py")
+        with open(path) as handle:
+            tree = ast.parse(handle.read(), path)
+        found[name] = set()
+        for node in _import_time_imports(tree):
+            found[name] |= _package_modules(node)
+    assert found["__init__"] == set()
+    assert found["cli"] & {"montecarlo", "panel"} == set()
+    assert found["methods"] & {"montecarlo", "panel"} == set()
 
 
 def test_every_public_name_imports():

@@ -1,5 +1,9 @@
 """Model assembly, validation, and SUR stacking."""
 
+import importlib
+import inspect
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from gmls import (
     SimulationConfig,
     TooFewObservationsError,
     WitnessKind,
+    build_fe_model,
     build_model,
     check_theil_condition,
     combine_restrictions,
@@ -620,3 +625,60 @@ def test_linear_restrictions_build_validates():
         LinearRestrictions.build(np.ones((2, 3)), np.zeros((1, 1)))
     empty = LinearRestrictions.empty(4)
     assert empty.count == 0 and empty.num_params == 4
+
+
+# Constructor signatures of the plain record classes, annotations dropped:
+# the parameter names, order and defaults every caller relies on.
+RECORD_SIGNATURES = {
+    "spectral.SpectralDecomposition": "(source_dim, blocks, order_pos, order_null, "
+                                      "eigenvalues_pos, rank, tolerance_used, dense=False)",
+    "spectral.RankReport": "(numeric_rank, values, tolerance, deficient)",
+    "model.LinearRestrictions": "(R, r)",
+    "model.SURLayout": "(block_design)",
+    "identify.ImplicitRestrictions": "(G, g)",
+    "identify.TheilWitness": "(kind, d, s, a, violating_equation=None, note='')",
+    "estimators.RidgeSpec": "(full_matrix=None, block_parameters=None, block_widths=None)",
+    "estimators.StochasticRestrictions": "(R, r, theta, forecast_design=None)",
+    "methods.Method": "(fit, kind, needs=())",
+    "panel.Theorem5Report": "(fe_gls, fe_mls, beta_gap, projector_gap, tolerance, "
+                            "beta_equal, projector_equal)",
+    "montecarlo.SimulationConfig": "(scenario, replications, seed, n=3, m=4, "
+                                   "coeff_count=3, sigma2=1.0, true_beta=None)",
+    "montecarlo.Instance": "(replication, true_beta, model=None, panel=None, "
+                           "restrictions=None, layout=None)",
+    "montecarlo.MCReport": "(scenario, estimator, replications, seed, true_beta, "
+                           "mean_beta, bias, mc_se, sample_covariance, "
+                           "theoretical_covariance, covariance_se, unbiased, covariance_ok)",
+    "montecarlo._Structure": "(kind, true_beta, sigma2, template, restrictions=None, "
+                             "layout=None, *, rng)",
+}
+
+
+@pytest.mark.parametrize("path", sorted(RECORD_SIGNATURES))
+def test_record_constructors_keep_their_signatures(path):
+    module, name = path.split(".")
+    cls = getattr(importlib.import_module(f"gmls.{module}"), name)
+    params = list(inspect.signature(cls).parameters.values())
+    bare = inspect.Signature([p.replace(annotation=p.empty) for p in params])
+    assert str(bare) == RECORD_SIGNATURES[path]
+    values = {p.name: object() for p in params}
+    positional = [values[p.name] for p in params if p.kind == p.POSITIONAL_OR_KEYWORD]
+    keyword_only = {p.name: values[p.name] for p in params if p.kind == p.KEYWORD_ONLY}
+    for record in (cls(*positional, **keyword_only), cls(**values)):
+        assert all(getattr(record, key) is value for key, value in values.items())
+    required = {p.name: values[p.name] for p in params if p.default is p.empty}
+    record = cls(**required)
+    assert all(getattr(record, p.name) == p.default for p in params
+               if p.default is not p.empty)
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity():
+    rng = np.random.default_rng(30)
+    model = build_model(*_simple_model(rng))
+    combined = combine_restrictions(LinearRestrictions.empty(3),
+                                    extract_implicit_restrictions(model))
+    panel = build_fe_model([rng.normal(size=(4, 2)) for _ in range(3)],
+                           [rng.normal(size=4) for _ in range(3)], sigma=random_spd(rng, 4))
+    for record in (model, combined, mls(model), panel):
+        assert record == record and record != replace(record)
+        assert hash(record) == hash(record)

@@ -446,8 +446,8 @@ def test_study_factorizations_do_not_grow_with_replications(monkeypatch, scenari
 @pytest.mark.parametrize("scenario", [SINGULAR_ADDING_UP, FE_BLOCKDIAG])
 def test_study_keys_one_generator_per_chunk(monkeypatch, scenario, reps):
     """A study keys its design stream once and ceil(B / STREAM_CHUNK)
-    error streams, one per chunk of replications, on at most two Philox
-    bit generators: the design stream's and one rekeyed for the errors."""
+    error streams, one per chunk of replications, on one Philox bit
+    generator: the design stream's, rekeyed for each chunk of errors."""
     streams, constructed = [], []
     real_key, real_philox = montecarlo._key, np.random.Philox
 
@@ -463,7 +463,7 @@ def test_study_keys_one_generator_per_chunk(monkeypatch, scenario, reps):
     run_study(_cfg(scenario, reps=reps))
     chunks = -(-reps // STREAM_CHUNK)
     assert sorted(streams) == list(range(chunks + 1))
-    assert len(constructed) <= 2
+    assert len(constructed) == 1
 
 
 class _CountingGenerator:
