@@ -128,7 +128,13 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None,
         raise refuse(message.format(report.numeric_rank, reduced.shape[1]), report=report,
                      decision=decision)
     gain = (basis @ (vt.T / s)) @ u.T
-    beta = None if wy is None else beta_star + gain @ (wy - wx @ beta_star)
+    if wy is None:
+        return None, gain, beta_star, h_report, report
+    # W y - W X beta* overwrites W X beta* when beta* has wy's B columns
+    step = wx @ beta_star
+    step = np.subtract(wy, step, out=step if step.shape == wy.shape else None)
+    beta = gain @ step
+    beta += beta_star
     return beta, gain, beta_star, h_report, report
 
 
@@ -197,7 +203,7 @@ def ols(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
         message="design has numeric rank {} < K={}")
     return EstimateResult(beta_hat=beta,
                           covariance_factor=_sandwich(gain, model.spectrum),
-                          residuals=model.y - model.X @ beta,
+                          y=model.y, X=model.X,
                           estimator_tag=EstimatorTag.OLS,
                           diagnostics={"design_rank": report})
 
@@ -216,7 +222,7 @@ def gls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     beta, gain, _, _, _ = _whitened_lsq(wx, wy, DesignRankDeficientError, tol,
                                         message="whitened design has rank {} < K={}")
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
-                          residuals=model.y - model.X @ beta,
+                          y=model.y, X=model.X,
                           estimator_tag=EstimatorTag.GLS,
                           diagnostics={"design_rank": report,
                                        "dispersion_rank": spec.rank,
@@ -241,7 +247,7 @@ def rols(model: GaussMarkoffModel, res: LinearRestrictions,
                                         rows=(res.R, res.r))
     return EstimateResult(beta_hat=beta,
                           covariance_factor=_sandwich(gain, model.spectrum),
-                          residuals=model.y - model.X @ beta,
+                          y=model.y, X=model.X,
                           estimator_tag=EstimatorTag.ROLS,
                           diagnostics={"restriction_consistency": cons,
                                        "joint_identification": ident,
@@ -263,7 +269,7 @@ def rgls(model: GaussMarkoffModel, res: LinearRestrictions,
     beta, gain, _, _, _ = _whitened_lsq(wx, wy, IdentificationError, tol,
                                         rows=(res.R, res.r))
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
-                          residuals=model.y - model.X @ beta,
+                          y=model.y, X=model.X,
                           estimator_tag=EstimatorTag.RGLS,
                           diagnostics={"restriction_consistency": cons,
                                        "joint_identification": ident,
@@ -357,7 +363,7 @@ def ridge(model: GaussMarkoffModel, shift: RidgeSpec,
     gain = gain[:, :model.num_obs]
     beta = gain @ model.y
     return EstimateResult(beta_hat=beta, covariance_factor=_sandwich(gain, model.spectrum),
-                          residuals=model.y - model.X @ beta,
+                          y=model.y, X=model.X,
                           estimator_tag=EstimatorTag.RIDGE,
                           diagnostics={"shifted_rank": report})
 
@@ -451,7 +457,7 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
                                         IdentificationError, tol)
     # the whitened system has unit noise, so G G' = D(beta_hat) = s^2 V
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T / s2,
-                          residuals=model.y - model.X @ beta,
+                          y=model.y, X=model.X,
                           estimator_tag=EstimatorTag.STOCHASTIC_RESTRICTED,
                           diagnostics={"augmented_identification": ident,
                                        "dispersion_rank": spec.rank,
@@ -470,7 +476,7 @@ def mls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     """
     report, (beta, gain, _, _, _) = _pseudo_inverse_lsq(model, tol)
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
-                          residuals=model.y - model.X @ beta,
+                          y=model.y, X=model.X,
                           estimator_tag=EstimatorTag.MLS,
                           diagnostics={"whitened_design_rank": report,
                                        "dispersion_rank": model.spectrum.rank})
@@ -492,7 +498,7 @@ def tkn(model: GaussMarkoffModel, res: LinearRestrictions,
             f"R has rank {r_report.numeric_rank} < {res.count} rows, "
             "so R C+^{-1} R' is singular")
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
-                          residuals=model.y - model.X @ beta,
+                          y=model.y, X=model.X,
                           estimator_tag=EstimatorTag.TKN,
                           diagnostics={"restriction_consistency": cons,
                                        "whitened_design_rank": report,
@@ -548,7 +554,7 @@ def _constrained(model: GaussMarkoffModel, combined: CombinedRestrictions,
         wx, wy, ReducedGramSingularError, tol, rows=(combined.H, combined.h),
         particular=part)
     result = EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
-                            residuals=model.y - model.X @ beta,
+                            y=model.y, X=model.X,
                             estimator_tag=EstimatorTag.CONSTRAINED_SINGULAR,
                             diagnostics={"joint_identification": ident,
                                          "combined_consistency": True,
@@ -612,6 +618,6 @@ def linear_representation(model: GaussMarkoffModel,
         @ spec.eigenvectors_pos.T + g_free @ a_mat.T
     diagnostics["offset"] = (beta_star - gain @ (wx @ beta_star)) - g_free @ implicit.g
     return EstimateResult(beta_hat=beta, covariance_factor=base.covariance_factor,
-                          residuals=model.y - model.X @ beta,
+                          y=model.y, X=model.X,
                           estimator_tag=EstimatorTag.CONSTRAINED_SINGULAR,
                           diagnostics=diagnostics)

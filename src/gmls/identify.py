@@ -125,15 +125,16 @@ def combine_restrictions(explicit: LinearRestrictions,
 
     The result records which rows came from where and whether the joint
     system H beta = h_j is solvable for every column h_j of h, one per
-    response column (see _inconsistent_columns).
+    response column (see _inconsistent_columns).  With no explicit rows,
+    h is the implicit g itself, not a copy.
     """
     if implicit.G.shape[1] != explicit.num_params:
         raise DimensionMismatchError(
             f"explicit restrictions have {explicit.num_params} columns, "
             f"implicit have {implicit.G.shape[1]}")
     h_mat = np.vstack([explicit.R, implicit.G])
-    h_vec = np.vstack([np.broadcast_to(explicit.r, (explicit.count, implicit.g.shape[1])),
-                       implicit.g])
+    h_vec = implicit.g if not explicit.count else np.vstack(
+        [np.broadcast_to(explicit.r, (explicit.count, implicit.g.shape[1])), implicit.g])
     failing = _inconsistent_columns(h_mat, h_vec, tol)
     return CombinedRestrictions(
         H=h_mat,

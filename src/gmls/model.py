@@ -74,10 +74,12 @@ class GaussMarkoffModel:
     was produced from per-equation SUR blocks ("period" or "equation"),
     None otherwise.
 
-    The model owns its rotated data as two pairs, each projected on first
-    use: ``_range_products`` (F'X, F'y) for the Eq. (14) check and every
-    whitening, ``_null_products`` (A'X, A'y) for the admission check and
-    the implicit restrictions; ``dataclasses.replace`` starts both afresh.
+    The model owns its rotated data as two pairs of read-only arrays, each
+    projected on first use: ``_range_products`` (F'X, F'y) for the Eq. (14)
+    check and every whitening, ``_null_products`` (A'X, A'y) for the
+    admission check and the implicit restrictions, which combined
+    restrictions may hold as they are; ``dataclasses.replace`` starts both
+    afresh.
     """
 
     y: np.ndarray
@@ -100,7 +102,10 @@ class GaussMarkoffModel:
         return self.X.shape[1]
 
     def _project(self, null: bool) -> tuple:
-        return self.spectrum.project(self.X, null), self.spectrum.project(self.y, null)
+        products = self.spectrum.project(self.X, null), self.spectrum.project(self.y, null)
+        for product in products:  # shared read-only, e.g. as CombinedRestrictions.h
+            product.flags.writeable = False
+        return products
 
     _range_products = cached_property(lambda self: self._project(False))
     _null_products = cached_property(lambda self: self._project(True))
@@ -167,18 +172,25 @@ class CombinedRestrictions:
 class EstimateResult:
     """A point estimate with its covariance factor and residuals.
 
-    ``beta_hat`` is K x B and ``residuals`` T x B for a T x B response;
-    ``covariance_factor`` is the matrix V such that D(beta_hat_j) =
-    sigma^2 V for each column under the estimator's own assumptions.
-    ``diagnostics`` collects the identification checks that were
-    consulted on the way.
+    ``beta_hat`` is K x B for the T x B response ``y`` on the T x K design
+    ``X`` it was fitted to; ``covariance_factor`` is the matrix V such that
+    D(beta_hat_j) = sigma^2 V for each column under the estimator's own
+    assumptions.  ``diagnostics`` collects the identification checks that
+    were consulted on the way.  ``residuals``, y - X beta_hat (T x B), are
+    computed on first access, so a caller that reads only the estimate
+    never forms them.
     """
 
     beta_hat: np.ndarray
     covariance_factor: np.ndarray
-    residuals: np.ndarray
+    y: np.ndarray
+    X: np.ndarray
     estimator_tag: EstimatorTag
     diagnostics: dict = field(default_factory=dict)
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        return self.y - self.X @ self.beta_hat
 
 
 class SURLayout:

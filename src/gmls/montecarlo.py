@@ -13,7 +13,10 @@ replication it serves.
 A study stacks the responses of all its replications as the columns of
 one T x B block and fits them with one estimator call, since every
 estimator is affine in the response; generate_instance returns one
-column of the same block.
+column of the same block.  The response block is the one T x B array a
+draw allocates: z is scaled, multiplied out and shifted by the
+noise-free response in place.  The study's spreads all come from one
+deviation matrix of the B x K estimates.
 
 Errors are always generated as F sqrt(Lambda) z with z standard normal,
 F and Lambda from the spectral decomposition of the scenario dispersion.
@@ -270,29 +273,34 @@ def _draw_errors(vectors, values, blocks: int, sigma2: float, seed: int, first: 
     ``values`` (r), or stacks of one or ``blocks`` of each, hold F_i and Lambda_i.
     Replication j's row of z holds the z of every block in turn.  One Philox,
     ``rng`` or a new one, rekeyed per chunk, draws each chunk only to the last
-    replication asked for."""
+    replication asked for.  z and the returned product are scaled in place."""
     if rng is None:
         rng = _rng(seed, 0)
     z = np.empty((first % STREAM_CHUNK + count, blocks * values.shape[-1]))
     for start in range(0, len(z), STREAM_CHUNK):
         _key(rng, seed, 1 + (first + start) // STREAM_CHUNK)
         rng.standard_normal(out=z[start:start + STREAM_CHUNK])
-    scaled = np.sqrt(values)[..., None] * z[len(z) - count:].T.reshape(blocks, -1, count)
-    return (np.sqrt(sigma2) * (vectors @ scaled)).reshape(-1, count)
+    scaled = z[len(z) - count:].T.reshape(blocks, -1, count)
+    scaled *= np.sqrt(values)[..., None]
+    errors = vectors @ scaled
+    errors *= np.sqrt(sigma2)
+    return errors.reshape(-1, count)
 
 
 def _draw(structure: _Structure, config: SimulationConfig, first: int, count: int):
     """The model or panel of replications first, ..., first + count - 1,
-    with one response column per replication."""
+    with one response column per replication: the drawn errors, shifted
+    in place by the noise-free response."""
     template = structure.template
     if isinstance(template, FEPanelModel):
         # a Kronecker panel's one block of eigenpairs serves every equation
         factors = template.eigenvectors, template.eigenvalues, template.n
     else:
         factors = template.spectrum.eigenvectors_pos, template.spectrum.eigenvalues_pos, 1
-    errors = _draw_errors(*factors, structure.sigma2, config.seed, first, count,
-                          structure.rng)
-    return dataclasses.replace(template, y=template.y + errors)
+    response = _draw_errors(*factors, structure.sigma2, config.seed, first, count,
+                            structure.rng)
+    response += template.y
+    return dataclasses.replace(template, y=response)
 
 
 def generate_instance(config: SimulationConfig, replication: int) -> Instance:
@@ -323,18 +331,18 @@ def _estimate(name: str, data, res: LinearRestrictions | None):
     return method.fit(data, {"restrictions": res}, None)
 
 
-def _jackknife_covariance_se(estimates: np.ndarray) -> np.ndarray:
-    """Delete-one jackknife SEs for each sample covariance entry.
+def _jackknife_covariance_se(squares: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Delete-one jackknife SEs for each sample covariance entry, from the
+    entrywise squares D * D and the Gram matrix D'D of the B x K deviations
+    D of the estimates from their mean.
 
     Deleting replication i downdates the sample covariance S by a rank
     one term, cov_-i = (B-1)/(B-2) S - B/((B-1)(B-2)) d_i d_i' with d_i
     the deviation of estimate i from the mean, so the jackknife spread
     of entry (k, l) needs only sum_i (d_ik d_il)^2 and M = D'D/B.
     """
-    reps = estimates.shape[0]
-    deviations = estimates - estimates.mean(axis=0)
-    mean_outer = deviations.T @ deviations / reps
-    squares = deviations * deviations
+    reps = squares.shape[0]
+    mean_outer = gram / reps
     # a sum of squares; rounding can take it just below zero
     spread = np.maximum(squares.T @ squares - reps * mean_outer * mean_outer, 0.0)
     return reps / ((reps - 1) * (reps - 2)) * np.sqrt((reps - 1) / reps * spread)
@@ -356,7 +364,6 @@ def run_study(config: SimulationConfig, estimator: str | None = None,
     structure = _build_structure(config)
     name = estimator if estimator is not None else DEFAULT_ESTIMATOR[structure.kind]
     reps = config.replications
-    k_dim = structure.true_beta.size
     data = _draw(structure, config, 0, reps)
     try:
         result = _estimate(name, data, structure.restrictions)
@@ -366,12 +373,16 @@ def run_study(config: SimulationConfig, estimator: str | None = None,
     theoretical = config.sigma2 * result.covariance_factor
     mean_beta = estimates.mean(axis=0)
     bias = mean_beta - structure.true_beta
-    mc_se = estimates.std(axis=0, ddof=1) / np.sqrt(reps)
-    sample_cov = np.cov(estimates.T, ddof=1).reshape(k_dim, k_dim)
+    # one deviation matrix D serves np.std(ddof=1), np.cov and the jackknife,
+    # each step the one those functions take, so every bit is theirs
+    deviations = estimates - mean_beta
+    squares, gram = deviations * deviations, deviations.T @ deviations
+    mc_se = np.sqrt(squares.sum(axis=0) / (reps - 1)) / np.sqrt(reps)
+    sample_cov = gram * (1.0 / (reps - 1))
     cov_se = None
     cov_ok = None
     if reps > 2:
-        cov_se = _jackknife_covariance_se(estimates)
+        cov_se = _jackknife_covariance_se(squares, gram)
         cov_ok = bool(np.all(np.abs(sample_cov - theoretical)
                              <= SE_MULTIPLE * cov_se))
     unbiased = bool(np.all(np.abs(bias) <= SE_MULTIPLE * mc_se))

@@ -173,7 +173,7 @@ def _fit(model: FEPanelModel, whiteners: np.ndarray, refuse, tag: EstimatorTag,
     blocks = gain.reshape(k_dim, model.n, -1).transpose(1, 0, 2) @ whiteners
     beta = blocks.transpose(1, 0, 2).reshape(k_dim, -1) @ model.y
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
-                          residuals=model.y - model.X @ beta, estimator_tag=tag,
+                          y=model.y, X=model.X, estimator_tag=tag,
                           diagnostics={rank_key: report, **diagnostics})
 
 

@@ -325,6 +325,28 @@ def jackknife_covariance_se_direct(estimates) -> np.ndarray:
     return np.sqrt((reps - 1) / reps * ((cov_wo - center) ** 2).sum(axis=0))
 
 
+def study_spread(estimates):
+    """mc_se, sample covariance and jackknife SEs of B x K study estimates
+    by np.std(ddof=1), np.cov, and a jackknife that takes its own mean."""
+    reps, k_dim = estimates.shape
+    mc_se = estimates.std(axis=0, ddof=1) / np.sqrt(reps)
+    sample_cov = np.cov(estimates.T, ddof=1).reshape(k_dim, k_dim)
+    deviations = estimates - estimates.mean(axis=0)
+    mean_outer = deviations.T @ deviations / reps
+    squares = deviations * deviations
+    spread = np.maximum(squares.T @ squares - reps * mean_outer * mean_outer, 0.0)
+    return mc_se, sample_cov, \
+        reps / ((reps - 1) * (reps - 2)) * np.sqrt((reps - 1) / reps * spread)
+
+
+def spectral_errors(vectors, values, blocks, sigma2, z):
+    """sqrt(sigma2) F_i (sqrt(Lambda_i) z_i) for the count x (blocks r) draws
+    z, every product a new array, stacked as a (blocks T_i) x count block."""
+    count = z.shape[0]
+    scaled = np.sqrt(values)[..., None] * z.T.reshape(blocks, -1, count)
+    return (np.sqrt(sigma2) * (vectors @ scaled)).reshape(-1, count)
+
+
 # ---------------------------------------------------------------------------
 # fixed-effects and SUR layouts, built entry by entry
 

@@ -24,6 +24,7 @@ from gmls import (
     StochasticRestrictions,
     SURLayout,
     TheilRankConditionError,
+    build_fe_model,
     build_model,
     combine_restrictions,
     constrained_singular_gls,
@@ -42,6 +43,7 @@ from gmls import (
 )
 
 from gmls.estimators import _whiten, _whitened_lsq
+from gmls.methods import METHODS, PANEL
 
 from conftest import assert_same_rank_decision, random_nnd, random_spd
 from oracles import (
@@ -833,6 +835,64 @@ def test_estimators_fit_each_response_column():
         for fit in (mls, lambda m: constrained_singular_gls(m, _combined_for(m)),
                     lambda m: constrained_singular_gls(m, _combined_for(m, explicit=rows))):
             _fits_by_column(fit, model, columns)
+
+
+def _assert_residuals_on_demand(result, data):
+    """Residuals are absent until read, then y - X beta_hat bit for bit,
+    and a replaced result computes the same."""
+    assert "residuals" not in vars(result)
+    expected = data.y - data.X @ result.beta_hat
+    np.testing.assert_array_equal(result.residuals, expected)
+    assert "residuals" in vars(result)
+    copied = replace(result, diagnostics={})
+    assert "residuals" not in vars(copied)
+    np.testing.assert_array_equal(copied.residuals, expected)
+
+
+@pytest.mark.parametrize("name", sorted(METHODS))
+def test_every_method_computes_its_residuals_on_first_access(name):
+    rng = np.random.default_rng(98)
+    columns = 3
+    method = METHODS[name]
+    if method.kind == PANEL:
+        designs = [rng.normal(size=(5, 2)) for _ in range(3)]
+        datas = [build_fe_model(designs, [x @ rng.normal(size=(2, columns))
+                                          + rng.normal(size=(5, columns)) for x in designs],
+                                sigma=random_spd(rng, 5))]
+    else:
+        regular = _regular(rng)
+        singular = _singular(rng)
+        root = singular.spectrum.eigenvectors_pos
+        datas = [replace(regular, y=regular.X @ rng.normal(size=(3, columns))
+                         + rng.normal(size=(10, columns))),
+                 replace(singular, y=singular.X @ rng.normal(size=(3, columns))
+                         + root @ rng.normal(size=(root.shape[1], columns)))]
+    inputs = {"restrictions": LinearRestrictions.build([[1.0, -1.0, 0.0]], [[0.0]]),
+              "ridge_psi": 0.3, "theta": np.array([[0.5]])}
+    fitted = 0
+    for data in datas:
+        try:
+            result = method.fit(data, inputs, None)
+        except DispersionSingularError:
+            continue  # gls, rgls and mixed need a positive definite dispersion
+        assert result.beta_hat.shape[1] == columns
+        _assert_residuals_on_demand(result, data)
+        fitted += 1
+    assert fitted
+
+
+def test_linear_representation_computes_its_residuals_on_first_access():
+    rng = np.random.default_rng(99)
+    model = _singular(rng)
+    root = model.spectrum.eigenvectors_pos
+    model = replace(model, y=model.X @ rng.normal(size=(3, 4))
+                    + root @ rng.normal(size=(root.shape[1], 4)))
+    implicit = extract_implicit_restrictions(model)
+    combined = combine_restrictions(LinearRestrictions.empty(model.num_params), implicit)
+    result = linear_representation(model, combined,
+                                   rng.normal(size=(model.num_params, implicit.count)),
+                                   implicit)
+    _assert_residuals_on_demand(result, model)
 
 
 def test_inconsistent_response_column_is_named():

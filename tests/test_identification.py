@@ -129,6 +129,22 @@ def test_combine_restrictions_layout_and_consistency():
     assert combined.consistent
 
 
+def test_combined_rows_share_the_models_read_only_products():
+    """With no explicit rows h is the model's cached A'y itself; the model's
+    products are read-only, so no holder can change what the others read."""
+    rng = np.random.default_rng(33)
+    model, _ = _singular_model(rng)
+    implicit = extract_implicit_restrictions(model)
+    combined = combine_restrictions(LinearRestrictions.empty(model.num_params), implicit)
+    assert combined.h is implicit.g is model._null_products[1]
+    with pytest.raises(ValueError, match="read-only"):
+        combined.h[0, 0] = 1.0
+    for product in model._range_products + model._null_products:
+        assert not product.flags.writeable
+    explicit = LinearRestrictions.build(np.array([[1.0, 1.0]]), np.array([[0.0]]))
+    assert not np.shares_memory(combine_restrictions(explicit, implicit).h, implicit.g)
+
+
 def test_combine_restrictions_flags_conflict():
     rng = np.random.default_rng(32)
     model, beta = _singular_model(rng)

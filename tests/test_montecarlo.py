@@ -44,7 +44,12 @@ from gmls.montecarlo import (
     _jackknife_covariance_se,
 )
 
-from oracles import jackknife_covariance_se_direct, matrix_rank_svd
+from oracles import (
+    jackknife_covariance_se_direct,
+    matrix_rank_svd,
+    spectral_errors,
+    study_spread,
+)
 
 
 def _cfg(scenario, reps=200, seed=314, **kw):
@@ -139,6 +144,25 @@ def test_fe_draws_are_the_noise_free_panel_plus_spectral_errors(monkeypatch, sce
     for j in (0, 255, 256, 299):
         np.testing.assert_array_equal(generate_instance(cfg, j).panel.y,
                                       panel_y(z[j:j + 1]))
+
+
+def _error_factors(template):
+    if isinstance(template, montecarlo.FEPanelModel):
+        return template.eigenvectors, template.eigenvalues, template.n
+    return template.spectrum.eigenvectors_pos, template.spectrum.eigenvalues_pos, 1
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_draw_errors_are_the_out_of_place_product_bit_for_bit(scenario):
+    """Scaling z, the product and sigma in place moves no bit."""
+    cfg = _cfg(scenario, reps=600, seed=29, sigma2=2.5)
+    vectors, values, blocks = _error_factors(_build_structure(cfg).template)
+    z = np.vstack([montecarlo._rng(cfg.seed, 1 + c).standard_normal(
+        (STREAM_CHUNK, blocks * values.shape[-1])) for c in range(3)])
+    for first, count in ((0, 1), (0, 2), (0, 257), (0, 600), (255, 3), (300, 44)):
+        np.testing.assert_array_equal(
+            _draw_errors(vectors, values, blocks, cfg.sigma2, cfg.seed, first, count),
+            spectral_errors(vectors, values, blocks, cfg.sigma2, z[first:first + count]))
 
 
 def test_instances_are_deterministic():
@@ -311,12 +335,18 @@ def test_response_dependent_failures_name_their_replication(monkeypatch):
         run_study(_cfg(SINGULAR_ADDING_UP, reps=10))
 
 
+def _jackknife(estimates):
+    """_jackknife_covariance_se of B x K estimates, from their deviations D."""
+    dev = estimates - estimates.mean(axis=0)
+    return _jackknife_covariance_se(dev * dev, dev.T @ dev)
+
+
 def test_jackknife_variance_scale():
     """Jackknife SE of a sample variance tracks the classic 2 sigma^4 / R rate."""
     rng = np.random.default_rng(99)
     reps = 2000
     draws = rng.normal(size=(reps, 1))
-    se = _jackknife_covariance_se(draws)[0, 0]
+    se = _jackknife(draws)[0, 0]
     expected = np.sqrt(2.0 / reps)  # sigma = 1
     assert 0.5 * expected < se < 2.0 * expected
 
@@ -327,7 +357,7 @@ def test_jackknife_closed_form_matches_all_delete_one_covariances(reps):
     for _ in range(5):
         draws = rng.normal(size=(reps, 6)) * rng.uniform(0.1, 3.0, size=6) \
             + rng.normal(size=6)
-        se = _jackknife_covariance_se(draws)
+        se = _jackknife(draws)
         assert np.all(np.isfinite(se))
         assert _relative_gap(se, jackknife_covariance_se_direct(draws)) <= 1e-12
 
@@ -341,7 +371,7 @@ def test_jackknife_closed_form_on_a_rank_deficient_study():
                     structure.restrictions)
     estimates = fit.beta_hat.T
     assert matrix_rank_svd(np.cov(estimates.T)) < estimates.shape[1]
-    se = _jackknife_covariance_se(estimates)
+    se = _jackknife(estimates)
     assert np.all(np.isfinite(se))
     assert _relative_gap(se, jackknife_covariance_se_direct(estimates)) <= 1e-12
     np.testing.assert_array_equal(run_study(cfg).covariance_se, se)
@@ -362,10 +392,53 @@ def test_jackknife_clamps_a_rounding_negative_spread():
         squares = dev * dev
         mean_outer = dev.T @ dev / reps
         negative += int((squares.T @ squares - reps * mean_outer * mean_outer)[0, 0] < 0)
-        se = _jackknife_covariance_se(draws)
+        se = _jackknife(draws)
         assert np.all(np.isfinite(se)) and float(se[0, 0]) <= 1e-6 * a * a
         assert float(jackknife_covariance_se_direct(draws)[0, 0]) <= 1e-6 * a * a
     assert negative > 0
+
+
+@pytest.mark.parametrize("reps", [3, 257])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_study_spread_is_np_std_np_cov_and_the_jackknife_bit_for_bit(
+        monkeypatch, scenario, reps):
+    """One deviation matrix gives the bits of np.std(ddof=1), np.cov and a
+    jackknife that takes the mean again."""
+    fits = []
+    real = montecarlo._estimate
+    monkeypatch.setattr(montecarlo, "_estimate",
+                        lambda name, data, res: fits.append(real(name, data, res)) or fits[-1])
+    report = run_study(_cfg(scenario, reps=reps, seed=41, sigma2=2.5))
+    mc_se, sample_cov, cov_se = study_spread(fits[0].beta_hat.T + 0.0)
+    np.testing.assert_array_equal(report.mc_se, mc_se)
+    np.testing.assert_array_equal(report.sample_covariance, sample_cov)
+    np.testing.assert_array_equal(report.covariance_se, cov_se)
+
+
+@pytest.mark.parametrize("scenario, bound", [(SINGULAR_ADDING_UP, 4.5), (FE_BLOCKDIAG, 2.1)])
+def test_a_study_makes_each_response_sized_array_once(scenario, bound):
+    """The traced peak of a 2000-replication draw and fit, in units of one
+    T x B float block, at the CLI's dimensions (n = 3, m = 4, T = 12).
+
+    singular-adding-up (rank r = 8, q = 4 null rows, K = 6) peaks in the
+    core's G (W y - W X beta*), holding the response (1), the model's A'y,
+    which is h (q/T), and F'y (r/T), W y (r/T), beta* (K/T), the step
+    W y - W X beta* (r/T) and beta_hat (K/T): (T + q + 3r + 2K)/T = 4.33.
+    fe-blockdiag (K = 3) peaks in the draw, holding z (B x nm, 1) and its
+    product, the response (1); the fit adds K x B estimates (0.25) to the
+    response alone.  Residuals or a copy of the response push either over."""
+    import tracemalloc
+
+    cfg = _cfg(scenario, reps=2000, seed=5)
+    structure = _build_structure(cfg)
+    name = montecarlo.DEFAULT_ESTIMATOR[scenario]
+    tracemalloc.start()
+    try:
+        _estimate(name, _draw(structure, cfg, 0, cfg.replications), structure.restrictions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * structure.template.num_obs * cfg.replications * 8
 
 
 # ---------------------------------------------------------------------------
