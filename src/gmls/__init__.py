@@ -51,33 +51,7 @@ _HOME = {name: module for module, names in {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GMLSError", "NonFiniteError", "DimensionMismatchError",
-    "NonSymmetricError", "IndefiniteInputError", "DispersionNotNNDError",
-    "DispersionNotPDError", "DispersionSingularError",
-    "ResponseOutsideRangeError", "TooFewObservationsError",
-    "InconsistentRestrictionsError", "DesignRankDeficientError",
-    "IdentificationError", "TheilRankConditionError",
-    "NullVectorMismatchError", "RestrictionGramSingularError",
-    "ReducedGramSingularError", "ShiftInsufficientError",
-    "InfeasibleParticularError", "InvalidConfigError",
-    "RankReport", "SpectralDecomposition", "default_tolerance",
-    "null_space_basis", "numeric_rank", "spectral_decompose",
-    "CombinedRestrictions", "EstimateResult", "EstimatorTag",
-    "GaussMarkoffModel", "LinearRestrictions", "SURLayout", "build_model",
-    "stack_sur",
-    "ImplicitRestrictions", "TheilWitness", "WitnessKind",
-    "check_joint_identification", "check_mls_invertibility",
-    "check_restriction_consistency", "check_theil_condition",
-    "combine_restrictions", "extract_implicit_restrictions",
-    "RidgeSpec", "StochasticRestrictions",
-    "constrained_singular_gls", "gls", "linear_representation", "mls",
-    "ols", "rgls", "ridge", "rols", "stochastic_restricted_gls", "tkn",
-    "FEPanelModel", "Theorem5Report", "build_fe_model", "centering_matrix",
-    "fe_drop_period", "fe_gls", "fe_mls", "verify_theorem5",
-    "within_transform",
-    "MCReport", "SimulationConfig", "generate_instance", "run_study",
-]
+__all__ = list(_HOME)
 
 
 def __getattr__(name):

@@ -15,15 +15,19 @@ Every estimator solves one problem,
 with the whitener W = Lambda^{-1/2} F' of ``model.spectrum``
 (W'W = Omega^+; W = I for OLS and restricted OLS) and H the estimator's
 restriction rows; ridge and mixed estimation append rows to W X and
-W y.  W X and W y rescale the model's F'X and F'y, formed once per model
-and shared with the Eq. (14) check.  One core solves it in null-space
-coordinates beta = beta* + N c, with an SVD of H and a thin SVD
-W X N = U S V', so no path forms the normal matrix X' W'W X and squares
-the condition number of the design.  S decides the rank of W X N once;
-OLS, ridge and the panel estimators record that report as their rank
-decision.  The gain G = N V S^{-1} U' and the covariance factor G G'
-come off the same SVD; OLS, restricted OLS and ridge wrap G in their
-sandwich G Omega G', read off the spectrum.  Each estimator states its
+W y.  The spectrum-whitened fits hand the core the model's F'X and F'y,
+formed once per model and shared with the Eq. (14) check, with the row
+scale Lambda^{1/2}: the core forms W X and takes the step
+(F'y - F'X beta*) / Lambda^{1/2} in rotated coordinates, subtracting
+before it scales, so W y is never formed.  One core solves the problem
+in null-space coordinates beta = beta* + N c, with an SVD of H and a thin
+SVD W X N = U S V', so no path forms the normal matrix X' W'W X and
+squares the condition number of the design.  S decides the rank of
+W X N once; OLS, ridge and the panel estimators record that report as
+their rank decision.  The gain G = N V S^{-1} U' and the covariance
+factor G G' come off the same SVD; OLS, restricted OLS and ridge wrap G
+in their sandwich G Omega G', with G F taken by the spectrum's
+projection, block by block.  Each estimator states its
 (W, H) and its own pre-checks, and records each catalogue decision
 among them (README) in its diagnostics under the key its refusal names
 as ``decision``.  Restricted estimates satisfy H beta_hat = H beta*, so
@@ -84,30 +88,35 @@ from .spectral import (
 # ---------------------------------------------------------------------------
 # the whitened least-squares core
 
-def _whiten(model: GaussMarkoffModel):
-    """W X and W y, W = Lambda^{-1/2} F', from the model's F'X and F'y."""
-    scale = np.sqrt(model.spectrum.eigenvalues_pos)[:, None]
-    return [product / scale for product in model._range_products]
+def _rotated(model: GaussMarkoffModel):
+    """F'X, F'y and the row scale Lambda^{1/2} that whitens them,
+    W X = F'X / Lambda^{1/2} and W y = F'y / Lambda^{1/2}."""
+    return (*model._range_products, np.sqrt(model.spectrum.eigenvalues_pos)[:, None])
 
 
-def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None,
+def _whitened_lsq(x, y, refuse, tol, rows=None, particular=None, scale=None,
                   message="reduced whitened design has rank {} < {}", decision=None):
-    """Minimize ||wy - wx beta|| subject to H beta = h, rows = (H, h).
+    """Minimize ||(y - x beta) / scale|| subject to H beta = h, rows = (H, h).
 
-    wy and h may hold B columns, one problem each on the same wx and H.
+    ``scale`` is a column of row scales (None for 1), so W X = x / scale;
+    y and h may hold B columns, one problem each on the same x and H.
     One SVD of H gives its rank report, an orthonormal null basis N and,
-    unless ``particular`` supplies one, the minimum-norm beta*.  One thin
-    SVD wx N = U S V' gives its rank report under numeric_rank's rule,
-    the gain G = N V S^{-1} U', the estimate beta* + G (wy - wx beta*)
-    and the covariance factor G G'.  A rank below the columns of wx N
-    raises ``refuse`` with ``message`` formatted by (rank, columns), the
-    report and the caller's catalogue ``decision``.  The SVD of H is thin
-    unless H has fewer rows than columns, the one case that needs the full V'.
+    unless ``particular`` supplies one, the minimum-norm
+    beta* = V_r ((U_r'h) / s).  One thin SVD W X N = U S V' gives its rank
+    report under numeric_rank's rule, the gain G = N V S^{-1} U', the
+    estimate beta* + G ((y - x beta*) / scale) and the covariance factor
+    G G'.  The step is formed before it is scaled, so the cancellation in
+    y - x beta* happens in the caller's coordinates and W y is never
+    formed.  A rank below the columns of W X N raises ``refuse`` with
+    ``message`` formatted by (rank, columns), the report and the caller's
+    catalogue ``decision``.  The SVD of H is thin unless H has fewer rows
+    than columns, the one case that needs the full V'.
 
-    Returns (beta_hat, gain, beta*, rank reports of H and of wx N);
-    beta_hat is None when wy is, for callers that apply the gain
+    Returns (beta_hat, gain, beta*, rank reports of H and of W X N);
+    beta_hat is None when y is, for callers that apply the gain
     themselves.
     """
+    wx = x if scale is None else x / scale
     k_dim = wx.shape[1]
     h_report = RankReport(0, np.zeros(0), 0.0, deficient=False)
     basis, beta_star = np.eye(k_dim), np.zeros((k_dim, 1))
@@ -117,7 +126,9 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None,
         h_report = _svd_rank(s, *h_mat.shape, tol)
         rank = h_report.numeric_rank
         basis = vt[rank:].T
-        beta_star = vt[:rank].T @ ((u[:, :rank].T @ h_vec) / s[:rank, None])
+        coords = u[:, :rank].T @ h_vec
+        coords /= s[:rank, None]
+        beta_star = vt[:rank].T @ coords
     if particular is not None:
         beta_star = particular
     reduced = wx @ basis
@@ -128,19 +139,23 @@ def _whitened_lsq(wx, wy, refuse, tol, rows=None, particular=None,
         raise refuse(message.format(report.numeric_rank, reduced.shape[1]), report=report,
                      decision=decision)
     gain = (basis @ (vt.T / s)) @ u.T
-    if wy is None:
+    if y is None:
         return None, gain, beta_star, h_report, report
-    # W y - W X beta* overwrites W X beta* when beta* has wy's B columns
-    step = wx @ beta_star
-    step = np.subtract(wy, step, out=step if step.shape == wy.shape else None)
+    # y - x beta* overwrites x beta* when beta* has y's B columns
+    step = x @ beta_star
+    step = np.subtract(y, step, out=step if step.shape == y.shape else None)
+    if scale is not None:
+        step /= scale
     beta = gain @ step
     beta += beta_star
     return beta, gain, beta_star, h_report, report
 
 
 def _sandwich(gain: np.ndarray, spec: SpectralDecomposition) -> np.ndarray:
-    """G Omega G' as (G F Lambda^{1/2})(G F Lambda^{1/2})', F Lambda F' = Omega."""
-    half = (gain @ spec.eigenvectors_pos) * np.sqrt(spec.eigenvalues_pos)
+    """G Omega G' as (G F Lambda^{1/2})(G F Lambda^{1/2})', F Lambda F' = Omega,
+    with G F = (F'G')' taken by ``spec.project``, so a block decomposition
+    never builds the dense T x rank F."""
+    half = spec.project(gain.T).T * np.sqrt(spec.eigenvalues_pos)
     return half @ half.T
 
 
@@ -183,9 +198,9 @@ def _pseudo_inverse_lsq(model: GaussMarkoffModel, tol, rows=None):
             f"F'X has rank {report.numeric_rank} < K={model.num_params}; "
             "the pseudo-inverse normal matrix is not invertible", report=report,
             decision="whitened_design_rank")
-    wx, wy = _whiten(model)
-    return report, _whitened_lsq(wx, wy, TheilRankConditionError, tol, rows=rows,
-                                 decision="whitened_design_rank")
+    fx, fy, root = _rotated(model)
+    return report, _whitened_lsq(fx, fy, TheilRankConditionError, tol, rows=rows,
+                                 scale=root, decision="whitened_design_rank")
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +233,8 @@ def gls(model: GaussMarkoffModel, tol: float | None = None) -> EstimateResult:
     if report.numeric_rank < model.num_params:
         raise DesignRankDeficientError(
             f"design has numeric rank {report.numeric_rank} < K={model.num_params}")
-    wx, wy = _whiten(model)
-    beta, gain, _, _, _ = _whitened_lsq(wx, wy, DesignRankDeficientError, tol,
+    fx, fy, root = _rotated(model)
+    beta, gain, _, _, _ = _whitened_lsq(fx, fy, DesignRankDeficientError, tol, scale=root,
                                         message="whitened design has rank {} < K={}")
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           y=model.y, X=model.X,
@@ -265,9 +280,9 @@ def rgls(model: GaussMarkoffModel, res: LinearRestrictions,
     ident = _joint_identification_or_raise(model.X, res.R, tol)
     spec = _pd_dispersion(model)
     design = numeric_rank(model.X, tol=tol)
-    wx, wy = _whiten(model)
-    beta, gain, _, _, _ = _whitened_lsq(wx, wy, IdentificationError, tol,
-                                        rows=(res.R, res.r))
+    fx, fy, root = _rotated(model)
+    beta, gain, _, _, _ = _whitened_lsq(fx, fy, IdentificationError, tol,
+                                        rows=(res.R, res.r), scale=root)
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                           y=model.y, X=model.X,
                           estimator_tag=EstimatorTag.RGLS,
@@ -447,7 +462,8 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
     if ident.numeric_rank < model.num_params:
         raise IdentificationError(
             "augmented design lacks full column rank", report=ident)
-    wx, wy = _whiten(model)
+    fx, fy, root = _rotated(model)
+    wx, wy = fx / root, fy / root
     theta_scale = np.sqrt(theta_spec.eigenvalues_pos)[:, None]
     w_eff, w_r = (theta_spec.project(mat) / theta_scale for mat in (eff, sres.r))
     scale = np.sqrt(s2)
@@ -546,13 +562,13 @@ def _checked_particular(combined: CombinedRestrictions, particular):
 
 def _constrained(model: GaussMarkoffModel, combined: CombinedRestrictions,
                  particular, tol):
-    """The constrained estimate with the gain, beta* and W X behind it."""
+    """The constrained estimate with the gain and beta* behind it."""
     ident = _combined_checks(model, combined, tol)
     part = _checked_particular(combined, particular)
-    wx, wy = _whiten(model)
+    fx, fy, root = _rotated(model)
     beta, gain, beta_star, h_report, _ = _whitened_lsq(
-        wx, wy, ReducedGramSingularError, tol, rows=(combined.H, combined.h),
-        particular=part)
+        fx, fy, ReducedGramSingularError, tol, rows=(combined.H, combined.h),
+        particular=part, scale=root)
     result = EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T,
                             y=model.y, X=model.X,
                             estimator_tag=EstimatorTag.CONSTRAINED_SINGULAR,
@@ -560,7 +576,7 @@ def _constrained(model: GaussMarkoffModel, combined: CombinedRestrictions,
                                          "combined_consistency": True,
                                          "dispersion_rank": model.spectrum.rank,
                                          "restriction_rank": h_report})
-    return result, gain, beta_star, wx
+    return result, gain, beta_star
 
 
 def constrained_singular_gls(model: GaussMarkoffModel,
@@ -609,14 +625,16 @@ def linear_representation(model: GaussMarkoffModel,
         raise DimensionMismatchError(
             f"free coefficients must be {model.num_params} x {null_dim}, "
             f"got {g_free.shape}")
-    base, gain, beta_star, wx = _constrained(model, combined, particular, tol)
+    base, gain, beta_star = _constrained(model, combined, particular, tol)
+    fx, _, root = _rotated(model)
     a_mat = spec.eigenvectors_null
     beta = base.beta_hat + (g_free @ (a_mat.T @ model.y) - g_free @ implicit.g)
-    diagnostics = dict(base.diagnostics)
+    diagnostics = base.diagnostics
     # G W with W = Lambda^{-1/2} F', never materializing W
-    diagnostics["linear_map"] = (gain / np.sqrt(spec.eigenvalues_pos)) \
-        @ spec.eigenvectors_pos.T + g_free @ a_mat.T
-    diagnostics["offset"] = (beta_star - gain @ (wx @ beta_star)) - g_free @ implicit.g
+    diagnostics["linear_map"] = (gain / root.T) @ spec.eigenvectors_pos.T + g_free @ a_mat.T
+    # G W X beta* as the core forms it: the rotated product, then its scale
+    diagnostics["offset"] = (beta_star - gain @ ((fx @ beta_star) / root)) \
+        - g_free @ implicit.g
     return EstimateResult(beta_hat=beta, covariance_factor=base.covariance_factor,
                           y=model.y, X=model.X,
                           estimator_tag=EstimatorTag.CONSTRAINED_SINGULAR,

@@ -14,7 +14,6 @@ line can offer them without importing gmls.montecarlo.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 from . import estimators, identify
@@ -71,7 +70,8 @@ def _constrained(model, inputs, tol):
     combined = identify.combine_restrictions(
         explicit, identify.extract_implicit_restrictions(model), tol=tol)
     result = estimators.constrained_singular_gls(model, combined, tol=tol)
-    return replace(result, diagnostics={**decided, **result.diagnostics})
+    result.diagnostics.update(decided)  # the fit's own fresh dict
+    return result
 
 
 METHODS = {

@@ -7,12 +7,22 @@ tests compare against byte for byte.  Run from the repository root:
     python3 tests/fixtures/generate.py
 
 Regenerating the goldens is only legitimate after an intentional,
-reviewed change to the report format.
+reviewed change to the report format or to the bits of an estimate.
+
+    python3 tests/fixtures/generate.py --compare
+
+regenerates everything into a temporary directory, writes nothing here,
+and prints for each golden either "byte-identical" or its largest
+relative numeric change, |new - old| / |old|, with the JSON path where
+it occurs.
 """
 
+import argparse
+import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -20,12 +30,13 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.abspath(os.path.join(HERE, os.pardir, os.pardir, "src"))
 
 
-def save(name, arr):
-    np.savetxt(os.path.join(HERE, name), np.round(arr, 6), delimiter=",",
+def save(out, name, arr):
+    np.savetxt(os.path.join(out, name), np.round(arr, 6), delimiter=",",
                fmt="%.6f")
 
 
-def main():
+def write_fixtures(out):
+    """Write every input fixture and golden into the directory ``out``."""
     rng = np.random.default_rng(20240817)
 
     # regular 8 x 3 instance
@@ -35,12 +46,12 @@ def main():
     omega = np.round(root @ root.T / 8.0 + 0.5 * np.eye(8), 6)
     chol = np.linalg.cholesky(omega)
     y = np.round(x @ beta + chol @ rng.normal(size=(8, 1)), 6)
-    save("design.csv", x)
-    save("response.csv", y)
-    save("dispersion.csv", omega)
-    with open(os.path.join(HERE, "restrictions.csv"), "w") as f:
+    save(out, "design.csv", x)
+    save(out, "response.csv", y)
+    save(out, "dispersion.csv", omega)
+    with open(os.path.join(out, "restrictions.csv"), "w") as f:
         f.write("1,1,0,3\n")
-    with open(os.path.join(HERE, "inconsistent_restrictions.csv"), "w") as f:
+    with open(os.path.join(out, "inconsistent_restrictions.csv"), "w") as f:
         f.write("1,0,0,1\n2,0,0,3\n")
 
     # deficient design repaired by nothing: column 3 duplicates column 1,
@@ -48,13 +59,13 @@ def main():
     x_bad = x.copy()
     x_bad[:, 2] = x_bad[:, 0]
     y_bad = np.round(x_bad @ np.array([[1.0], [2.0], [1.0]]), 6)
-    save("design_collinear.csv", x_bad)
-    save("response_collinear.csv", y_bad)
-    with open(os.path.join(HERE, "useless_restrictions.csv"), "w") as f:
+    save(out, "design_collinear.csv", x_bad)
+    save(out, "response_collinear.csv", y_bad)
+    with open(os.path.join(out, "useless_restrictions.csv"), "w") as f:
         f.write("1,0,1,0\n")
 
     # malformed matrix: ragged third row
-    with open(os.path.join(HERE, "bad_rows.csv"), "w") as f:
+    with open(os.path.join(out, "bad_rows.csv"), "w") as f:
         f.write("1.0,2.0\n3.0,4.0\n5.0\n")
 
     # SUR systems, 3 equations x 5 periods, 2 covariates each.  The
@@ -67,7 +78,7 @@ def main():
     b1 = np.array([[1.0], [-1.0], [0.0]])
     b2 = np.array([[1.0], [1.0], [-2.0]])
     sigma = b1 @ b1.T + 0.5 * (b2 @ b2.T)
-    save("sigma.csv", sigma)
+    save(out, "sigma.csv", sigma)
 
     def write_sur(name, designs, coeffs):
         rows = ["equation,period,response,x1,x2"]
@@ -77,7 +88,7 @@ def main():
                 yv = float(designs[i][t] @ bi)
                 rows.append(f"{i + 1},{t + 1},{yv!r},"
                             f"{designs[i][t, 0]:.6f},{designs[i][t, 1]:.6f}")
-        with open(os.path.join(HERE, name), "w") as f:
+        with open(os.path.join(out, name), "w") as f:
             f.write("\n".join(rows) + "\n")
         return rows
 
@@ -96,7 +107,7 @@ def main():
     g_row = np.concatenate([d[0] for d in designs_ok])
     g_rhs = sum(float(d[0] @ sur_beta[2 * i:2 * i + 2])
                 for i, d in enumerate(designs_ok))
-    with open(os.path.join(HERE, "conflicting_sur_restrictions.csv"), "w") as f:
+    with open(os.path.join(out, "conflicting_sur_restrictions.csv"), "w") as f:
         f.write(",".join(repr(float(v)) for v in g_row) + f",{g_rhs + 1.0!r}\n")
 
     # fixed-effects panel, 3 equations x 4 periods, 2 covariates
@@ -110,11 +121,11 @@ def main():
             yv = float(xi[t] @ fe_beta) + effects[i] \
                 + round(0.1 * float(rng.normal()), 6)
             rows.append(f"{i + 1},{t + 1},{yv:.6f},{xi[t, 0]:.6f},{xi[t, 1]:.6f}")
-    with open(os.path.join(HERE, "panel.csv"), "w") as f:
+    with open(os.path.join(out, "panel.csv"), "w") as f:
         f.write("\n".join(rows) + "\n")
     root = np.round(rng.normal(size=(m, m)), 6)
-    save("panel_sigma.csv", np.round(root @ root.T / m + 0.5 * np.eye(m), 6))
-    save("panel_sigma_bad.csv", np.diag([1.0, 1.0, 1.0, -0.5]))
+    save(out, "panel_sigma.csv", np.round(root @ root.T / m + 0.5 * np.eye(m), 6))
+    save(out, "panel_sigma_bad.csv", np.diag([1.0, 1.0, 1.0, -0.5]))
 
     # golden machine outputs
     goldens = {
@@ -133,19 +144,73 @@ def main():
             "simulate", "--scenario", "regular-gls", "--reps", "120",
             "--seed", "7", "--output", "machine"],
     }
-    # the children run inside fixtures/, where a relative PYTHONPATH=src
+    # the children run inside ``out``, where a relative PYTHONPATH=src
     # would no longer resolve
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     env.pop("GMLS_TOL", None)
     for name, argv in goldens.items():
-        out = subprocess.run([sys.executable, "-m", "gmls"] + argv,
-                             cwd=HERE, env=env, capture_output=True)
-        if out.returncode != 0:
-            raise SystemExit(f"{name}: exit {out.returncode}: {out.stderr.decode()}")
-        with open(os.path.join(HERE, name), "wb") as f:
-            f.write(out.stdout)
-    print("fixtures written to", HERE)
+        run = subprocess.run([sys.executable, "-m", "gmls"] + argv,
+                             cwd=out, env=env, capture_output=True)
+        if run.returncode != 0:
+            raise SystemExit(f"{name}: exit {run.returncode}: {run.stderr.decode()}")
+        with open(os.path.join(out, name), "wb") as f:
+            f.write(run.stdout)
+    return list(goldens)
+
+
+def largest_change(old, new, path=""):
+    """(relative change, path) of the numeric leaf of ``new`` that moved
+    most from ``old``; a change of structure or of a non-numeric leaf
+    raises ValueError naming its path."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old.keys() != new.keys():
+            raise ValueError(f"keys differ at {path or '/'}")
+        pairs = [(old[k], new[k], f"{path}.{k}" if path else k) for k in old]
+    elif isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            raise ValueError(f"lengths differ at {path}")
+        pairs = [(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new)):
+        if old == new:
+            return 0.0, path
+        return (abs(new - old) / abs(old) if old else float("inf")), path
+    elif old == new:
+        return 0.0, path
+    else:
+        raise ValueError(f"value differs at {path}")
+    return max((largest_change(a, b, p) for a, b, p in pairs),
+               key=lambda change: change[0], default=(0.0, path))
+
+
+def compare():
+    """Print, for each golden, how a regeneration would change it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in write_fixtures(tmp):
+            with open(os.path.join(HERE, name), "rb") as f:
+                old = f.read()
+            with open(os.path.join(tmp, name), "rb") as f:
+                new = f.read()
+            if old == new:
+                print(f"{name}: byte-identical")
+                continue
+            try:
+                change, path = largest_change(json.loads(old), json.loads(new))
+                print(f"{name}: largest relative change {change:.3g} at {path}")
+            except ValueError as exc:
+                print(f"{name}: {exc}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", action="store_true",
+                        help="regenerate into a temporary directory and report "
+                             "how each golden would change; write nothing here")
+    if parser.parse_args(argv).compare:
+        compare()
+    else:
+        write_fixtures(HERE)
+        print("fixtures written to", HERE)
 
 
 if __name__ == "__main__":

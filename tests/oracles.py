@@ -110,6 +110,22 @@ def reconstruct(spec) -> np.ndarray:
     return (f * spec.eigenvalues_pos) @ f.T
 
 
+def formed_whitened_step(model, gain, beta_star) -> np.ndarray:
+    """beta* + G (W y - W X beta*) with W X and W y formed first from the
+    model's F'X and F'y, W = Lambda^{-1/2} F': the whitened update taken
+    in whitened coordinates, every product a new array."""
+    root = np.sqrt(model.spectrum.eigenvalues_pos)[:, None]
+    fx, fy = model._range_products
+    return gain @ (fy / root - (fx / root) @ beta_star) + beta_star
+
+
+def dense_sandwich(gain, spec) -> np.ndarray:
+    """G Omega G' as (G F Lambda^{1/2})(G F Lambda^{1/2})' with the dense
+    T x rank eigenvector matrix F."""
+    half = (gain @ spec.eigenvectors_pos) * np.sqrt(spec.eigenvalues_pos)
+    return half @ half.T
+
+
 def whitened_gls(y_vec, x_mat, omega) -> np.ndarray:
     """GLS by Cholesky whitening followed by a plain least-squares solve."""
     chol = cholesky(np.asarray(omega, dtype=float), lower=True)

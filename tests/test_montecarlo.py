@@ -421,9 +421,10 @@ def test_a_study_makes_each_response_sized_array_once(scenario, bound):
     T x B float block, at the CLI's dimensions (n = 3, m = 4, T = 12).
 
     singular-adding-up (rank r = 8, q = 4 null rows, K = 6) peaks in the
-    core's G (W y - W X beta*), holding the response (1), the model's A'y,
-    which is h (q/T), and F'y (r/T), W y (r/T), beta* (K/T), the step
-    W y - W X beta* (r/T) and beta_hat (K/T): (T + q + 3r + 2K)/T = 4.33.
+    core's G ((F'y - F'X beta*) / Lambda^{1/2}), holding the response (1),
+    the model's A'y, which is h (q/T), and F'y (r/T), the coordinates
+    (U_r'h) / s (q/T), beta* (K/T), the step (r/T) and beta_hat (K/T):
+    (T + 2q + 2r + 2K)/T = 4.00.
     fe-blockdiag (K = 3) peaks in the draw, holding z (B x nm, 1) and its
     product, the response (1); the fit adds K x B estimates (0.25) to the
     response alone.  Residuals or a copy of the response push either over."""
