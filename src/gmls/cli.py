@@ -314,7 +314,7 @@ def _load_model(args, tol):
     if getattr(args, "sur", None):
         if not getattr(args, "sigma", None):
             raise CommandFailure(EXIT_INPUT, "--sur requires --sigma")
-        designs, responses, _, periods = read_panel(args.sur)
+        designs, responses, _, _ = read_panel(args.sur)
         layout = SURLayout.build(designs)
         sigma_block = read_matrix(args.sigma)
         if sigma_block.shape != (layout.n, layout.n):
@@ -322,8 +322,7 @@ def _load_model(args, tol):
                 EXIT_INPUT,
                 f"--sigma must be {layout.n} x {layout.n} for {layout.n} equations, "
                 f"got {sigma_block.shape}")
-        model = stack_sur(layout, responses, [sigma_block] * len(periods),
-                          order="period", tol=tol)
+        model = stack_sur(layout, responses, sigma_block, order="period", tol=tol)
         return model, layout, sigma_block
     if not args.design or not args.response:
         raise CommandFailure(EXIT_INPUT,

@@ -14,24 +14,24 @@ Every estimator solves one problem,
 
 with the whitener W = Lambda^{-1/2} F' of ``model.spectrum``
 (W'W = Omega^+; W = I for OLS and restricted OLS) and H the estimator's
-restriction rows; ridge and mixed estimation append rows to W X and
-W y.  The spectrum-whitened fits hand the core the model's F'X and F'y,
-formed once per model and shared with the Eq. (14) check, with the row
-scale Lambda^{1/2}: the core forms W X and takes the step
-(F'y - F'X beta*) / Lambda^{1/2} in rotated coordinates, subtracting
-before it scales, so W y is never formed.  One core solves the problem
-in null-space coordinates beta = beta* + N c, with an SVD of H and a thin
-SVD W X N = U S V', so no path forms the normal matrix X' W'W X and
-squares the condition number of the design.  S decides the rank of
-W X N once; OLS, ridge and the panel estimators record that report as
-their rank decision.  The gain G = N V S^{-1} U' and the covariance
-factor G G' come off the same SVD; OLS, restricted OLS and ridge wrap G
-in their sandwich G Omega G', with G F taken by the spectrum's
-projection, block by block.  Each estimator states its
-(W, H) and its own pre-checks, and records each catalogue decision
-among them (README) in its diagnostics under the key its refusal names
-as ``decision``.  Restricted estimates satisfy H beta_hat = H beta*, so
-the restrictions hold to rounding.
+restriction rows; ridge appends rows to W X and W y, mixed estimation to
+F'X and F'y under its own row scale.  The spectrum-whitened fits hand
+the core the model's F'X and F'y, formed once per model and shared with
+the Eq. (14) check, with the row scale Lambda^{1/2}: the core forms W X
+and takes the step (F'y - F'X beta*) / Lambda^{1/2} in rotated
+coordinates, subtracting before it scales, so W y is never formed.  One
+core solves the problem in null-space coordinates beta = beta* + N c,
+with an SVD of H and a thin SVD W X N = U S V', so no path forms the
+normal matrix X' W'W X and squares the condition number of the design.
+S decides the rank of W X N once; OLS, ridge, mixed estimation and the
+panel estimators record that report as their rank decision.  The gain
+G = N V S^{-1} U' and the covariance factor G G' come off the same SVD;
+OLS, restricted OLS and ridge wrap G in their sandwich G Omega G', with
+G F taken by the spectrum's projection, block by block.  Each estimator
+states its (W, H) and its own pre-checks, and records each catalogue
+decision among them (README) in its diagnostics under the key its
+refusal names as ``decision``.  Restricted estimates satisfy
+H beta_hat = H beta*, so the restrictions hold to rounding.
 
 Every estimator takes a T x B response (see ``gmls.model``) and returns
 a K x B ``beta_hat``: the factorizations and rank checks, which do not
@@ -443,7 +443,9 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
 
     The stacked system [y; r] = [X; R X_f] beta + [u; v] carries the
     block dispersion diag(s^2 Omega, Theta), with s^2 the model's sigma2
-    when recorded and 1 otherwise; it is whitened block by block.  The
+    when recorded and 1 otherwise.  The core fits [F'y; Theta_F' r] on
+    [F'X; Theta_F' R X_f] under the row scale [s Lambda^{1/2}; theta^{1/2}],
+    and its SVD decides the whitened augmented design's rank.  The
     covariance factor is V = (X' Omega^{-1} X + s^2 R' Theta^{-1} R)^{-1},
     so D(beta_hat) = s^2 V as for every estimator.  As Theta -> 0 the
     estimate tends to restricted GLS; as Theta -> infinity it tends to
@@ -458,19 +460,13 @@ def stochastic_restricted_gls(model: GaussMarkoffModel,
         raise DispersionSingularError(
             "Theta is singular; express exact restrictions as LinearRestrictions")
     s2 = model.sigma2 if model.sigma2 is not None else 1.0
-    ident = numeric_rank(np.vstack([eff, model.X]), tol=tol)
-    if ident.numeric_rank < model.num_params:
-        raise IdentificationError(
-            "augmented design lacks full column rank", report=ident)
     fx, fy, root = _rotated(model)
-    wx, wy = fx / root, fy / root
-    theta_scale = np.sqrt(theta_spec.eigenvalues_pos)[:, None]
-    w_eff, w_r = (theta_spec.project(mat) / theta_scale for mat in (eff, sres.r))
-    scale = np.sqrt(s2)
-    w_r = np.broadcast_to(w_r, (sres.count, wy.shape[1]))
-    beta, gain, _, _, _ = _whitened_lsq(np.vstack([wx / scale, w_eff]),
-                                        np.vstack([wy / scale, w_r]),
-                                        IdentificationError, tol)
+    rotated_r = np.broadcast_to(theta_spec.project(sres.r), (sres.count, fy.shape[1]))
+    beta, gain, _, _, ident = _whitened_lsq(
+        np.vstack([fx, theta_spec.project(eff)]), np.vstack([fy, rotated_r]),
+        IdentificationError, tol,
+        scale=np.vstack([np.sqrt(s2) * root, np.sqrt(theta_spec.eigenvalues_pos)[:, None]]),
+        message="augmented design lacks full column rank: whitened rank {} < K={}")
     # the whitened system has unit noise, so G G' = D(beta_hat) = s^2 V
     return EstimateResult(beta_hat=beta, covariance_factor=gain @ gain.T / s2,
                           y=model.y, X=model.X,

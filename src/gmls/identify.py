@@ -222,15 +222,12 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
         zero eigenvalue of multiplicity other than one.
     """
     n, m, k_total = layout.n, layout.m, layout.num_params
-    if isinstance(dispersion_blocks, np.ndarray) and dispersion_blocks.ndim == 2:
-        blocks = [dispersion_blocks]
-    else:
-        blocks = list(dispersion_blocks)
-    if len(blocks) not in (1, m):
-        raise DimensionMismatchError(f"expected {m} dispersion blocks, got {len(blocks)}")
-    stack = _as_matrices(blocks, "s", (n, n), lambda t, shape: DimensionMismatchError(
-        f"expected a square matrix, got {shape}" if shape[0] != shape[1]
-        else f"dispersion block {t} is not {n} x {n}"))
+    stack = _as_matrices(
+        dispersion_blocks, "s", (n, n), lambda t, shape: DimensionMismatchError(
+            f"expected a square matrix, got {shape}" if shape[0] != shape[1]
+            else f"dispersion block {t} is not {n} x {n}"))
+    if len(stack) not in (1, m):
+        raise DimensionMismatchError(f"expected {m} dispersion blocks, got {len(stack)}")
     # each block is refused as spectral_decompose would refuse it alone
     vals, _, _, refusal = _decompose_blocks(stack, tol, vectors=False)
     if refusal is not None:

@@ -347,14 +347,15 @@ def stack_sur(layout: SURLayout, responses, dispersion_blocks,
         Per-equation designs.
     responses : sequence
         n response vectors of length m, one per equation.
-    dispersion_blocks : sequence
+    dispersion_blocks : sequence or array_like
         Period-major order expects the m per-period n x n blocks
         Sigma_t; equation-major order expects the n per-equation m x m
-        blocks.  Each block must be symmetric nonnegative definite.
+        blocks, or one 2-d block for all, each symmetric nonnegative definite.
     order : str
         "period" or "equation"; recorded on the resulting model.
 
-    The blocks' one batched eigh is the model's spectrum.
+    The blocks' one batched eigh is the model's spectrum; a single block
+    is decomposed once and repeated as views.
     """
     n, m = layout.n, layout.m
     ys = [as_matrix(r, f"response {i}") for i, r in enumerate(responses)]
@@ -371,10 +372,10 @@ def stack_sur(layout: SURLayout, responses, dispersion_blocks,
     else:
         raise ValueError(f"unknown ordering {order!r}")
     mismatch = DimensionMismatchError(
-        f"{order}-major stacking needs {count} blocks of shape {size} x {size}")
+        f"{order}-major stacking needs {count} blocks of shape {size} x {size}, or one")
     stack = _as_matrices(dispersion_blocks, "dispersion block {}", (size, size),
                          lambda t, shape: mismatch)
-    if len(stack) != count:
+    if len(stack) not in (1, count):
         raise mismatch
     # each block is checked at its own scale, as if decomposed alone, which
     # is at least as strict as the checks on the stacked dispersion, so the
@@ -384,5 +385,7 @@ def stack_sur(layout: SURLayout, responses, dispersion_blocks,
         t, exc = refusal
         raise DispersionNotNNDError(f"dispersion block {t}: {exc}") from exc
     _require_more_rows(design)
+    stack, vals, vecs = (np.broadcast_to(a, (count, *a.shape[1:]))
+                         for a in (stack, vals, vecs))
     spec = _assemble(n * m, [(np.arange(n * m).reshape(count, size), vals, vecs)], tol)
     return _admit(y, design, stack, spec, sigma2, order)

@@ -67,12 +67,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _as_matrices(blocks, name: str, shape: tuple, mismatch) -> np.ndarray:
-    """A sequence of blocks of ``shape`` as a new count x r x c float array,
-    converted and checked at once.  Otherwise as_matrix refuses the first
-    block it cannot read, named ``name.format(index)``, or the error
-    ``mismatch(index, its shape)`` refuses the first block of another
-    shape."""
-    blocks = blocks if isinstance(blocks, np.ndarray) else list(blocks)
+    """A sequence of blocks of ``shape``, or one block as a 2-d array, as a
+    new count x r x c float array, converted and checked at once.
+    Otherwise as_matrix refuses the first block it cannot read, named
+    ``name.format(index)``, or the error ``mismatch(index, its shape)``
+    refuses the first block of another shape."""
+    if not isinstance(blocks, np.ndarray):
+        blocks = list(blocks)
+    elif blocks.ndim == 2:
+        blocks = blocks[None]
     try:
         stack = np.array(blocks, dtype=float)
     except (TypeError, ValueError):

@@ -191,6 +191,24 @@ def mixed_dispersion(x_mat, omega, r_mat, theta, s2) -> np.ndarray:
     return np.linalg.inv(x.T @ omega_inv @ x / s2 + r.T @ theta_inv @ r)
 
 
+def mixed_stacked_lstsq(y_block, x_mat, omega, r_mat, r_rhs, theta, s2):
+    """Mixed estimation as np.linalg.lstsq on the stacked system, whitened
+    by dense eigh whiteners Lambda^{-1/2} F' of Omega (its rows scaled by
+    1/s) and of Theta.  Returns the K x B estimate and the covariance
+    factor pinv(A) pinv(A)' / s^2 of the stacked whitened design A."""
+    def whitener(mat):
+        vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=float))
+        return vecs.T / np.sqrt(vals)[:, None]
+
+    y = np.asarray(y_block, dtype=float)
+    w_model, w_restr = whitener(omega) / np.sqrt(s2), whitener(theta)
+    rhs = np.broadcast_to(w_restr @ np.asarray(r_rhs, dtype=float), (len(r_rhs), y.shape[1]))
+    a_mat = np.vstack([w_model @ x_mat, w_restr @ r_mat])
+    beta = np.linalg.lstsq(a_mat, np.vstack([w_model @ y, rhs]), rcond=None)[0]
+    pinv = np.linalg.lstsq(a_mat, np.eye(len(a_mat)), rcond=None)[0]
+    return beta, pinv @ pinv.T / s2
+
+
 def pinv_mls(y_vec, x_mat, omega) -> np.ndarray:
     """Unrestricted singular-dispersion estimator via numpy's own pinv."""
     x = np.asarray(x_mat, dtype=float)

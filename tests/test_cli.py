@@ -687,12 +687,12 @@ KERNEL_COUNTS = {
 _PANEL_FITS = {"swept_rank": "fe_gls", "whitened_within_rank": "fe_mls"}
 
 
-@pytest.mark.parametrize("command", sorted(KERNEL_COUNTS))
-def test_commands_make_each_factorization_once(monkeypatch, command):
+def _kernel_calls(monkeypatch, subcommand, args):
+    """Run one command in process; its numpy.linalg calls (_KERNELS) and
+    its (fe_gls, fe_mls) fits."""
     from gmls import panel
 
     monkeypatch.delenv("GMLS_TOL", raising=False)
-    argv, kernels, fits = KERNEL_COUNTS[command]
     calls = dict.fromkeys(_KERNELS + ("fe_gls", "fe_mls"), 0)
 
     def count(owner, name):
@@ -711,9 +711,27 @@ def test_commands_make_each_factorization_once(monkeypatch, command):
             calls[_PANEL_FITS[rank_key]] += 1
         return real_fit(model, whiteners, refuse, tag, rank_key, **diagnostics)
     monkeypatch.setattr(panel, "_fit", counted_fit)
-    subcommand = command.split()[0]
-    args = [_fixture(arg) if arg.endswith(".csv") else arg for arg in argv]
     code, _, err = _main(subcommand, *args, "--output", "machine")
     assert code == 0, err
-    assert tuple(calls[name] for name in _KERNELS) == kernels
-    assert (calls["fe_gls"], calls["fe_mls"]) == fits
+    return tuple(calls[name] for name in _KERNELS), (calls["fe_gls"], calls["fe_mls"])
+
+
+@pytest.mark.parametrize("command", sorted(KERNEL_COUNTS))
+def test_commands_make_each_factorization_once(monkeypatch, command):
+    argv, kernels, fits = KERNEL_COUNTS[command]
+    args = [_fixture(arg) if arg.endswith(".csv") else arg for arg in argv]
+    assert _kernel_calls(monkeypatch, command.split()[0], args) == (kernels, fits)
+
+
+def test_mixed_estimation_makes_each_factorization_once(monkeypatch, tmp_path):
+    """estimate mixed on the golden model with its one restriction row and
+    Theta = 0.5.  eigh: build_model's dispersion 1 + Theta's decomposition
+    1.  SVDs: the core's SVD of the whitened augmented design, which both
+    decides its rank and solves, 1 + the CLI's design rank, which the fit
+    does not record, 1."""
+    theta = tmp_path / "theta.csv"
+    theta.write_text("0.5\n")
+    args = [_fixture(arg) if arg.endswith(".csv") else arg for arg in _GOLDEN_MODEL]
+    args += ["--restrictions", _fixture("restrictions.csv"), "--method", "mixed",
+             "--theta", str(theta)]
+    assert _kernel_calls(monkeypatch, "estimate", args) == ((2, 0, 2, 0, 0, 0), (0, 0))

@@ -539,6 +539,35 @@ def test_stack_sur_agrees_with_the_stacked_path_on_reducible_blocks(kind):
         _assert_close_relative(actual, expected)
 
 
+@pytest.mark.parametrize("order", [PERIOD_MAJOR, EQUATION_MAJOR])
+def test_one_block_serves_every_period_or_equation(monkeypatch, order):
+    """One singular block and the list of its copies, one per period (or
+    equation), give bit-identical spectra, implicit restrictions and mls
+    and constrained fits; stack_sur decomposes the one block once."""
+    rng = np.random.default_rng(26)
+    layout, _, blocks, explicit = _adding_up_system(rng, order, m=20)
+    block, count = blocks[0], (layout.m if order == PERIOD_MAJOR else layout.n)
+    beta = rng.normal(size=(layout.num_params, 1))
+    explicit = LinearRestrictions.build(explicit.R, explicit.R @ beta)
+    # errors in the block's range, so either form admits the responses
+    noise = block @ rng.normal(size=(len(block), count))
+    errors = noise.T if order == PERIOD_MAJOR else noise
+    responses = [x @ beta[cols] + errors[:, i:i + 1] for i, (x, cols)
+                 in enumerate(zip(layout.block_design, layout.column_slices()))]
+    eighs = _counting(monkeypatch, "eigh", lambda shape: True)
+    one = stack_sur(layout, responses, block, order=order)
+    assert eighs == [(1, *block.shape)]
+    many = stack_sur(layout, responses, [block] * count, order=order)
+    np.testing.assert_array_equal(one.dispersion, many.dispersion)
+    assert (one.spectrum.rank, one.spectrum.tolerance_used) \
+        == (many.spectrum.rank, many.spectrum.tolerance_used)
+    for view in ("eigenvalues_pos", "eigenvectors_pos", "eigenvectors_null"):
+        np.testing.assert_array_equal(getattr(one.spectrum, view),
+                                      getattr(many.spectrum, view))
+    for actual, expected in zip(_fitted(one, explicit), _fitted(many, explicit)):
+        np.testing.assert_array_equal(actual, expected)
+
+
 def test_period_major_stack_sur_never_assembles_the_dispersion(monkeypatch):
     from gmls import model as model_module
 
