@@ -223,7 +223,7 @@ def check_theil_condition(layout: SURLayout, dispersion_blocks,
     """
     n, m, k_total = layout.n, layout.m, layout.num_params
     stack = _as_matrices(
-        dispersion_blocks, "s", (n, n), lambda t, shape: DimensionMismatchError(
+        dispersion_blocks, "dispersion", (n, n), lambda t, shape: DimensionMismatchError(
             f"expected a square matrix, got {shape}" if shape[0] != shape[1]
             else f"dispersion block {t} is not {n} x {n}"))
     if len(stack) not in (1, m):

@@ -373,7 +373,7 @@ def stack_sur(layout: SURLayout, responses, dispersion_blocks,
         raise ValueError(f"unknown ordering {order!r}")
     mismatch = DimensionMismatchError(
         f"{order}-major stacking needs {count} blocks of shape {size} x {size}, or one")
-    stack = _as_matrices(dispersion_blocks, "dispersion block {}", (size, size),
+    stack = _as_matrices(dispersion_blocks, "dispersion", (size, size),
                          lambda t, shape: mismatch)
     if len(stack) not in (1, count):
         raise mismatch

@@ -73,15 +73,13 @@ class SimulationConfig:
     """Scenario description.
 
     ``coeff_count`` is per equation for the SUR scenario
-    (singular-adding-up) and the total otherwise.  ``true_beta``
-    overrides the default deterministic coefficient pattern; the
-    collinear scenario adjusts the pattern so its restriction holds in
-    truth.
+    (singular-adding-up) and the total otherwise.  The collinear scenario
+    adjusts the deterministic coefficient pattern so its restriction
+    holds in truth.
     """
 
     def __init__(self, scenario: str, replications: int, seed: int, n: int = 3,
-                 m: int = 4, coeff_count: int = 3, sigma2: float = 1.0,
-                 true_beta: tuple | None = None):
+                 m: int = 4, coeff_count: int = 3, sigma2: float = 1.0):
         self.scenario = scenario
         self.replications = replications
         self.seed = seed
@@ -89,7 +87,6 @@ class SimulationConfig:
         self.m = m
         self.coeff_count = coeff_count
         self.sigma2 = sigma2
-        self.true_beta = true_beta
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -219,10 +216,7 @@ def _build_structure(config: SimulationConfig) -> _Structure:
         k_total = n * kw
     else:
         k_total = kw
-    beta0 = np.asarray(config.true_beta, dtype=float) if config.true_beta is not None \
-        else _default_beta(k_total)
-    if beta0.shape != (k_total,):
-        raise InvalidConfigError(f"true_beta must have {k_total} entries")
+    beta0 = _default_beta(k_total)
 
     if config.scenario in (FE_KRONECKER, FE_BLOCKDIAG):
         if m <= 1 or n * (m - 1) <= k_total:
@@ -231,12 +225,10 @@ def _build_structure(config: SimulationConfig) -> _Structure:
         effects = rng.uniform(-1.0, 1.0, size=(n, 1))
         responses = [x_i @ beta0.reshape(-1, 1) + effects[i, 0]
                      for i, x_i in enumerate(designs)]
-        if config.scenario == FE_KRONECKER:
-            sigma = {"sigma": _random_spd(rng, m)}
-        else:
-            sigma = {"sigma_blocks": [_random_spd(rng, m) for _ in range(n)]}
+        sigma = _random_spd(rng, m) if config.scenario == FE_KRONECKER \
+            else [_random_spd(rng, m) for _ in range(n)]
         return _Structure(kind=config.scenario, true_beta=beta0, sigma2=config.sigma2,
-                          template=build_fe_model(designs, responses, **sigma), rng=rng)
+                          template=build_fe_model(designs, responses, sigma), rng=rng)
 
     restrictions = layout = ordering = None
     if config.scenario == SINGULAR_ADDING_UP:
@@ -254,7 +246,6 @@ def _build_structure(config: SimulationConfig) -> _Structure:
         design = rng.normal(size=(t_dim, k_total))
         if config.scenario == COLLINEAR_RESTRICTED:
             design[:, -1] = design[:, 0]  # exact collinearity
-            beta0 = beta0.copy()
             beta0[-1] = beta0[0]  # the repairing restriction holds in truth
             restr = np.zeros((1, k_total))
             restr[0, 0], restr[0, -1] = 1.0, -1.0

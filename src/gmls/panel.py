@@ -2,8 +2,10 @@
 
 The model is y = X beta + Z gamma + u with one dummy per equation
 (Z = I_n kron e_m) and per-equation error dispersion Sigma (common, the
-Kronecker case) or Sigma_i (block-diagonal case).  Everything is stored
-equation-major: row i*m + t is period t of equation i.
+Kronecker case) or Sigma_i (block-diagonal case), given to build_fe_model
+as one ``sigma``: one m x m block or n of them, read as stack_sur and
+check_theil_condition read theirs.  Everything is stored equation-major:
+row i*m + t is period t of equation i.
 
 Two estimation routes exist for the slope vector and they coincide:
 GLS after sweeping out the fixed effects with the oblique projector P,
@@ -35,7 +37,11 @@ from .errors import (
 )
 from .estimators import _whitened_lsq
 from .model import EstimateResult, EstimatorTag, GaussMarkoffModel, _admit, _require_more_rows
-from .spectral import _assemble, _decompose_blocks, _fix_signs, as_matrix
+from .spectral import _as_matrices, _assemble, _decompose_blocks, _fix_signs, as_matrix
+
+# Largest gap, in max norm, at which verify_theorem5 counts the two slope
+# estimates (relative to 1 + max |beta|) and the two projectors as equal.
+THEOREM5_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -78,14 +84,15 @@ def centering_matrix(m: int) -> np.ndarray:
     return np.eye(m) - np.full((m, m), 1.0 / m)
 
 
-def build_fe_model(designs, responses, sigma=None, sigma_blocks=None) -> FEPanelModel:
+def build_fe_model(designs, responses, sigma) -> FEPanelModel:
     """Assemble a fixed-effects panel from per-equation data.
 
     designs: n matrices of shape m x K; responses: n vectors of length m,
-    or n m x B matrices holding B responses each.  Provide either one
-    common ``sigma`` (Kronecker dispersion) or ``sigma_blocks`` with one
-    m x m matrix per equation.  Every block must be symmetric positive
-    definite, so every finite response is admissible.
+    or n m x B matrices holding B responses each.  ``sigma`` is one m x m
+    block common to every equation (Kronecker dispersion) or n blocks,
+    one per equation, read as stack_sur reads its blocks.  Every block
+    must be symmetric positive definite, so every finite response is
+    admissible.
     """
     xs = [as_matrix(d, f"design {i}") for i, d in enumerate(designs)]
     ys = [as_matrix(r, f"response {i}") for i, r in enumerate(responses)]
@@ -102,18 +109,10 @@ def build_fe_model(designs, responses, sigma=None, sigma_blocks=None) -> FEPanel
         if ys[i].shape != (m, columns) or columns == 0:
             raise DimensionMismatchError(
                 f"response {i} must be {m} x 1 or {m} x B, all with the same B")
-    if (sigma is None) == (sigma_blocks is None):
-        raise DimensionMismatchError("provide exactly one of sigma, sigma_blocks")
-    if sigma is not None:
-        blocks = [as_matrix(sigma, "sigma")]
-    else:
-        blocks = [as_matrix(b, f"sigma block {i}") for i, b in enumerate(sigma_blocks)]
-        if len(blocks) != n:
-            raise DimensionMismatchError(f"need {n} sigma blocks, got {len(blocks)}")
-    for i, b in enumerate(blocks):
-        if b.shape != (m, m):
-            raise DimensionMismatchError(f"sigma block {i} must be {m} x {m}")
-    sigmas = np.stack(blocks)
+    sigmas = _as_matrices(sigma, "sigma", (m, m), lambda i, shape: DimensionMismatchError(
+        f"sigma block {i} must be {m} x {m}"))
+    if len(sigmas) not in (1, n):
+        raise DimensionMismatchError(f"need one sigma block or {n}, got {len(sigmas)}")
     vals, vecs, cutoffs, refusal = _decompose_blocks(sigmas)
     ranks = np.count_nonzero(vals > cutoffs[:, None], axis=1)
     singular = np.flatnonzero(ranks < m)
@@ -270,10 +269,14 @@ class Theorem5Report:
         return self.beta_equal and self.projector_equal
 
 
-def verify_theorem5(model: FEPanelModel, tolerance: float = 1e-8) -> Theorem5Report:
+def verify_theorem5(model: FEPanelModel) -> Theorem5Report:
     """Fit fe_gls and fe_mls once each, and check that they agree and
     that the projector identity behind the agreement holds, block by
-    block on the swept and within whiteners of the two fits."""
+    block on the swept and within whiteners of the two fits.
+
+    Both gaps are held to THEOREM5_TOLERANCE, the estimates' relative to
+    1 + max |beta_mls|; the report records the tolerance it applied.
+    """
     res_gls = fe_gls(model)
     res_mls, within = _fe_mls(model)
     swept = _swept_whiteners(model)
@@ -283,6 +286,7 @@ def verify_theorem5(model: FEPanelModel, tolerance: float = 1e-8) -> Theorem5Rep
     beta_gap = float(np.max(np.abs(res_gls.beta_hat - res_mls.beta_hat)))
     scale = 1.0 + float(np.max(np.abs(res_mls.beta_hat)))
     return Theorem5Report(fe_gls=res_gls, fe_mls=res_mls,
-                          beta_gap=beta_gap, projector_gap=gap, tolerance=tolerance,
-                          beta_equal=beta_gap <= tolerance * scale,
-                          projector_equal=gap <= tolerance)
+                          beta_gap=beta_gap, projector_gap=gap,
+                          tolerance=THEOREM5_TOLERANCE,
+                          beta_equal=beta_gap <= THEOREM5_TOLERANCE * scale,
+                          projector_equal=gap <= THEOREM5_TOLERANCE)

@@ -67,22 +67,26 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _as_matrices(blocks, name: str, shape: tuple, mismatch) -> np.ndarray:
-    """A sequence of blocks of ``shape``, or one block as a 2-d array, as a
-    new count x r x c float array, converted and checked at once.
-    Otherwise as_matrix refuses the first block it cannot read, named
-    ``name.format(index)``, or the error ``mismatch(index, its shape)``
-    refuses the first block of another shape."""
-    if not isinstance(blocks, np.ndarray):
-        blocks = list(blocks)
-    elif blocks.ndim == 2:
-        blocks = blocks[None]
+    """A sequence or stack of blocks of ``shape``, or any 2-d array_like as
+    one block, as a new count x r x c float array, converted and checked
+    at once.  A scalar or None, no block at all, is refused under
+    ``name``.  Otherwise as_matrix refuses the first block it cannot
+    read, named "<name> block <index>", or the error
+    ``mismatch(index, its shape)`` refuses the first block of another
+    shape."""
     try:
         stack = np.array(blocks, dtype=float)
     except (TypeError, ValueError):
-        stack = None
-    if stack is not None and stack.shape[1:] == shape and np.all(np.isfinite(stack)):
-        return stack
-    mats = [as_matrix(b, name.format(t)) for t, b in enumerate(blocks)]
+        stack = None  # ragged: read block by block below
+    else:
+        if stack.ndim == 0:
+            raise DimensionMismatchError(f"{name} must be 2-dimensional, got ndim=0")
+        if stack.ndim == 2:
+            stack = stack[None]
+        if stack.shape[1:] == shape and np.all(np.isfinite(stack)):
+            return stack
+        blocks = stack
+    mats = [as_matrix(b, f"{name} block {t}") for t, b in enumerate(blocks)]
     for t, b in enumerate(mats):
         if b.shape != shape:
             raise mismatch(t, b.shape)

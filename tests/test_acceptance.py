@@ -513,7 +513,7 @@ def test_panel_solves_stay_accurate_on_ill_conditioned_designs(cond):
     diags = [rng.integers(1, 5, size=m).astype(float) for _ in range(n)]
     model = build_fe_model([x[i * m:(i + 1) * m] for i in range(n)],
                            [y[i * m:(i + 1) * m] for i in range(n)],
-                           sigma_blocks=[np.diag(d) for d in diags])
+                           sigma=[np.diag(d) for d in diags])
     exact = exact_bordered_beta(y, np.hstack([x, dummy_matrix(n, m)]),
                                 np.concatenate(diags), np.zeros((0, k + n)),
                                 np.zeros((0, 1)))[:k]

@@ -568,6 +568,67 @@ def test_one_block_serves_every_period_or_equation(monkeypatch, order):
         np.testing.assert_array_equal(actual, expected)
 
 
+# The forms one dispersion block may take: alone as an array or a nested
+# list, or repeated into a list or a 3-d array of ``count`` blocks.
+_BLOCK_FORMS = {
+    "ndarray": lambda block, count: block,
+    "nested-list": lambda block, count: block.tolist(),
+    "list": lambda block, count: [block] * count,
+    "3-d-array": lambda block, count: np.stack([block] * count),
+}
+
+
+def _read_block_forms(make):
+    """Spectrum, Theil witness and panel eigenpairs from stack_sur,
+    check_theil_condition and build_fe_model, each given its one block
+    in the form ``make(block, count)``."""
+    rng = np.random.default_rng(27)
+    layout, responses, blocks, _ = _adding_up_system(rng, PERIOD_MAJOR, m=6)
+    # an intercept in every equation: a cross-equation Theil witness
+    theil = SURLayout.build([np.hstack([np.ones((6, 1)), x[:, 1:]])
+                             for x in layout.block_design])
+    n, m = 3, 5
+    designs = [rng.normal(size=(m, 2)) for _ in range(n)]
+    panel_responses = [rng.normal(size=(m, 1)) for _ in range(n)]
+    model = stack_sur(layout, responses, make(blocks[0], layout.m), order=PERIOD_MAJOR)
+    witness = check_theil_condition(theil, make(blocks[0], layout.m))
+    panel = build_fe_model(designs, panel_responses, make(random_spd(rng, m), n))
+    spectrum = model.spectrum
+    return witness.kind, [
+        model.dispersion, spectrum.eigenvalues_pos, spectrum.eigenvectors_pos,
+        spectrum.eigenvectors_null, witness.d, witness.s, witness.a,
+        np.broadcast_to(panel.sigmas, (n, m, m)),
+        np.broadcast_to(panel.eigenvalues, (n, m)),
+        np.broadcast_to(panel.eigenvectors, (n, m, m))]
+
+
+@pytest.mark.parametrize("form", sorted(_BLOCK_FORMS))
+def test_every_entry_point_reads_the_same_block_forms(form):
+    """A 2-d array, a 2-d nested list, a list of blocks and a 3-d array give
+    bit-identical spectra, witnesses and panel eigenpairs."""
+    kind, arrays = _read_block_forms(_BLOCK_FORMS[form])
+    want_kind, want = _read_block_forms(_BLOCK_FORMS["ndarray"])
+    assert kind is want_kind is WitnessKind.CROSS_EQUATION_COMBINATION
+    for actual, expected in zip(arrays, want):
+        np.testing.assert_array_equal(actual, expected)
+
+
+@pytest.mark.parametrize("value", [None, 2.0, np.array(2.0)],
+                         ids=["None", "float", "0-d-array"])
+def test_every_entry_point_refuses_what_is_no_block(value):
+    rng = np.random.default_rng(28)
+    layout, responses, _, _ = _adding_up_system(rng, PERIOD_MAJOR, m=6)
+    designs = [rng.normal(size=(5, 2)) for _ in range(3)]
+    panel_responses = [rng.normal(size=(5, 1)) for _ in range(3)]
+    for name, call in (
+            ("dispersion", lambda: stack_sur(layout, responses, value)),
+            ("dispersion", lambda: check_theil_condition(layout, value)),
+            ("sigma", lambda: build_fe_model(designs, panel_responses, value))):
+        with pytest.raises(DimensionMismatchError,
+                           match=f"^{name} must be 2-dimensional, got ndim=0$"):
+            call()
+
+
 def test_period_major_stack_sur_never_assembles_the_dispersion(monkeypatch):
     from gmls import model as model_module
 
@@ -672,7 +733,7 @@ RECORD_SIGNATURES = {
     "panel.Theorem5Report": "(fe_gls, fe_mls, beta_gap, projector_gap, tolerance, "
                             "beta_equal, projector_equal)",
     "montecarlo.SimulationConfig": "(scenario, replications, seed, n=3, m=4, "
-                                   "coeff_count=3, sigma2=1.0, true_beta=None)",
+                                   "coeff_count=3, sigma2=1.0)",
     "montecarlo.Instance": "(replication, true_beta, model=None, panel=None, "
                            "restrictions=None, layout=None)",
     "montecarlo.MCReport": "(scenario, estimator, replications, seed, true_beta, "

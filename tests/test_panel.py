@@ -29,21 +29,13 @@ def _panel(rng, n=3, m=5, k=2, kron=True):
     designs = [rng.normal(size=(m, k)) for _ in range(n)]
     beta = rng.normal(size=(k, 1))
     effects = rng.uniform(-1.0, 1.0, size=n)
-    if kron:
-        sigma = random_spd(rng, m)
-        blocks = [sigma] * n
-    else:
-        blocks = [random_spd(rng, m) for _ in range(n)]
-        sigma = None
+    blocks = [random_spd(rng, m)] * n if kron else [random_spd(rng, m) for _ in range(n)]
     responses = []
     for i in range(n):
         chol = np.linalg.cholesky(blocks[i])
         responses.append(designs[i] @ beta + effects[i]
                          + chol @ rng.normal(size=(m, 1)))
-    if kron:
-        model = build_fe_model(designs, responses, sigma=sigma)
-    else:
-        model = build_fe_model(designs, responses, sigma_blocks=blocks)
+    model = build_fe_model(designs, responses, sigma=blocks[0] if kron else blocks)
     return model, blocks
 
 
@@ -60,11 +52,8 @@ def test_build_fe_model_validation():
     rng = np.random.default_rng(100)
     designs = [rng.normal(size=(4, 2)) for _ in range(3)]
     responses = [rng.normal(size=(4, 1)) for _ in range(3)]
-    with pytest.raises(DimensionMismatchError):
-        build_fe_model(designs, responses)  # needs exactly one dispersion form
-    with pytest.raises(DimensionMismatchError):
-        build_fe_model(designs, responses, sigma=np.eye(4),
-                       sigma_blocks=[np.eye(4)] * 3)
+    with pytest.raises(DimensionMismatchError, match="^need one sigma block or 3, got 2$"):
+        build_fe_model(designs, responses, sigma=[np.eye(4)] * 2)
     with pytest.raises(DispersionNotPDError):
         build_fe_model(designs, responses, sigma=np.diag([1.0, 1.0, 1.0, 0.0]))
     with pytest.raises(DimensionMismatchError):
@@ -92,8 +81,29 @@ def test_sigma_blocks_are_refused_by_name(block, message):
         build_fe_model(designs, responses, sigma=block)
     assert str(common.value) == f"sigma block 0{message}"
     with pytest.raises(DispersionNotPDError) as third:
-        build_fe_model(designs, responses, sigma_blocks=[np.eye(4), np.eye(4), block])
+        build_fe_model(designs, responses, sigma=[np.eye(4), np.eye(4), block])
     assert str(third.value) == f"sigma block 2{message}"
+
+
+def test_one_sigma_block_and_its_copies_fit_alike():
+    """One block and a list of its n copies give bit-identical fits and
+    Theorem 5 report; only the one block makes a Kronecker panel."""
+    rng = np.random.default_rng(113)
+    n, m = 4, 5
+    designs = [rng.normal(size=(m, 2)) for _ in range(n)]
+    responses = [rng.normal(size=(m, 3)) for _ in range(n)]
+    sigma = random_spd(rng, m)
+    one = build_fe_model(designs, responses, sigma)
+    many = build_fe_model(designs, responses, [sigma] * n)
+    assert one.kronecker and not many.kronecker
+    fits = [fe_gls, fe_mls] + [lambda p, d=d: fe_drop_period(p, d) for d in range(1, m + 1)]
+    for fit in fits:
+        for field in ("beta_hat", "covariance_factor"):
+            np.testing.assert_array_equal(getattr(fit(one), field), getattr(fit(many), field))
+    reports = [verify_theorem5(p) for p in (one, many)]
+    assert len({(r.beta_gap, r.projector_gap, r.tolerance, r.beta_equal,
+                 r.projector_equal) for r in reports}) == 1
+    assert reports[0].passed and reports[0].tolerance == panel_module.THEOREM5_TOLERANCE
 
 
 @pytest.mark.parametrize("kron", [True, False])
@@ -103,16 +113,16 @@ def test_panel_estimators_fit_each_response_column(kron):
     columns = 3
     y = model.y + rng.normal(size=(model.num_obs, columns))
     designs = [model.X[model.equation_rows(i)] for i in range(model.n)]
-    sigma = {"sigma": blocks[0]} if kron else {"sigma_blocks": blocks}
+    sigma = blocks[0] if kron else blocks
     block = build_fe_model(designs, [y[model.equation_rows(i)] for i in range(model.n)],
-                           **sigma)
+                           sigma=sigma)
     for fit in (fe_gls, fe_mls, lambda p: fe_drop_period(p, 2)):
         both = fit(block)
         assert both.beta_hat.shape == (model.num_params, columns)
         for j in range(columns):
             single = fit(build_fe_model(
                 designs, [y[model.equation_rows(i), j:j + 1] for i in range(model.n)],
-                **sigma))
+                sigma=sigma))
             np.testing.assert_allclose(both.beta_hat[:, j:j + 1], single.beta_hat,
                                        rtol=1e-12, atol=1e-13)
             np.testing.assert_allclose(both.covariance_factor, single.covariance_factor,
