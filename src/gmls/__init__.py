@@ -38,9 +38,8 @@ _HOME = {name: module for module, names in {
         "check_restriction_consistency", "check_theil_condition",
         "combine_restrictions", "extract_implicit_restrictions"),
     "estimators": (
-        "RidgeSpec", "StochasticRestrictions", "constrained_singular_gls",
-        "gls", "linear_representation", "mls", "ols", "rgls", "ridge", "rols",
-        "stochastic_restricted_gls", "tkn"),
+        "constrained_singular_gls", "gls", "linear_representation", "mls",
+        "ols", "rgls", "ridge", "rols", "stochastic_restricted_gls", "tkn"),
     "panel": (
         "FEPanelModel", "Theorem5Report", "build_fe_model", "centering_matrix",
         "fe_drop_period", "fe_gls", "fe_mls", "verify_theorem5",

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -70,8 +69,6 @@ _CHECKS = {
     "combined_consistency": ("combined_consistency",
                              "Eq. (20) combined-restriction consistency"),
 }
-
-TOL_ENV_VAR = "GMLS_TOL"
 
 # every other GMLSError is a violated precondition
 _INPUT_ERRORS = (DimensionMismatchError, NonFiniteError, NonSymmetricError,
@@ -561,23 +558,11 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
-def _tol_default():
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise CommandFailure(EXIT_INPUT,
-                             f"{TOL_ENV_VAR} must be a number, got {raw!r}") from None
-
-
 def _add_shared(parser, with_model=True):
     parser.add_argument("--output", choices=("human", "machine"), default="human")
     if with_model:
         parser.add_argument("--tol", type=float, default=None,
-                            help="rank tolerance override (default: adaptive; "
-                                 f"env {TOL_ENV_VAR})")
+                            help="rank tolerance override (default: adaptive)")
         parser.add_argument("--design", help="design matrix CSV")
         parser.add_argument("--response", help="response vector CSV")
         parser.add_argument("--dispersion",
@@ -647,9 +632,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; fold into the input-error code
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        # only the model commands, estimate and diagnose, take a tolerance
-        if getattr(args, "tol", 0.0) is None:
-            args.tol = _tol_default()
         return _DISPATCH[args.subcommand](args)
     except CommandFailure as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -8,6 +8,12 @@ pseudo-inverse estimator, its explicitly-restricted variant, and the
 fully general constrained estimator that folds the restrictions the
 singular dispersion itself imposes into the solve.
 
+Each input comes one way.  Restriction rows are one LinearRestrictions
+(R, r), exact or, for mixed estimation, noisy with the dispersion Theta
+beside them; a forecast design X_f enters as the rows R X_f.  Ridge
+reads its shift psi itself: a number, K per-coefficient shifts or a
+K x K matrix.
+
 Every estimator solves one problem,
 
     minimize || W (y - X beta) ||  subject to  H beta = h,
@@ -56,6 +62,7 @@ from .errors import (
     InconsistentRestrictionsError,
     IndefiniteInputError,
     InfeasibleParticularError,
+    NonFiniteError,
     NonSymmetricError,
     ReducedGramSingularError,
     RestrictionGramSingularError,
@@ -295,82 +302,47 @@ def rgls(model: GaussMarkoffModel, res: LinearRestrictions,
 # ---------------------------------------------------------------------------
 # ridge
 
-class RidgeSpec:
-    """Shift matrix for the ridge estimator (X'X + Psi)^{-1} X'y.
-
-    Either a full K x K symmetric nonnegative definite matrix, or
-    per-block parameters psi_i expanded to diag(psi_1 I_{K_1}, ...),
-    which requires the block widths.
-    """
-
-    def __init__(self, full_matrix: np.ndarray | None = None,
-                 block_parameters: tuple | None = None, block_widths: tuple | None = None):
-        self.full_matrix = full_matrix
-        self.block_parameters = block_parameters
-        self.block_widths = block_widths
-
-    @classmethod
-    def scalar(cls, psi: float) -> "RidgeSpec":
-        return cls(block_parameters=(float(psi),), block_widths=None)
-
-    @classmethod
-    def blocks(cls, parameters, widths) -> "RidgeSpec":
-        return cls(block_parameters=tuple(float(p) for p in parameters),
-                   block_widths=tuple(int(w) for w in widths))
-
-    @classmethod
-    def matrix(cls, psi) -> "RidgeSpec":
-        return cls(full_matrix=as_matrix(psi, "psi"))
-
-    def expand(self, num_params: int) -> np.ndarray:
-        return self._expand(num_params)[0]
-
-    def _expand(self, num_params: int):
-        """Psi and rows S with S'S = Psi: Lambda^{1/2} F' from the
-        decomposition of a full matrix, the root of the diagonal otherwise."""
-        if self.full_matrix is not None:
-            psi = self.full_matrix
-            if psi.shape != (num_params, num_params):
-                raise DimensionMismatchError(
-                    f"shift matrix must be {num_params} x {num_params}, got {psi.shape}")
-            try:
-                spec = spectral_decompose(psi)
-            except (NonSymmetricError, IndefiniteInputError) as exc:
-                raise IndefiniteInputError(
-                    f"shift matrix must be symmetric nonnegative definite: {exc}") from exc
-            return psi, np.sqrt(spec.eigenvalues_pos)[:, None] * spec.eigenvectors_pos.T
-        if self.block_parameters is None:
-            raise DimensionMismatchError("ridge specification is empty")
-        if any(p < 0 for p in self.block_parameters):
-            raise IndefiniteInputError("ridge parameters must be nonnegative")
-        if self.block_widths is None:
-            if len(self.block_parameters) != 1:
-                raise DimensionMismatchError(
-                    "block parameters without widths only allowed for a scalar shift")
-            diag = np.full(num_params, self.block_parameters[0])
-        else:
-            if sum(self.block_widths) != num_params:
-                raise DimensionMismatchError(
-                    f"block widths sum to {sum(self.block_widths)}, expected {num_params}")
-            if len(self.block_parameters) != len(self.block_widths):
-                raise DimensionMismatchError("one parameter per block required")
-            diag = np.concatenate([np.full(w, p) for p, w
-                                   in zip(self.block_parameters, self.block_widths)])
-        return np.diag(diag), np.diag(np.sqrt(diag))
+def _shift_root(psi, k_dim: int) -> np.ndarray:
+    """Rows S with S'S = Psi for the shift ``psi``.  A number, or a
+    length-K vector of per-coefficient shifts, is the diagonal Psi with
+    root diag(psi^{1/2}); a K x K matrix takes its spectral root
+    Lambda^{1/2} F'."""
+    shift = np.asarray(psi, dtype=float)
+    if not np.all(np.isfinite(shift)):
+        raise NonFiniteError("psi contains non-finite entries")
+    if shift.ndim == 2:
+        if shift.shape != (k_dim, k_dim):
+            raise DimensionMismatchError(
+                f"shift matrix must be {k_dim} x {k_dim}, got {shift.shape}")
+        try:
+            spec = spectral_decompose(shift)
+        except (NonSymmetricError, IndefiniteInputError) as exc:
+            raise IndefiniteInputError(
+                f"shift matrix must be symmetric nonnegative definite: {exc}") from exc
+        return np.sqrt(spec.eigenvalues_pos)[:, None] * spec.eigenvectors_pos.T
+    diag = np.broadcast_to(shift, (k_dim,)) if shift.ndim == 0 else shift
+    if diag.shape != (k_dim,):
+        raise DimensionMismatchError(
+            f"ridge shift must be a number, {k_dim} shifts or a {k_dim} x {k_dim} "
+            f"matrix, got shape {shift.shape}")
+    if np.any(diag < 0):
+        raise IndefiniteInputError("ridge parameters must be nonnegative")
+    return np.diag(np.sqrt(diag))
 
 
-def ridge(model: GaussMarkoffModel, shift: RidgeSpec,
-          tol: float | None = None) -> EstimateResult:
+def ridge(model: GaussMarkoffModel, psi, tol: float | None = None) -> EstimateResult:
     """Ridge estimator beta_hat = (X'X + Psi)^{-1} X'y.
 
-    Least squares on the rows [X; S] and [y; 0] with S'S = Psi, so
-    X'X + Psi is never formed.  Deliberately biased unless Psi = 0;
-    useful when X is ill conditioned.  Raises ShiftInsufficientError
+    ``psi`` is a number psi (Psi = psi I), a length-K vector of
+    per-coefficient shifts (Psi = diag(psi)) or a K x K symmetric
+    nonnegative definite Psi.  Least squares on the rows [X; S] and
+    [y; 0] with S'S = Psi, so X'X + Psi is never formed.  Deliberately
+    biased unless Psi = 0; useful when X is ill conditioned.  Raises ShiftInsufficientError
     when the core's SVD finds [X; S] numerically rank deficient.  The
     covariance factor is the sandwich G Omega G' of the gain
     G = (X'X + Psi)^{-1} X'.
     """
-    augmented = np.vstack([model.X, shift._expand(model.num_params)[1]])
+    augmented = np.vstack([model.X, _shift_root(psi, model.num_params)])
     _, gain, _, _, report = _whitened_lsq(
         augmented, None, ShiftInsufficientError, tol,
         message="shifted design [X; Psi^(1/2)] has rank {} < K")
@@ -386,84 +358,41 @@ def ridge(model: GaussMarkoffModel, shift: RidgeSpec,
 # ---------------------------------------------------------------------------
 # stochastic restrictions
 
-class StochasticRestrictions:
-    """Noisy prior information r = R X_f beta + v, D(v) = Theta.
+def stochastic_restricted_gls(model: GaussMarkoffModel, restrictions: LinearRestrictions,
+                              theta, tol: float | None = None) -> EstimateResult:
+    """GLS on the model augmented by noisy restrictions r = R beta + v, D(v) = Theta.
 
-    With the default identity forecast design this is the classical
-    mixed estimation setup r = R beta + v.  Theta must be positive
-    definite: degenerate (exact) stochastic restrictions belong in
-    LinearRestrictions instead.
-    """
-
-    def __init__(self, R: np.ndarray, r: np.ndarray, theta: np.ndarray,
-                 forecast_design: np.ndarray | None = None):
-        self.R = R
-        self.r = r
-        self.theta = theta
-        self.forecast_design = forecast_design
-
-    @classmethod
-    def build(cls, R, r, theta, forecast_design=None) -> "StochasticRestrictions":
-        R = as_matrix(R, "R")
-        r = as_matrix(r, "r")
-        theta = as_matrix(theta, "theta")
-        fd = None if forecast_design is None else as_matrix(forecast_design,
-                                                            "forecast_design")
-        q = R.shape[0]
-        if r.shape != (q, 1):
-            raise DimensionMismatchError(f"r must be {q} x 1, got {r.shape}")
-        if theta.shape != (q, q):
-            raise DimensionMismatchError(f"theta must be {q} x {q}, got {theta.shape}")
-        if fd is not None and fd.shape[0] != R.shape[1]:
-            raise DimensionMismatchError(
-                f"forecast design must have {R.shape[1]} rows, got {fd.shape}")
-        return cls(R=R, r=r, theta=theta, forecast_design=fd)
-
-    @property
-    def count(self) -> int:
-        return self.R.shape[0]
-
-    def effective_restrictions(self, num_params: int) -> np.ndarray:
-        if self.forecast_design is None:
-            if self.R.shape[1] != num_params:
-                raise DimensionMismatchError(
-                    f"R must have {num_params} columns, got {self.R.shape[1]}")
-            return self.R
-        eff = self.R @ self.forecast_design
-        if eff.shape[1] != num_params:
-            raise DimensionMismatchError(
-                f"R X_f must have {num_params} columns, got {eff.shape[1]}")
-        return eff
-
-
-def stochastic_restricted_gls(model: GaussMarkoffModel,
-                              sres: StochasticRestrictions,
-                              tol: float | None = None) -> EstimateResult:
-    """GLS on the model augmented by noisy restrictions.
-
-    The stacked system [y; r] = [X; R X_f] beta + [u; v] carries the
-    block dispersion diag(s^2 Omega, Theta), with s^2 the model's sigma2
-    when recorded and 1 otherwise.  The core fits [F'y; Theta_F' r] on
-    [F'X; Theta_F' R X_f] under the row scale [s Lambda^{1/2}; theta^{1/2}],
+    A forecast design X_f enters as R X_f in place of R.  Theta must be
+    positive definite: exact restrictions belong in rgls instead.  The
+    stacked system [y; r] = [X; R] beta + [u; v] carries the block
+    dispersion diag(s^2 Omega, Theta), with s^2 the model's sigma2 when
+    recorded and 1 otherwise.  The core fits [F'y; Theta_F' r] on
+    [F'X; Theta_F' R] under the row scale [s Lambda^{1/2}; theta^{1/2}],
     and its SVD decides the whitened augmented design's rank.  The
     covariance factor is V = (X' Omega^{-1} X + s^2 R' Theta^{-1} R)^{-1},
     so D(beta_hat) = s^2 V as for every estimator.  As Theta -> 0 the
     estimate tends to restricted GLS; as Theta -> infinity it tends to
     unrestricted GLS.
     """
+    q = restrictions.count
+    theta = as_matrix(theta, "theta")
+    if theta.shape != (q, q):
+        raise DimensionMismatchError(f"theta must be {q} x {q}, got {theta.shape}")
     spec = _pd_dispersion(model)
-    eff = sres.effective_restrictions(model.num_params)
-    if sres.count == 0:
+    if restrictions.num_params != model.num_params:
+        raise DimensionMismatchError(
+            f"R must have {model.num_params} columns, got {restrictions.num_params}")
+    if q == 0:
         return replace(gls(model, tol), estimator_tag=EstimatorTag.STOCHASTIC_RESTRICTED)
-    theta_spec = spectral_decompose(sres.theta, tol=tol)
-    if theta_spec.rank < sres.count:
+    theta_spec = spectral_decompose(theta, tol=tol)
+    if theta_spec.rank < q:
         raise DispersionSingularError(
             "Theta is singular; express exact restrictions as LinearRestrictions")
     s2 = model.sigma2 if model.sigma2 is not None else 1.0
     fx, fy, root = _rotated(model)
-    rotated_r = np.broadcast_to(theta_spec.project(sres.r), (sres.count, fy.shape[1]))
+    rotated_r = np.broadcast_to(theta_spec.project(restrictions.r), (q, fy.shape[1]))
     beta, gain, _, _, ident = _whitened_lsq(
-        np.vstack([fx, theta_spec.project(eff)]), np.vstack([fy, rotated_r]),
+        np.vstack([fx, theta_spec.project(restrictions.R)]), np.vstack([fy, rotated_r]),
         IdentificationError, tol,
         scale=np.vstack([np.sqrt(s2) * root, np.sqrt(theta_spec.eigenvalues_pos)[:, None]]),
         message="augmented design lacks full column rank: whitened rank {} < K={}")

@@ -4,10 +4,11 @@ METHODS maps each name to its fit, the kind of data it fits (a
 GaussMarkoffModel or an FEPanelModel) and the inputs it needs besides
 the data, in the order a caller asks for them.  A fit is called as
 ``fit(data, inputs, tol)``, ``inputs`` mapping "restrictions" (a
-LinearRestrictions or None), "ridge_psi" (a scalar shift) and "theta"
-(the stochastic restrictions' dispersion) to their values.  Fits look
-the estimators up on their modules when called, so a wrapper installed
-there is seen; the panel module is imported only when a panel fit runs.
+LinearRestrictions or None), "ridge_psi" (the ridge shift) and "theta"
+(the dispersion of the restrictions as noisy rows) to their values.
+Fits look the estimators up on their modules when called, so a wrapper
+installed there is seen; the panel module is imported only when a panel
+fit runs.
 SCENARIOS names the studies run_study draws, here so that the command
 line can offer them without importing gmls.montecarlo.
 """
@@ -47,17 +48,6 @@ def _on_panel(name: str) -> Method:
     return Method(fit, PANEL)
 
 
-def _ridge(model, inputs, tol):
-    shift = estimators.RidgeSpec.scalar(inputs["ridge_psi"])
-    return estimators.ridge(model, shift, tol=tol)
-
-
-def _mixed(model, inputs, tol):
-    res = inputs["restrictions"]
-    sres = estimators.StochasticRestrictions.build(res.R, res.r, inputs["theta"])
-    return estimators.stochastic_restricted_gls(model, sres, tol=tol)
-
-
 def _constrained(model, inputs, tol):
     """The explicit rows' consistency, then the fit on the explicit rows
     stacked on the implicit ones, so refusals come in catalogue order."""
@@ -79,8 +69,8 @@ METHODS = {
     "gls": _on_model("gls"),
     "rols": _on_model("rols", "restrictions"),
     "rgls": _on_model("rgls", "restrictions"),
-    "ridge": Method(_ridge, MODEL, ("ridge_psi",)),
-    "mixed": Method(_mixed, MODEL, ("restrictions", "theta")),
+    "ridge": _on_model("ridge", "ridge_psi"),
+    "mixed": _on_model("stochastic_restricted_gls", "restrictions", "theta"),
     "mls": _on_model("mls"),
     "tkn": _on_model("tkn", "restrictions"),
     "constrained": Method(_constrained, MODEL),

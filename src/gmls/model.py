@@ -252,8 +252,7 @@ def _period_rows(layout: SURLayout) -> np.ndarray:
 
 
 def build_model(y, X, dispersion, sigma2: float | None = None,
-                tol: float | None = None,
-                ordering: str | None = None) -> GaussMarkoffModel:
+                tol: float | None = None) -> GaussMarkoffModel:
     """Validate and assemble a general Gauss-Markoff model.
 
     Checks, in order: dimensional conformity (y is T x 1, or T x B for B
@@ -277,7 +276,7 @@ def build_model(y, X, dispersion, sigma2: float | None = None,
     except (NonSymmetricError, IndefiniteInputError) as exc:
         raise DispersionNotNNDError(
             f"dispersion is not symmetric nonnegative definite: {exc}") from exc
-    return _admit(y, X, omega[None], spec, sigma2, ordering)
+    return _admit(y, X, omega[None], spec, sigma2)
 
 
 def _require_more_rows(X) -> None:
@@ -287,7 +286,7 @@ def _require_more_rows(X) -> None:
             f"need more observations than parameters, got T={t_dim}, K={k_dim}")
 
 
-def _admit(y, X, blocks, spec, sigma2, ordering) -> GaussMarkoffModel:
+def _admit(y, X, blocks, spec, sigma2, ordering=None) -> GaussMarkoffModel:
     """The model on (y, X) and the dispersion with diagonal blocks
     ``blocks`` and decomposition ``spec``, once y passes the membership
     check."""

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import GMLSError, InvalidConfigError
 from .methods import METHODS, MODEL, PANEL, SCENARIOS
 from .model import (
-    PERIOD_MAJOR,
     GaussMarkoffModel,
     LinearRestrictions,
     SURLayout,
@@ -230,7 +229,7 @@ def _build_structure(config: SimulationConfig) -> _Structure:
         return _Structure(kind=config.scenario, true_beta=beta0, sigma2=config.sigma2,
                           template=build_fe_model(designs, responses, sigma), rng=rng)
 
-    restrictions = layout = ordering = None
+    restrictions = layout = None
     if config.scenario == SINGULAR_ADDING_UP:
         layout = SURLayout.build([rng.normal(size=(m, kw)) for _ in range(n)])
         a = np.full((n, 1), 1.0 / np.sqrt(n))
@@ -239,7 +238,6 @@ def _build_structure(config: SimulationConfig) -> _Structure:
                   for _ in range(m)]
         design = _period_rows(layout).reshape(t_dim, -1)
         omega = _block_diag(*blocks)
-        ordering = PERIOD_MAJOR
     else:
         if t_dim <= k_total:
             raise InvalidConfigError("need n*m > coefficient count")
@@ -252,7 +250,7 @@ def _build_structure(config: SimulationConfig) -> _Structure:
             restrictions = LinearRestrictions.build(restr, np.zeros((1, 1)))
         omega = _random_spd(rng, t_dim)
     template = build_model(design @ beta0.reshape(-1, 1), design, omega,
-                           sigma2=config.sigma2, ordering=ordering)
+                           sigma2=config.sigma2)
     return _Structure(kind=config.scenario, true_beta=beta0, sigma2=config.sigma2,
                       template=template, restrictions=restrictions, layout=layout, rng=rng)
 

@@ -152,8 +152,9 @@ def _decompose_blocks(blocks: np.ndarray, tol: float | None = None, vectors: boo
     scale = np.max(np.abs(flat), axis=1, initial=0.0)
     asym = np.max(np.abs(blocks - blocks.transpose(0, 2, 1)).reshape(flat.shape),
                   axis=1, initial=0.0) > SYMMETRY_RTOL * (1.0 + scale)
-    # block 0 alone would have raised this once past its symmetry check
-    if tol is not None and tol < 0 and not asym[0]:
+    # block 0 alone would have raised this once past its symmetry check,
+    # for a NaN tol as for a negative one
+    if tol is not None and not tol >= 0 and not asym[0]:
         raise ValueError("tolerance must be nonnegative")
     sym = 0.5 * (blocks + blocks.transpose(0, 2, 1))
     vals, vecs = np.linalg.eigh(sym) if vectors else (np.linalg.eigvalsh(sym), None)
@@ -324,7 +325,7 @@ def _assemble(t_dim: int, groups, tol: float | None,
     every = np.concatenate([vals.ravel() for _, vals, _ in groups])
     lam_max = float(np.max(np.abs(every), initial=0.0))
     cutoff = default_tolerance(t_dim, t_dim, lam_max) if tol is None else float(tol)
-    if cutoff < 0:
+    if not cutoff >= 0:  # a NaN cutoff, which would decide every rank as 0, too
         raise ValueError("tolerance must be nonnegative")
     order = np.argsort(every, kind="stable")
     floor = _indefiniteness_threshold(t_dim, lam_max, cutoff)

@@ -148,7 +148,6 @@ def write_fixtures(out):
     # would no longer resolve
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    env.pop("GMLS_TOL", None)
     for name, argv in goldens.items():
         run = subprocess.run([sys.executable, "-m", "gmls"] + argv,
                              cwd=out, env=env, capture_output=True)

@@ -16,9 +16,7 @@ import scipy.linalg
 
 from gmls import (
     LinearRestrictions,
-    RidgeSpec,
     SURLayout,
-    StochasticRestrictions,
     WitnessKind,
     build_fe_model,
     build_model,
@@ -410,14 +408,10 @@ def test_noisy_restriction_limits_reproduce_both_endpoints():
         r_vec = big_r @ rng.normal(size=(k, 1))
         exact = LinearRestrictions.build(big_r, r_vec)
 
-        tight = stochastic_restricted_gls(
-            model, StochasticRestrictions.build(big_r, r_vec,
-                                                1e-10 * np.eye(rows)))
+        tight = stochastic_restricted_gls(model, exact, 1e-10 * np.eye(rows))
         assert rel_gap(tight.beta_hat, rgls(model, exact).beta_hat) <= 1e-4
 
-        loose = stochastic_restricted_gls(
-            model, StochasticRestrictions.build(big_r, r_vec,
-                                                1e12 * np.eye(rows)))
+        loose = stochastic_restricted_gls(model, exact, 1e12 * np.eye(rows))
         assert rel_gap(loose.beta_hat, gls(model).beta_hat) <= 1e-4
 
 
@@ -533,7 +527,7 @@ def test_ridge_stays_accurate_on_an_ill_conditioned_design(psi):
     t_dim, k = 40, 6
     x = ill_conditioned_design(rng, t_dim, k, 1e7)
     y = x @ rng.normal(size=(k, 1))
-    fitted = ridge(build_model(y, x, np.eye(t_dim)), RidgeSpec.scalar(psi))
+    fitted = ridge(build_model(y, x, np.eye(t_dim)), psi)
     exact = exact_bordered_beta(y, x, np.ones(t_dim), np.zeros((0, k)),
                                 np.zeros((0, 1)), shift=psi)
     err = relative_error(fitted.beta_hat, exact)

@@ -39,11 +39,8 @@ GOLDENS = {
 }
 
 
-def run_python(*args, env_extra=None, text=True):
+def run_python(*args, text=True):
     env = os.environ.copy()
-    env.pop("GMLS_TOL", None)
-    if env_extra:
-        env.update(env_extra)
     # the child runs inside fixtures/, where a relative PYTHONPATH=src
     # would no longer resolve
     env["PYTHONPATH"] = os.pathsep.join(
@@ -52,8 +49,8 @@ def run_python(*args, env_extra=None, text=True):
                           cwd=FIXTURES, env=env, capture_output=True, text=text)
 
 
-def run_cli(*argv, env_extra=None, text=True):
-    return run_python("-m", "gmls", *argv, env_extra=env_extra, text=text)
+def run_cli(*argv, text=True):
+    return run_python("-m", "gmls", *argv, text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -310,31 +307,19 @@ def test_bias_injection_trips_the_gate():
 # ---------------------------------------------------------------------------
 # tolerance override
 
-def test_env_var_and_flag_produce_identical_reports():
+def test_tol_flag_sets_the_reported_tolerance():
     via_flag = run_cli("diagnose", "--design", "design.csv",
                        "--response", "response.csv",
                        "--dispersion", "dispersion.csv",
                        "--tol", "1e-9", "--output", "machine", text=False)
-    via_env = run_cli("diagnose", "--design", "design.csv",
-                      "--response", "response.csv",
-                      "--dispersion", "dispersion.csv",
-                      "--output", "machine", text=False,
-                      env_extra={"GMLS_TOL": "1e-9"})
-    assert via_flag.returncode == via_env.returncode == 0
-    assert via_flag.stdout == via_env.stdout
+    assert via_flag.returncode == 0
     doc = json.loads(via_flag.stdout)
     assert doc["inputs"]["tolerance"] == 1e-9
 
 
 def test_only_the_model_commands_take_a_tolerance():
-    # panel and simulate decide no rank at a user tolerance: they ignore
-    # GMLS_TOL and have no --tol option
-    with open(os.path.join(FIXTURES, "golden_panel.json"), "rb") as f:
-        expected = f.read()
-    panel = run_cli(*GOLDENS["golden_panel.json"], text=False,
-                    env_extra={"GMLS_TOL": "abc"})
-    assert panel.returncode == 0, panel.stderr
-    assert panel.stdout == expected
+    # panel and simulate decide no rank at a user tolerance: they have no
+    # --tol option
     assert run_cli(*GOLDENS["golden_panel.json"], "--tol", "0.5").returncode == 1
     assert run_cli(*GOLDENS["golden_simulate.json"], "--tol", "1e-3").returncode == 1
 
@@ -514,11 +499,13 @@ _INCONSISTENT = ("--restrictions", "inconsistent_restrictions.csv")
 
 REFUSAL_INPUTS = {
     "design+dispersion+inconsistent": _GOLDEN_MODEL + _INCONSISTENT,
+    "design+dispersion+nan-tol": _GOLDEN_MODEL + ("--tol", "nan"),
     "identity+inconsistent": _GOLDEN_MODEL[:4] + _INCONSISTENT,
     "collinear+useless": _COLLINEAR + ("--restrictions", "useless_restrictions.csv"),
     "collinear": _COLLINEAR,
     "sur": _SUR,
     "sur+restrictions": _SUR + ("--restrictions", "restrictions.csv"),
+    "sur+nan-tol": _SUR + ("--tol", "nan"),
     "sur_ok+conflicting": _SUR_OK + ("--restrictions",
                                      "conflicting_sur_restrictions.csv"),
     "sur_ok": _SUR_OK,
@@ -531,6 +518,10 @@ _WHITENED = (2, "Eq. (14) whitened-design rank failed")
 _SINGULAR = (2, "dispersion has rank 10 < T=15; use the pseudo-inverse estimators")
 _COLLINEAR_DESIGN = (2, "design has numeric rank 2 < K=3")
 _WIDTH = (1, "restrictions have 3 coefficient columns, design has 6")
+# a NaN cutoff would decide every rank as 0; the model is refused before
+# any method runs
+_NAN_TOL = (1, "tolerance must be nonnegative")
+_METHODS = ("ols", "gls", "rols", "rgls", "ridge", "mixed", "mls", "tkn", "constrained")
 
 
 def _requires(method, flag):
@@ -569,8 +560,9 @@ REFUSALS = {
         "mls": (2, "Eq. (14) whitened-design rank failed; witness kind "
                    "within-equation-collinearity, certificate d = "),
         "tkn": _requires("tkn", "restrictions"), "constrained": _IDENTIFICATION},
-    "sur+restrictions": {method: _WIDTH for method in (
-        "ols", "gls", "rols", "rgls", "ridge", "mixed", "mls", "tkn", "constrained")},
+    "sur+restrictions": {method: _WIDTH for method in _METHODS},
+    "design+dispersion+nan-tol": {method: _NAN_TOL for method in _METHODS},
+    "sur+nan-tol": {method: _NAN_TOL for method in _METHODS},
     "sur_ok+conflicting": {
         "ols": _OK, "gls": _SINGULAR, "rols": _OK, "rgls": _SINGULAR,
         "ridge": _requires("ridge", "ridge-psi"), "mixed": _requires("mixed", "theta"),
@@ -587,10 +579,9 @@ REFUSALS = {
 
 
 @pytest.mark.parametrize("inputs", sorted(REFUSAL_INPUTS))
-def test_refusals_keep_their_order_codes_and_labels(monkeypatch, inputs):
+def test_refusals_keep_their_order_codes_and_labels(inputs):
     """When several conditions fail at once, the one reported first, its
     exit code and its catalogue label stay as pinned, for every method."""
-    monkeypatch.delenv("GMLS_TOL", raising=False)
     argv = [_fixture(arg) if arg.endswith(".csv") else arg
             for arg in REFUSAL_INPUTS[inputs]]
     for method, (code, line) in REFUSALS[inputs].items():
@@ -598,6 +589,19 @@ def test_refusals_keep_their_order_codes_and_labels(monkeypatch, inputs):
         # the certificate's digits are rounding-sensitive; its presence is not
         head, certificate, _ = (err.splitlines() or [""])[0].partition("certificate d = ")
         assert (got, head + certificate) == (code, f"error: {line}" if line else ""), method
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("estimate", *_GOLDEN_MODEL, "--method", "ridge", "--ridge-psi", "nan"),
+     "psi contains non-finite entries"),
+    (("estimate", *_GOLDEN_MODEL, "--method", "ridge", "--ridge-psi", "inf"),
+     "psi contains non-finite entries"),
+    (("diagnose", *_GOLDEN_MODEL, "--tol", "nan"), "tolerance must be nonnegative"),
+    (("diagnose", *_SUR, "--tol", "nan"), "tolerance must be nonnegative"),
+], ids=["ridge-psi-nan", "ridge-psi-inf", "diagnose-tol-nan", "diagnose-sur-tol-nan"])
+def test_a_non_finite_shift_or_tolerance_is_an_input_error(argv, line):
+    got, out, err = _main(*(_fixture(arg) if arg.endswith(".csv") else arg for arg in argv))
+    assert (got, out, err) == (1, "", f"error: {line}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +696,6 @@ def _kernel_calls(monkeypatch, subcommand, args):
     its (fe_gls, fe_mls) fits."""
     from gmls import panel
 
-    monkeypatch.delenv("GMLS_TOL", raising=False)
     calls = dict.fromkeys(_KERNELS + ("fe_gls", "fe_mls"), 0)
 
     def count(owner, name):

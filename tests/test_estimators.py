@@ -14,15 +14,15 @@ from gmls import (
     EstimatorTag,
     IdentificationError,
     InconsistentRestrictionsError,
+    IndefiniteInputError,
     InfeasibleParticularError,
     LinearRestrictions,
+    NonFiniteError,
     ReducedGramSingularError,
     ResponseOutsideRangeError,
     RestrictionGramSingularError,
-    RidgeSpec,
     ShiftInsufficientError,
     SpectralDecomposition,
-    StochasticRestrictions,
     SURLayout,
     TheilRankConditionError,
     build_fe_model,
@@ -245,26 +245,22 @@ def test_ridge_matches_direct_formula():
     rng = np.random.default_rng(60)
     model = _regular(rng)
     psi = 0.7
-    result = ridge(model, RidgeSpec.scalar(psi))
+    result = ridge(model, psi)
     oracle = ridge_direct(model.y, model.X, psi * np.eye(model.num_params))
     np.testing.assert_allclose(result.beta_hat, oracle, atol=1e-10)
     assert result.estimator_tag is EstimatorTag.RIDGE
 
 
 def test_ridge_spec_variants_agree():
+    """A number, its length-K vector and psi I give one estimate."""
     rng = np.random.default_rng(61)
     model = _regular(rng)
     k = model.num_params
-    by_scalar = ridge(model, RidgeSpec.scalar(0.5))
-    by_blocks = ridge(model, RidgeSpec.blocks([0.5], [k]))
-    by_matrix = ridge(model, RidgeSpec.matrix(0.5 * np.eye(k)))
-    np.testing.assert_allclose(by_scalar.beta_hat, by_blocks.beta_hat, atol=1e-12)
+    by_scalar = ridge(model, 0.5)
+    by_vector = ridge(model, np.full(k, 0.5))
+    by_matrix = ridge(model, 0.5 * np.eye(k))
+    np.testing.assert_allclose(by_scalar.beta_hat, by_vector.beta_hat, atol=1e-12)
     np.testing.assert_allclose(by_scalar.beta_hat, by_matrix.beta_hat, atol=1e-12)
-
-
-def test_ridge_block_expansion():
-    spec = RidgeSpec.blocks([1.0, 4.0], [2, 1])
-    np.testing.assert_allclose(spec.expand(3), np.diag([1.0, 1.0, 4.0]))
 
 
 def test_ridge_handles_collinear_design_with_positive_shift():
@@ -273,7 +269,7 @@ def test_ridge_handles_collinear_design_with_positive_shift():
     x[:, 2] = x[:, 1]
     y = x @ np.ones((3, 1))
     model = build_model(y, x, np.eye(9))
-    result = ridge(model, RidgeSpec.scalar(0.3))
+    result = ridge(model, 0.3)
     oracle = ridge_direct(y, x, 0.3 * np.eye(3))
     np.testing.assert_allclose(result.beta_hat, oracle, atol=1e-10)
 
@@ -285,15 +281,41 @@ def test_ridge_zero_shift_on_deficient_design_fails():
     y = x @ np.ones((3, 1))
     model = build_model(y, x, np.eye(9))
     with pytest.raises(ShiftInsufficientError):
-        ridge(model, RidgeSpec.scalar(0.0))
+        ridge(model, 0.0)
 
 
 def test_ridge_shrinks_towards_ols():
     rng = np.random.default_rng(64)
     model = _regular(rng)
     base = ols(model).beta_hat
-    tiny = ridge(model, RidgeSpec.scalar(1e-12)).beta_hat
+    tiny = ridge(model, 1e-12).beta_hat
     np.testing.assert_allclose(tiny, base, atol=1e-8)
+
+
+def test_ridge_per_coefficient_shifts_match_direct_formula():
+    rng = np.random.default_rng(65)
+    model = _regular(rng)
+    result = ridge(model, [1.0, 1.0, 4.0])
+    oracle = ridge_direct(model.y, model.X, np.diag([1.0, 1.0, 4.0]))
+    np.testing.assert_allclose(result.beta_hat, oracle, atol=1e-10)
+
+
+@pytest.mark.parametrize("psi, error, message", [
+    (np.nan, NonFiniteError, "psi contains non-finite entries"),
+    ([0.5, np.inf, 0.5], NonFiniteError, "psi contains non-finite entries"),
+    (np.full((3, 3), np.nan), NonFiniteError, "psi contains non-finite entries"),
+    (-0.5, IndefiniteInputError, "ridge parameters must be nonnegative"),
+    ([0.5, 0.5], DimensionMismatchError,
+     "ridge shift must be a number, 3 shifts or a 3 x 3 matrix, got shape (2,)"),
+    (np.eye(2), DimensionMismatchError, "shift matrix must be 3 x 3, got (2, 2)"),
+    (-np.eye(3), IndefiniteInputError, "shift matrix must be symmetric nonnegative definite: "
+     "matrix has eigenvalue -1 below -tol=-2.66454e-15"),
+], ids=["nan", "inf-shift", "nan-matrix", "negative", "short-vector", "small-matrix",
+        "indefinite-matrix"])
+def test_ridge_refuses_a_shift_it_cannot_read(psi, error, message):
+    with pytest.raises(error) as refused:
+        ridge(_regular(np.random.default_rng(67)), psi)
+    assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +349,7 @@ def test_ols_and_ridge_record_the_cores_rank_decision(method, tol):
     fits = {
         "ols": (lambda model, psi: ols(model, tol=tol), "design_rank",
                 DesignRankDeficientError, "design has numeric rank 2 < K=3"),
-        "ridge": (lambda model, psi: ridge(model, RidgeSpec.scalar(psi), tol=tol),
+        "ridge": (lambda model, psi: ridge(model, psi, tol=tol),
                   "shifted_rank", ShiftInsufficientError,
                   "shifted design [X; Psi^(1/2)] has rank 2 < K"),
     }
@@ -353,8 +375,7 @@ def test_mixed_matches_direct_oracle(seed):
     model = _regular(rng)
     res = _restriction(rng, model.num_params, count=2)
     theta = random_spd(rng, 2)
-    sres = StochasticRestrictions.build(res.R, res.r, theta)
-    result = stochastic_restricted_gls(model, sres)
+    result = stochastic_restricted_gls(model, res, theta)
     oracle = mixed_direct(model.y, model.X, model.dispersion,
                           res.R, res.r, theta, 1.0)
     np.testing.assert_allclose(result.beta_hat, oracle, atol=1e-8)
@@ -369,8 +390,7 @@ def test_mixed_uses_model_sigma2_weighting():
     model = build_model(y, x, omega, sigma2=4.0)
     res = _restriction(rng, 3)
     theta = random_spd(rng, 1)
-    result = stochastic_restricted_gls(model, StochasticRestrictions.build(
-        res.R, res.r, theta))
+    result = stochastic_restricted_gls(model, res, theta)
     oracle = mixed_direct(y, x, omega, res.R, res.r, theta, 4.0)
     np.testing.assert_allclose(result.beta_hat, oracle, atol=1e-8)
 
@@ -379,37 +399,33 @@ def _mixed_sigma2_instance(rng, rows, theta):
     x = rng.normal(size=(10, 3))
     y = x @ np.ones((3, 1)) + 2.0 * rng.normal(size=(10, 1))
     model = build_model(y, x, random_spd(rng, 10), sigma2=4.0)
-    sres = StochasticRestrictions.build(rng.normal(size=(rows, 3)),
-                                        rng.normal(size=(rows, 1)), theta)
-    return model, sres
+    res = LinearRestrictions.build(rng.normal(size=(rows, 3)), rng.normal(size=(rows, 1)))
+    return model, res, theta
 
 
 def test_mixed_covariance_meets_the_no_row_limit():
     """D(beta_hat) = sigma2 V holds with and without rows, so an
     uninformative row (Theta = 1e12) leaves the no-row covariance."""
     rng = np.random.default_rng(74)
-    model, loose = _mixed_sigma2_instance(rng, 1, np.array([[1e12]]))
-    none = StochasticRestrictions.build(np.zeros((0, 3)), np.zeros((0, 1)),
-                                        np.zeros((0, 0)))
+    model, loose, theta = _mixed_sigma2_instance(rng, 1, np.array([[1e12]]))
     np.testing.assert_allclose(
-        stochastic_restricted_gls(model, loose).covariance_factor,
-        stochastic_restricted_gls(model, none).covariance_factor, rtol=1e-6)
+        stochastic_restricted_gls(model, loose, theta).covariance_factor,
+        stochastic_restricted_gls(model, LinearRestrictions.empty(3),
+                                  np.zeros((0, 0))).covariance_factor, rtol=1e-6)
 
 
 def test_mixed_covariance_matches_textbook_dispersion():
     rng = np.random.default_rng(75)
-    model, sres = _mixed_sigma2_instance(rng, 2, random_spd(rng, 2))
-    result = stochastic_restricted_gls(model, sres)
-    expected = mixed_dispersion(model.X, model.dispersion, sres.R, sres.theta, 4.0)
+    model, res, theta = _mixed_sigma2_instance(rng, 2, random_spd(rng, 2))
+    result = stochastic_restricted_gls(model, res, theta)
+    expected = mixed_dispersion(model.X, model.dispersion, res.R, theta, 4.0)
     np.testing.assert_allclose(4.0 * result.covariance_factor, expected, rtol=1e-10)
 
 
 def test_mixed_with_no_rows_equals_gls():
     rng = np.random.default_rng(71)
     model = _regular(rng)
-    sres = StochasticRestrictions.build(np.zeros((0, 3)), np.zeros((0, 1)),
-                                        np.zeros((0, 0)))
-    result = stochastic_restricted_gls(model, sres)
+    result = stochastic_restricted_gls(model, LinearRestrictions.empty(3), np.zeros((0, 0)))
     np.testing.assert_allclose(result.beta_hat, gls(model).beta_hat, atol=0.0)
     assert result.estimator_tag is EstimatorTag.STOCHASTIC_RESTRICTED
 
@@ -421,8 +437,7 @@ def test_mixed_forecast_design_restricts_through_it():
     r_mat = np.array([[1.0, 0.0], [0.0, 1.0]])
     rhs = rng.normal(size=(2, 1))
     theta = random_spd(rng, 2)
-    sres = StochasticRestrictions.build(r_mat, rhs, theta, forecast_design=xf)
-    result = stochastic_restricted_gls(model, sres)
+    result = stochastic_restricted_gls(model, LinearRestrictions.build(r_mat @ xf, rhs), theta)
     oracle = mixed_direct(model.y, model.X, model.dispersion,
                           r_mat @ xf, rhs, theta, 1.0)
     np.testing.assert_allclose(result.beta_hat, oracle, atol=1e-8)
@@ -433,8 +448,7 @@ def test_mixed_rejects_singular_theta():
     model = _regular(rng)
     res = _restriction(rng, model.num_params, count=2)
     with pytest.raises(DispersionSingularError):
-        stochastic_restricted_gls(model, StochasticRestrictions.build(
-            res.R, res.r, np.zeros((2, 2))))
+        stochastic_restricted_gls(model, res, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -442,10 +456,8 @@ def test_mixed_limits_bracket_rgls_and_gls(seed):
     rng = np.random.default_rng(750 + seed)
     model = _regular(rng)
     res = _restriction(rng, model.num_params)
-    tight = stochastic_restricted_gls(model, StochasticRestrictions.build(
-        res.R, res.r, 1e-10 * np.eye(1)))
-    loose = stochastic_restricted_gls(model, StochasticRestrictions.build(
-        res.R, res.r, 1e12 * np.eye(1)))
+    tight = stochastic_restricted_gls(model, res, 1e-10 * np.eye(1))
+    loose = stochastic_restricted_gls(model, res, 1e12 * np.eye(1))
     target_r = rgls(model, res).beta_hat
     target_g = gls(model).beta_hat
     assert np.max(np.abs(tight.beta_hat - target_r)) \
@@ -458,9 +470,8 @@ def _mixed_instance(rng, columns=1, sigma2=None, t_dim=12, rows=2):
     x = rng.normal(size=(t_dim, 3))
     y = x @ np.ones((3, 1)) + rng.normal(size=(t_dim, columns))
     model = build_model(y, x, random_spd(rng, t_dim), sigma2=sigma2)
-    sres = StochasticRestrictions.build(rng.normal(size=(rows, 3)),
-                                        rng.normal(size=(rows, 1)), random_spd(rng, rows))
-    return model, sres
+    res = LinearRestrictions.build(rng.normal(size=(rows, 3)), rng.normal(size=(rows, 1)))
+    return model, res, random_spd(rng, rows)
 
 
 @pytest.mark.parametrize("sigma2", [None, 2.0, 0.3])
@@ -469,10 +480,10 @@ def test_mixed_matches_the_stacked_whitened_lstsq(columns, sigma2):
     """Estimate and covariance factor agree within 1e-12 relative with
     lstsq on the system whitened by dense eigh whiteners of Omega and
     Theta, for every response column."""
-    model, sres = _mixed_instance(np.random.default_rng(760 + columns), columns, sigma2)
-    result = stochastic_restricted_gls(model, sres)
-    expected = mixed_stacked_lstsq(model.y, model.X, model.dispersion, sres.R, sres.r,
-                                   sres.theta, 1.0 if sigma2 is None else sigma2)
+    model, res, theta = _mixed_instance(np.random.default_rng(760 + columns), columns, sigma2)
+    result = stochastic_restricted_gls(model, res, theta)
+    expected = mixed_stacked_lstsq(model.y, model.X, model.dispersion, res.R, res.r,
+                                   theta, 1.0 if sigma2 is None else sigma2)
     for got, want in zip((result.beta_hat, result.covariance_factor), expected):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -485,11 +496,11 @@ def test_mixed_identification_does_not_depend_on_units(k):
     augmented design, its rank decision and the estimate are bit for bit
     the same.  A rank decision on the raw [R X_f; X] refuses at k = -60,
     where X's singular values fall under the cutoff that R's set."""
-    model, sres = _mixed_instance(np.random.default_rng(77))
-    base = stochastic_restricted_gls(model, sres)
+    model, res, theta = _mixed_instance(np.random.default_rng(77))
+    base = stochastic_restricted_gls(model, res, theta)
     c = 2.0 ** k
     scaled = stochastic_restricted_gls(
-        build_model(c * model.y, c * model.X, c * c * model.dispersion), sres)
+        build_model(c * model.y, c * model.X, c * c * model.dispersion), res, theta)
     np.testing.assert_array_equal(scaled.beta_hat, base.beta_hat)
     np.testing.assert_array_equal(scaled.covariance_factor, base.covariance_factor)
     got, want = (fit.diagnostics["augmented_identification"] for fit in (scaled, base))
@@ -518,12 +529,12 @@ def test_mixed_refuses_a_row_that_misses_the_collinear_direction(tol):
                           / np.sqrt(theta_spec.eigenvalues_pos)[:, None]])
     missing, repairing = np.array([[1.0, 1.0, 1.0]]), np.array([[0.0, 1.0, 0.0]])
     with pytest.raises(IdentificationError) as refused:
-        stochastic_restricted_gls(model, StochasticRestrictions.build(missing, [[0.5]], theta),
+        stochastic_restricted_gls(model, LinearRestrictions.build(missing, [[0.5]]), theta,
                                   tol=tol)
     assert refused.value.report.numeric_rank == 2
     assert_same_rank_decision(refused.value.report, whitened(missing), tol)
     fit = stochastic_restricted_gls(
-        model, StochasticRestrictions.build(repairing, [[0.5]], theta), tol=tol)
+        model, LinearRestrictions.build(repairing, [[0.5]]), theta, tol=tol)
     assert fit.diagnostics["augmented_identification"].numeric_rank == 3
     assert_same_rank_decision(fit.diagnostics["augmented_identification"],
                               whitened(repairing), tol)
@@ -539,11 +550,11 @@ def test_a_mixed_fit_of_many_responses_forms_no_whitened_response():
     ufunc buffers for the broadcast operations, 0.29 of a block here,
     bring the measured peak to 2.46.  Whitening F'y before stacking, as a
     W y and a W y / s, read 3.33."""
-    model, sres = _mixed_instance(np.random.default_rng(79), columns=2000, sigma2=2.0)
+    model, res, theta = _mixed_instance(np.random.default_rng(79), columns=2000, sigma2=2.0)
     assert model._range_products  # forms F'X and F'y before the trace
     tracemalloc.start()
     try:
-        stochastic_restricted_gls(model, sres)
+        stochastic_restricted_gls(model, res, theta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -916,10 +927,9 @@ def test_estimators_fit_each_response_column():
     regular = replace(regular, y=regular.X @ rng.normal(size=(3, columns))
                       + rng.normal(size=(10, columns)))
     res = _restriction(rng, 3)
-    sres = StochasticRestrictions.build(res.R, res.r, np.array([[0.5]]))
     for fit in (ols, gls, mls, lambda m: rols(m, res), lambda m: rgls(m, res),
-                lambda m: tkn(m, res), lambda m: ridge(m, RidgeSpec.scalar(0.3)),
-                lambda m: stochastic_restricted_gls(m, sres)):
+                lambda m: tkn(m, res), lambda m: ridge(m, 0.3),
+                lambda m: stochastic_restricted_gls(m, res, np.array([[0.5]]))):
         _fits_by_column(fit, regular, columns)
     singular = _singular(rng)
     root = singular.spectrum.eigenvectors_pos
@@ -1211,7 +1221,7 @@ def test_the_sandwich_reads_g_f_block_by_block(method):
     dense (G F Lambda^{1/2})(G F Lambda^{1/2})' within 1e-12 relative."""
     model, explicit = _adding_up_sur(np.random.default_rng(32), n=4, m=500, width=3)
     fit = {"ols": ols, "rols": lambda m: rols(m, explicit),
-           "ridge": lambda m: ridge(m, RidgeSpec.scalar(0.5))}[method]
+           "ridge": lambda m: ridge(m, 0.5)}[method]
     tracemalloc.start()
     try:
         result = fit(model)

@@ -727,8 +727,6 @@ RECORD_SIGNATURES = {
     "model.SURLayout": "(block_design)",
     "identify.ImplicitRestrictions": "(G, g)",
     "identify.TheilWitness": "(kind, d, s, a, violating_equation=None, note='')",
-    "estimators.RidgeSpec": "(full_matrix=None, block_parameters=None, block_widths=None)",
-    "estimators.StochasticRestrictions": "(R, r, theta, forecast_design=None)",
     "methods.Method": "(fit, kind, needs=())",
     "panel.Theorem5Report": "(fe_gls, fe_mls, beta_gap, projector_gap, tolerance, "
                             "beta_equal, projector_equal)",
@@ -742,6 +740,23 @@ RECORD_SIGNATURES = {
     "montecarlo._Structure": "(kind, true_beta, sigma2, template, restrictions=None, "
                              "layout=None, *, rng)",
 }
+
+
+# Signatures of the entry points whose inputs each come one way.
+ENTRY_SIGNATURES = {
+    "estimators.ridge": "(model, psi, tol=None)",
+    "estimators.stochastic_restricted_gls": "(model, restrictions, theta, tol=None)",
+    "model.build_model": "(y, X, dispersion, sigma2=None, tol=None)",
+}
+
+
+@pytest.mark.parametrize("path", sorted(ENTRY_SIGNATURES))
+def test_entry_points_keep_their_signatures(path):
+    module, name = path.split(".")
+    params = inspect.signature(getattr(importlib.import_module(f"gmls.{module}"), name)
+                               ).parameters.values()
+    bare = inspect.Signature([p.replace(annotation=p.empty) for p in params])
+    assert str(bare) == ENTRY_SIGNATURES[path]
 
 
 @pytest.mark.parametrize("path", sorted(RECORD_SIGNATURES))

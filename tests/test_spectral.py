@@ -8,10 +8,12 @@ from gmls import (
     IndefiniteInputError,
     NonFiniteError,
     NonSymmetricError,
+    SURLayout,
     default_tolerance,
     null_space_basis,
     numeric_rank,
     spectral_decompose,
+    stack_sur,
 )
 from gmls.model import _block_diag
 from gmls.spectral import _block_ends, _fix_signs, as_matrix
@@ -133,6 +135,20 @@ def test_rejects_indefinite():
 def test_rejects_nonfinite():
     with pytest.raises(NonFiniteError):
         spectral_decompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("tol", [-1e-9, np.nan])
+def test_rejects_a_negative_or_nan_tolerance(tol):
+    """A NaN cutoff would decide every rank as 0, so it is refused as a
+    negative one is: on the dense path, on the block path and in
+    stack_sur's per-block decomposition."""
+    block = np.array([[2.0, 1.0], [1.0, 2.0]])
+    layout = SURLayout.build([np.ones((3, 1)), np.arange(3.0).reshape(3, 1)])
+    for decompose in (lambda: spectral_decompose(block, tol=tol),
+                      lambda: spectral_decompose(_block_diag(block, block), tol=tol),
+                      lambda: stack_sur(layout, [np.ones(3), np.ones(3)], block, tol=tol)):
+        with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+            decompose()
 
 
 def test_as_matrix_promotes_vectors():
